@@ -10,14 +10,11 @@ To regenerate after an *intentional* behaviour change::
 
     PYTHONPATH=src python - <<'PY'
     import json
-    from repro.validation.experiments.fast import run_fast
+    from repro.validation.experiments.fast import FAST_KWARGS, run_fast
     from repro.validation.runner import reset_run_stats
     from repro.validation import export
     digests = {}
-    for eid in ("figure12", "figure14", "table2", "epoch-size-study",
-                "figure16-latency", "crash-check", "tier-sweep",
-                "migration-policy", "explore-check", "service-latency",
-                "cache-policy"):
+    for eid in FAST_KWARGS:
         reset_run_stats()
         result = run_fast(eid, jobs=1)
         digests[eid] = export.experiment_digest(
