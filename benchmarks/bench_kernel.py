@@ -180,7 +180,7 @@ def run_observed_chain(total_events: int = 400_000, chains: int = 64) -> dict:
     def observer(event):
         observed[0] += 1
 
-    sim.dispatch_observer = observer
+    sim.hooks.subscribe("dispatch", observer)
     started = time.perf_counter()
     sim.run()
     wall = time.perf_counter() - started

@@ -218,11 +218,11 @@ class Explorer:
         machine = Machine(sim, self.arch, latency_jitter=False)
         os = SimOS(machine, default_cpu_node=0)
         domain = PersistenceDomain()
-        domain.install(os)
+        domain.install(sim.hooks)
         injector = CrashInjector(
             domain, self.plan.crash_plan, run_seed=self.plan.seed
         )
-        injector.install(sim, None)
+        injector.install(sim)
         scheduler = ControlledScheduler(os)
         out: dict = {}
         start = sim.now

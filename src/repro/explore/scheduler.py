@@ -3,7 +3,7 @@
 Explore mode serializes a workload's scheduling decisions.  Every thread
 is parked at each *boundary op* (sync primitives, persist ops, thread
 lifecycle — see ``repro.os.system._BOUNDARY_OPS``) plus once at thread
-start, via the :attr:`~repro.os.system.SimOS.boundary_gate` seam.  The
+start, as the one ``gate`` subscriber of the simulator's hooks.  The
 explorer then drains the simulator, inspects who is parked, and grants
 exactly one thread at a time — the cooperative poll/continue engine shape
 of simsched-style model checkers.
@@ -136,14 +136,14 @@ class ParkedThread:
 class ControlledScheduler:
     """Owns the boundary gate of one OS and serializes its grants.
 
-    Also chains an op-trace observer in front of whatever dispatch
-    observer is already installed (the persistence domain, in explore
-    runs), folding every executed op into a SHA-256 digest — the
+    Also subscribes to the ``op`` event (after the persistence domain, in
+    explore runs), folding every executed op into a SHA-256 digest — the
     replay-equality witness the property tests pin.
     """
 
     def __init__(self, os: "SimOS"):
-        if os.boundary_gate is not None:
+        hooks = os.hooks
+        if hooks.gate:
             raise WorkloadError("a boundary gate is already installed")
         self.os = os
         self.sim = os.sim
@@ -151,9 +151,8 @@ class ControlledScheduler:
         self.ops_granted = 0
         self.ops_observed = 0
         self._hash = hashlib.sha256()
-        os.boundary_gate = self._gate
-        self._chain = os.interpose.dispatch_observer
-        os.interpose.dispatch_observer = self._observe
+        hooks.subscribe("gate", self._gate)
+        hooks.subscribe("op", self._observe)
 
     # ------------------------------------------------------------------
     # Seams
@@ -168,8 +167,6 @@ class ControlledScheduler:
         self._hash.update(
             f"{thread.name}|{type(op).__name__}|{self.sim.now!r}\n".encode()
         )
-        if self._chain is not None:
-            self._chain(thread, op)
 
     def trace_digest(self) -> str:
         """SHA-256 over the executed op stream (thread, op type, time)."""

@@ -7,16 +7,14 @@ uses, so faulted runs are exactly as deterministic as clean ones — the
 foundation of the faulted jobs-invariance guarantee and of reproducible
 fault exports.
 
-Injection seams (each a first-class hook on the target object, installed
-by :meth:`FaultEngine.install` and cleared by :meth:`uninstall`):
+Injectors subscribe to the simulator's :class:`~repro.sim.hooks.Hooks`
+in :meth:`FaultEngine.install` and leave in :meth:`uninstall`:
 
-* ``Simulator.schedule_interceptor`` — timer jitter and clock drift on
-  every scheduled delay;
-* ``SimOS.signal_interceptor`` — delayed or dropped epoch signals (the
-  monitor → application channel of Figure 5);
-* ``PmcFile.read_interceptor`` — stale counter reads and register
-  wrap/overflow;
-* ``SimOS.fault_engine`` + the monitor loop — missed monitor wake-ups;
+* ``schedule`` — timer jitter and clock drift on every scheduled delay;
+* ``signal`` — delayed or dropped epoch signals (the monitor →
+  application channel of Figure 5);
+* ``pmc_read`` — stale counter reads and register wrap/overflow;
+* ``monitor_wakeup`` — missed monitor wake-ups;
 * :meth:`perturb_calibration` — perturbed latency/bandwidth calibration
   points, applied before the emulator attaches.
 """
@@ -24,7 +22,7 @@ by :meth:`FaultEngine.install` and cleared by :meth:`uninstall`):
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Callable, Optional, Union
 
 from repro.faults.plan import FaultPlan
 from repro.sim.random import RandomStreams
@@ -35,7 +33,7 @@ if TYPE_CHECKING:
     from repro.quartz.calibration import CalibrationData
     from repro.sim import Simulator
 
-#: Sentinel returned by the signal interceptor: swallow the signal.
+#: Sentinel ``signal`` verdict: swallow the signal.
 DROP_SIGNAL = "drop"
 
 
@@ -60,9 +58,8 @@ class FaultEngine:
         #: Injection counters by kind (only kinds that fired appear).
         self.injections: dict[str, int] = {}
         self._stale: dict[tuple[int, str], float] = {}
-        self._sim: Optional["Simulator"] = None
-        self._os: Optional["SimOS"] = None
-        self._machine: Optional["Machine"] = None
+        #: ``(hooks, event, subscriber)`` triples :meth:`install` added.
+        self._subscribed: list[tuple] = []
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -76,51 +73,39 @@ class FaultEngine:
         """Attach the plan's active injectors to the given objects.
 
         ``machine`` implies its simulator; ``os`` enables the signal and
-        monitor injectors (the Quartz-facing seams).  Passing only
+        monitor injectors (the Quartz-facing events).  Passing only
         ``sim`` installs just the timer faults — the subset meaningful
         for un-emulated (Conf_2 / native) runs.
         """
         plan = self.plan
         if machine is not None and sim is None:
             sim = machine.sim
-        self._sim, self._machine, self._os = sim, machine, os
         if sim is not None and (
             plan.timer_jitter_rel > 0 or plan.timer_drift_rel != 0.0
         ):
-            sim.schedule_interceptor = self._intercept_delay
+            self._subscribe(sim, "schedule", self._intercept_delay)
         if machine is not None and (
             plan.counter_stale_p > 0 or plan.counter_wrap_bits is not None
         ):
-            for pmc in machine.pmcs:
-                pmc.read_interceptor = self._intercept_counter_read
+            self._subscribe(machine.sim, "pmc_read", self._intercept_counter_read)
         if os is not None:
             if (
                 plan.signal_drop_p > 0
                 or (plan.signal_delay_ns > 0 and plan.signal_delay_p > 0)
             ):
-                os.signal_interceptor = self._intercept_signal
-            os.fault_engine = self
+                self._subscribe(os.sim, "signal", self._intercept_signal)
+            if plan.monitor_miss_p > 0:
+                self._subscribe(os.sim, "monitor_wakeup", self.monitor_skips_wakeup)
+
+    def _subscribe(self, sim: "Simulator", event: str, fn: Callable) -> None:
+        sim.hooks.subscribe(event, fn)
+        self._subscribed.append((sim.hooks, event, fn))
 
     def uninstall(self) -> None:
-        """Detach every installed injector (idempotent).
-
-        Bound methods compare equal (not identical) across accesses, so
-        the checks use ``==`` to only clear hooks this engine installed.
-        """
-        if (
-            self._sim is not None
-            and self._sim.schedule_interceptor == self._intercept_delay
-        ):
-            self._sim.schedule_interceptor = None
-        if self._machine is not None:
-            for pmc in self._machine.pmcs:
-                if pmc.read_interceptor == self._intercept_counter_read:
-                    pmc.read_interceptor = None
-        if self._os is not None:
-            if self._os.signal_interceptor == self._intercept_signal:
-                self._os.signal_interceptor = None
-            if self._os.fault_engine is self:
-                self._os.fault_engine = None
+        """Detach every installed injector (idempotent)."""
+        while self._subscribed:
+            hooks, event, fn = self._subscribed.pop()
+            hooks.unsubscribe(event, fn)
 
     def _count(self, kind: str) -> None:
         self.injections[kind] = self.injections.get(kind, 0) + 1

@@ -1,9 +1,8 @@
 """Machine-checked runtime invariants for simulator and emulator runs.
 
-The :class:`InvariantMonitor` attaches to the seams the fault layer also
-uses — the simulator's dispatch observer and the epoch engine's close
-observers — and audits every event against properties the paper only
-argues informally:
+The :class:`InvariantMonitor` subscribes to the simulator's ``dispatch``
+and ``close`` hook events (see :mod:`repro.sim.hooks`) and audits every
+event against properties the paper only argues informally:
 
 * **clock-monotonicity** — simulated time never moves backwards;
 * **fifo-tie-break** — events at equal times dispatch in scheduling
@@ -31,7 +30,6 @@ from repro.errors import InvariantViolation
 from repro.quartz.epoch import EpochCloseInfo
 
 if TYPE_CHECKING:
-    from repro.quartz.emulator import Quartz
     from repro.sim import Simulator
     from repro.sim.events import ScheduledEvent
 
@@ -59,17 +57,13 @@ class InvariantMonitor:
     # Attachment
     # ------------------------------------------------------------------
     def attach_sim(self, sim: "Simulator") -> None:
-        """Observe every dispatched event (monotonicity + FIFO order)."""
-        sim.dispatch_observer = self._on_dispatch
+        """Observe every dispatched event (monotonicity + FIFO order) and
+        every epoch close (the accounting invariants) of *sim*'s run.
 
-    def attach_quartz(self, quartz: "Quartz") -> None:
-        """Observe every epoch close (the accounting invariants)."""
-        engine = quartz._engine
-        if engine is None:
-            raise InvariantViolation(
-                "attach-order", "Quartz must be attached before the monitor"
-            )
-        engine.close_observers.append(self._on_close)
+        Closes only fire once Quartz attaches, which may happen later.
+        """
+        sim.hooks.subscribe("dispatch", self._on_dispatch)
+        sim.hooks.subscribe("close", self._on_close)
 
     def report(self) -> dict:
         """JSON-safe audit summary for outcomes and runner telemetry."""

@@ -52,11 +52,7 @@ class PmcFile:
             rng = _random.Random(fingerprint)
             self._bias[name] = 1.0 + rng.gauss(0.0, sigma)
         self._noise_rng = sim.random.stream(f"pmc-read-core{core_id}")
-        #: Optional hook ``(core_id, event, value) -> value`` applied to
-        #: the *reported* value only — the fault layer's stale-read and
-        #: register-wrap seam.  Internal read state keeps the unfaulted
-        #: truth, so faults never compound across reads.
-        self.read_interceptor = None
+        self._hooks = sim.hooks
 
     # ------------------------------------------------------------------
     # Programming (privileged; done by the Quartz kernel module)
@@ -97,6 +93,10 @@ class PmcFile:
 
         The *cost* of the read (rdpmc vs. PAPI trap) is charged by the
         counter backend in ``repro.quartz.counters``, not here.
+        ``pmc_read`` subscribers (the fault layer's stale-read and
+        register-wrap injectors) fold over the *reported* value only:
+        internal read state keeps the unfaulted truth, so faults never
+        compound across reads.
         """
         self._require_valid(event)
         if event not in self._programmed:
@@ -114,8 +114,8 @@ class PmcFile:
             )
         reported = max(reported_prev, reported_prev + observed_delta)
         self._read_state[event] = (true_now, reported)
-        if self.read_interceptor is not None:
-            return self.read_interceptor(self.core_id, event, reported)
+        for perturb in self._hooks.pmc_read:
+            reported = perturb(self.core_id, event, reported)
         return reported
 
     def _require_valid(self, event: str) -> None:

@@ -21,14 +21,15 @@ name.  Two kinds exist:
 At most one interposer per symbol may be active — like symbol resolution,
 the first preloaded definition wins and a second preload is a conflict.
 
-Besides interposers the table carries one *dispatch observer*: an
-optional callable ``observer(thread, op)`` notified once for every op the
-OS actually routes to the hardware or sync layer (interposed calls notify
-for the ops their hooks emit, not for the intercepted symbol itself).
-This is the zero-overhead seam shadow-memory tools sit on — the
-persistence-domain model of :mod:`repro.pmem` watches ``Flush`` /
-``FlushOpt`` / ``Commit`` traffic through it without perturbing a single
-simulated timestamp.
+Interposers *replace* behaviour.  Tools that only *watch* it subscribe
+to the simulator's :class:`~repro.sim.hooks.Hooks` instead, which admits
+any number of subscribers per event in a fixed order.  Its ``op`` event
+fires once for every op the OS actually routes to the hardware or sync
+layer (interposed calls notify for the ops their hooks emit, not for the
+intercepted symbol itself).  This is the zero-overhead seam shadow-memory
+tools sit on — the persistence-domain model of :mod:`repro.pmem` watches
+``Flush`` / ``FlushOpt`` / ``Commit`` traffic through it without
+perturbing a single simulated timestamp.
 """
 
 from __future__ import annotations
@@ -72,10 +73,6 @@ class InterpositionTable:
     def __init__(self) -> None:
         self._op_hooks: dict[str, Callable] = {}
         self._sync_hooks: dict[str, Callable] = {}
-        #: Optional ``observer(thread, op)`` called once per executed op
-        #: (see module docstring).  A plain attribute, not a registry: one
-        #: attribute check on the dispatch fast path when unused.
-        self.dispatch_observer: Optional[Callable] = None
 
     # -- op hooks -------------------------------------------------------
     def register_op_hook(self, symbol: str, hook: Callable) -> None:
@@ -104,11 +101,6 @@ class InterpositionTable:
         return self._sync_hooks.get(symbol)
 
     def unregister_all(self) -> None:
-        """Drop every hook (library unload).
-
-        The dispatch observer is *not* cleared: it belongs to the
-        checking harness, not to the interposed library, and must survive
-        a Quartz detach.
-        """
+        """Drop every interposer (library unload)."""
         self._op_hooks.clear()
         self._sync_hooks.clear()

@@ -11,6 +11,9 @@ model.  It owns:
   instruction granularity (the Quartz monitor's epoch-close mechanism);
 * **interposition** — op hooks wrap ``pthread_mutex_unlock`` and friends
   exactly where the real library's ``LD_PRELOAD`` shims sit.
+
+The OS raises the ``gate``, ``op``, ``signal`` and ``thread_exit``
+events of the simulator's :class:`~repro.sim.hooks.Hooks`.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ class SimOS:
     ):
         self.machine = machine
         self.sim: Simulator = machine.sim
+        self.hooks = machine.sim.hooks
         self.interpose = InterpositionTable()
         self.default_cpu_node = default_cpu_node
         #: None = first-touch local (malloc on the thread's own socket).
@@ -66,19 +70,9 @@ class SimOS:
             )
             for socket in range(machine.arch.sockets)
         ]
-        #: Called synchronously when a thread is created / finishes.
-        self.thread_created_callbacks: list[Callable[[SimThread], None]] = []
-        self.thread_finished_callbacks: list[Callable[[SimThread], None]] = []
         #: Per-signum handler: generator fn ``handler(thread, signal)``
         #: yielding ops, run with further signals masked.
         self.signal_handlers: dict[int, Callable] = {}
-        #: Optional fault hook ``(thread, signal) -> None | "drop" | ns``
-        #: consulted once per :meth:`post_signal` (delayed re-posts are
-        #: exempt, so one fault decision governs one post).
-        self.signal_interceptor: Optional[Callable] = None
-        #: The installed fault engine, if any — the monitor thread asks it
-        #: whether to skip a wake-up scan.
-        self.fault_engine = None
         # Live threads per socket drive the cache model's LLC sharing.
         self._live_threads_per_socket = [0] * machine.arch.sockets
         # Non-daemon threads still running: when the count hits zero the
@@ -89,11 +83,6 @@ class SimOS:
         # interrupted by a thread happening to finish.
         self._unfinished_nondaemon = 0
         self._watch_completion = False
-        #: Optional boundary-gate generator ``gate(thread, op)`` run
-        #: before every sync/persist boundary op (and once per thread
-        #: start with ``op=None``).  The explore-mode controlled
-        #: scheduler parks threads here; ``None`` costs nothing.
-        self.boundary_gate: Optional[Callable] = None
 
     # ------------------------------------------------------------------
     # Thread lifecycle
@@ -145,16 +134,15 @@ class SimOS:
         self.machine.set_llc_sharers(
             socket, max(1, self._live_threads_per_socket[socket])
         )
-        for callback in self.thread_created_callbacks:
-            callback(thread)
         thread.process = self.sim.spawn(self._thread_main(thread), name=thread.name)
         return thread
 
     def _thread_main(self, thread: SimThread):
         thread.state = ThreadState.RUNNING
         try:
-            gate = self.boundary_gate
-            if gate is not None:
+            # ``gate`` subscribers run once at thread start (op=None) and
+            # before every boundary op: the explore scheduler parks here.
+            for gate in self.hooks.gate:
                 yield from gate(thread, None)
             begin_hook = self.interpose.op_hook("thread_begin")
             if begin_hook is not None:
@@ -179,8 +167,8 @@ class SimOS:
             self.machine.set_llc_sharers(
                 thread.socket, max(1, self._live_threads_per_socket[thread.socket])
             )
-            for callback in self.thread_finished_callbacks:
-                callback(thread)
+            for subscriber in self.hooks.thread_exit:
+                subscriber(thread)
 
     def _exec_stream(self, thread: SimThread, generator: Iterator):
         """Drive a generator of ops, sending each op's result back."""
@@ -215,10 +203,12 @@ class SimOS:
 
     def _dispatch(self, thread: SimThread, op: Op, interpose: bool = True):
         """Route one op to the core, the sync layer, or an interposer."""
+        hooks = self.hooks
         if interpose:
-            gate = self.boundary_gate
-            if gate is not None and type(op) in _BOUNDARY_OPS:
-                yield from gate(thread, op)
+            gates = hooks.gate
+            if gates and type(op) in _BOUNDARY_OPS:
+                for gate in gates:
+                    yield from gate(thread, op)
             symbol = _INTERPOSED_SYMBOLS.get(type(op))
             if symbol is not None:
                 hook = self.interpose.op_hook(symbol)
@@ -226,12 +216,13 @@ class SimOS:
                     result = yield from self._run_hook_ops(thread, hook, op)
                     return result
         # Past the interposition check every op is about to actually run,
-        # so a dispatch observer sees each executed op exactly once:
+        # so an ``op`` subscriber sees each executed op exactly once:
         # hook-intercepted ops re-enter here with ``interpose=False`` for
         # the ORIGINAL / replacement ops their hooks emit.
-        observer = self.interpose.dispatch_observer
-        if observer is not None:
-            observer(thread, op)
+        observers = hooks.op
+        if observers:
+            for observer in observers:
+                observer(thread, op)
         if isinstance(op, MutexLock):
             yield from op.mutex._acquire(thread)
             return None
@@ -334,15 +325,21 @@ class SimOS:
         """Deliver (or queue) a signal to a thread.
 
         Returns False if the thread already finished — the monitor/exit
-        race is benign, as on a real system.  When a fault interceptor is
-        installed it may drop the signal or defer delivery by a simulated
-        delay (``faulted=True`` marks the deferred re-post, which is not
+        race is benign, as on a real system.  The first ``signal``
+        subscriber returning a verdict other than None may drop the
+        signal (``"drop"``) or defer delivery by a simulated delay
+        (``faulted=True`` marks the deferred re-post, which is not
         intercepted again).
         """
         if thread.finished:
             return False
-        if not faulted and self.signal_interceptor is not None:
-            verdict = self.signal_interceptor(thread, signal)
+        deciders = self.hooks.signal
+        if deciders and not faulted:
+            verdict = None
+            for decide in deciders:
+                verdict = decide(thread, signal)
+                if verdict is not None:
+                    break
             if verdict == "drop":
                 return True
             if verdict:
@@ -419,7 +416,7 @@ class SimOS:
             self._watch_completion = False
 
 
-#: Op types the explore-mode boundary gate intercepts: every sync and
+#: Op types ``gate`` subscribers intercept: every sync and
 #: persist operation — the points where thread interleaving order can
 #: change observable state.  Compute/memory ops between boundaries are
 #: thread-local, so gating only here loses no distinct behaviours.

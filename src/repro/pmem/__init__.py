@@ -3,7 +3,8 @@
 Quartz's purpose is tuning PM software (paper Sections 3.1 and 6), but
 performance emulation alone cannot tell a correct persistence protocol
 from one that forgets a flush.  This package layers the missing
-correctness tooling on the simulator's zero-overhead observer seams:
+correctness tooling on the simulator's hook events
+(:mod:`repro.sim.hooks`):
 
 * :mod:`repro.pmem.domain` — the persistence-domain model: every
   pmalloc'd cache line tracked through

@@ -31,7 +31,6 @@ from repro.workloads.kvstore import RecoverableKvStore
 
 if TYPE_CHECKING:
     from repro.os.system import SimOS
-    from repro.quartz.emulator import Quartz
 
 #: Mutant modes every recoverable workload must implement (plus ``None``
 #: for the correct protocol).
@@ -122,7 +121,6 @@ class CrashCheckReport:
 
 def check_workload(
     os: "SimOS",
-    quartz: Optional["Quartz"],
     workload_id: str,
     config: Any,
     crash_plan: CrashPlan,
@@ -143,13 +141,11 @@ def check_workload(
     """
     workload = build_recoverable(workload_id, config, mutant)
     domain = PersistenceDomain()
-    domain.install(os, quartz.write_emulator if quartz is not None else None)
+    domain.install(os.sim.hooks)
     injector = CrashInjector(
         domain, crash_plan, run_seed=run_seed, shard=shard, shards=shards
     )
-    injector.install(
-        os.sim, quartz.epoch_engine if quartz is not None else None
-    )
+    injector.install(os.sim)
     out = {} if out is None else out
     start = os.sim.now
     os.create_thread(workload.body_factory(domain, out), name="main")

@@ -34,7 +34,6 @@ from repro.pmem.domain import CrashImage, PersistenceDomain
 from repro.sim.random import RandomStreams
 
 if TYPE_CHECKING:
-    from repro.quartz.epoch import EpochEngine
     from repro.sim import Simulator
 
 
@@ -106,17 +105,19 @@ class CrashInjector:
         self.images: list[CrashImage] = []
 
     # ------------------------------------------------------------------
-    def install(
-        self, sim: "Simulator", engine: Optional["EpochEngine"] = None
-    ) -> None:
-        """Subscribe to the run's trigger sources."""
+    def install(self, sim: "Simulator") -> None:
+        """Subscribe to the run's trigger sources on ``sim.hooks``.
+
+        Epoch closes only fire when Quartz is attached to the run.
+        """
         self._sim = sim
-        if self.plan.on_epoch_close and engine is not None:
-            engine.close_observers.append(self._on_epoch_close)
+        hooks = sim.hooks
+        if self.plan.on_epoch_close:
+            hooks.subscribe("close", self._on_epoch_close)
         if self.plan.on_commit:
-            self.domain.commit_observers.append(self._on_commit)
+            hooks.subscribe("commit", self._on_commit)
         if self.plan.on_persist:
-            self.domain.persist_observers.append(self._on_persist)
+            hooks.subscribe("persist", self._on_persist)
         if self.plan.random_interval_ns > 0:
             self._schedule_random()
 

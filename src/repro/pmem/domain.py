@@ -8,12 +8,13 @@ machine.  Every cache line of every persistent region moves through
 
     ``dirty-in-cache  →  posted (clflush/clflushopt issued)  →  persisted``
 
-driven entirely by the zero-overhead observer seams of the existing
-simulation — the :class:`~repro.os.interpose.InterpositionTable`'s
-dispatch observer for the op stream, and the
-:class:`~repro.quartz.pm.PmWriteEmulator` hook observer for
+driven entirely by the simulator's :class:`~repro.sim.hooks.Hooks` —
+the OS's ``op`` event for the op stream, and the
+:class:`~repro.quartz.pm.PmWriteEmulator`'s ``pm_write`` event for
 write-emulation metadata.  The domain never schedules an event or yields
-an op, so attaching it cannot change a single simulated timestamp.
+an op, so attaching it cannot change a single simulated timestamp.  It
+raises ``commit`` (after a pcommit drained) and ``persist`` (after a
+durable flush persisted a line) on the same registry.
 
 **Content channel.**  The op stream carries traffic shapes, not values,
 so recoverable workloads additionally call :meth:`PersistenceDomain.record`
@@ -49,6 +50,7 @@ from typing import Any, Optional, TYPE_CHECKING
 
 from repro.errors import WorkloadError
 from repro.ops import Commit, Flush, FlushOpt, MemBatch
+from repro.sim.hooks import Hooks
 
 if TYPE_CHECKING:
     from repro.hw.topology import MemoryRegion
@@ -112,15 +114,9 @@ class PersistenceDomain:
         self.flushes_seen = 0
         self.commits_seen = 0
         self.posted_deadlines_seen = 0
-        #: Callables invoked with (thread, op) after a Commit drained —
-        #: the crash injector's "power fails right after the barrier
-        #: retires" snapshot point.
-        self.commit_observers: list = []
-        #: Callables invoked with (thread, op) after a durable Flush
-        #: persisted at least one line — the explore mode's exhaustive
-        #: "power fails right after this line became durable" point.
-        #: Commit drains are already covered by ``commit_observers``.
-        self.persist_observers: list = []
+        #: Where ``commit`` / ``persist`` are raised: the run's registry
+        #: once installed, a private one until then.
+        self._hooks = Hooks()
 
     # ------------------------------------------------------------------
     # Registration / content channel
@@ -163,10 +159,10 @@ class PersistenceDomain:
         self.stores_recorded += 1
 
     # ------------------------------------------------------------------
-    # Observer seams
+    # Hook subscribers
     # ------------------------------------------------------------------
     def observe_op(self, thread: "SimThread", op) -> None:
-        """The dispatch-observer entry point (exactly-once per executed op)."""
+        """The ``op`` subscriber (exactly once per executed op)."""
         kind = type(op)
         if kind is Flush:
             self._flush(thread, op, durable=True)
@@ -174,17 +170,17 @@ class PersistenceDomain:
             self._flush(thread, op, durable=False)
         elif kind is Commit:
             self._drain(thread.tid)
-            for observer in self.commit_observers:
-                observer(thread, op)
+            for subscriber in self._hooks.commit:
+                subscriber(thread, op)
         elif kind is MemBatch and op.is_store and op.region.persistent:
             self.store_batches_seen += 1
 
     def observe_write_emulation(self, event: str, thread, op, deadline_ns) -> None:
-        """The :class:`PmWriteEmulator` hook-observer entry point.
+        """The ``pm_write`` subscriber.
 
-        The op stream already drives every state transition; this seam
-        only collects write-emulation metadata (posted deadlines) the
-        ops cannot carry.
+        The op stream already drives every state transition; this event
+        only carries write-emulation metadata (posted deadlines) the ops
+        cannot carry.
         """
         if event == "pflush" and deadline_ns is not None:
             self.posted_deadlines_seen += 1
@@ -220,8 +216,8 @@ class PersistenceDomain:
                 shadow.posted[index] = (payload, thread.tid)
                 self.lines_posted += 1
         if durable:
-            for observer in self.persist_observers:
-                observer(thread, op)
+            for subscriber in self._hooks.persist:
+                subscriber(thread, op)
 
     def _drain(self, tid: int) -> None:
         self.commits_seen += 1
@@ -284,10 +280,9 @@ class PersistenceDomain:
     # ------------------------------------------------------------------
     # Installation
     # ------------------------------------------------------------------
-    def install(self, os, write_emulator=None) -> None:
-        """Attach to an OS (and optionally a write emulator)'s seams."""
-        if os.interpose.dispatch_observer is not None:
-            raise WorkloadError("a dispatch observer is already installed")
-        os.interpose.dispatch_observer = self.observe_op
-        if write_emulator is not None:
-            write_emulator.observer = self.observe_write_emulation
+    def install(self, hooks: Hooks) -> None:
+        """Subscribe to a run's ``op`` and ``pm_write`` events, and raise
+        ``commit`` / ``persist`` there from now on."""
+        self._hooks = hooks
+        hooks.subscribe("op", self.observe_op)
+        hooks.subscribe("pm_write", self.observe_write_emulation)

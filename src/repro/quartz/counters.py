@@ -46,7 +46,7 @@ class CounterBackend:
         The epoch engine's hot path uses this with a cached name tuple and
         precomputed event indices, so each close builds one list instead of
         a dict.  Reads still go through :meth:`PmcFile.read` one event at a
-        time — that per-event call is the fault layer's interception seam.
+        time — that per-event call raises the ``pmc_read`` hook event.
         """
         read = pmc.read
         values = [read(name) for name in names]

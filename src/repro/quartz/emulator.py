@@ -145,14 +145,12 @@ class Quartz:
                 "pfree", self.virtual_topology.pfree_hook
             )
         if isinstance(self.virtual_topology, TieredTopology):
-            # Per-tier reference accounting rides the dispatch-observer
-            # seam; any observer already installed there is chained.
+            # Per-tier reference accounting watches every executed op.
             self.tier_accountant = TierAccountant(
                 self.virtual_topology.directory,
                 self.virtual_topology.policy,
-                previous_observer=self.os.interpose.dispatch_observer,
             )
-            self.os.interpose.dispatch_observer = self.tier_accountant
+            self.os.hooks.subscribe("op", self.tier_accountant)
         self._throttler = BandwidthThrottler(
             self.kernel_module, self.calibration, config, nvm_node
         )
@@ -195,8 +193,8 @@ class Quartz:
                 )
             # Posted-flush deadlines must not outlive their thread: a
             # reused tid would inherit them (see PmWriteEmulator).
-            self.os.thread_finished_callbacks.append(
-                self.write_emulator.discard_thread
+            self.os.hooks.subscribe(
+                "thread_exit", self.write_emulator.discard_thread
             )
 
         self.os.interpose.register_op_hook("thread_begin", self._thread_begin_hook)
@@ -235,18 +233,12 @@ class Quartz:
         self._attached = False
         self.os.interpose.unregister_all()
         if self.tier_accountant is not None:
-            # Restore whatever observer the accountant chained over.
-            self.os.interpose.dispatch_observer = (
-                self.tier_accountant.previous_observer
-            )
+            self.os.hooks.unsubscribe("op", self.tier_accountant)
             self.tier_accountant = None
         if self.write_emulator is not None:
-            try:
-                self.os.thread_finished_callbacks.remove(
-                    self.write_emulator.discard_thread
-                )
-            except ValueError:
-                pass
+            self.os.hooks.unsubscribe(
+                "thread_exit", self.write_emulator.discard_thread
+            )
         self.os.signal_handlers.pop(self.config.epoch_signal, None)
         if self._throttler is not None:
             self._throttler.reset()
@@ -261,16 +253,6 @@ class Quartz:
     def registered_thread_count(self) -> int:
         """Application threads currently under emulation."""
         return len(self._registered)
-
-    @property
-    def epoch_engine(self) -> Optional[EpochEngine]:
-        """The live epoch engine (None before attach).
-
-        Public so observers — the epoch trace, the invariant monitor, the
-        crash injector — can subscribe to ``close_observers`` without
-        reaching into privates.
-        """
-        return self._engine
 
     # ------------------------------------------------------------------
     # Interposition hooks (generators of ops)
@@ -348,10 +330,11 @@ class Quartz:
     # ------------------------------------------------------------------
     def _monitor_body(self, ctx: "ThreadContext"):
         interval = self.config.effective_monitor_interval_ns
+        hooks = self.os.hooks
         while self._attached:
             yield Sleep(interval)
-            fault_engine = self.os.fault_engine
-            if fault_engine is not None and fault_engine.monitor_skips_wakeup():
+            skips = hooks.monitor_wakeup
+            if skips and any(skip() for skip in skips):
                 continue  # a missed wake-up: no scan, no signals this tick
             self.stats.monitor_wakeups += 1
             assert self._engine is not None

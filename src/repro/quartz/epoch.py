@@ -27,7 +27,7 @@ spins while the lock is held, the outside share while it is not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, TYPE_CHECKING
 
 from repro.errors import QuartzError
@@ -210,17 +210,15 @@ class EpochEngine:
         self._overhead_per_close_ns = (
             EPOCH_BASE_COST_CYCLES + read_cost
         ) / self._freq_ghz
-        #: Callables invoked with an :class:`EpochCloseInfo` after every
-        #: close's accounting (before the delay spins execute).  The
-        #: fault layer's InvariantMonitor attaches here; observers may
+        #: ``close`` subscribers get an :class:`EpochCloseInfo` after every
+        #: close's accounting (before the delay spins execute); they may
         #: raise to abort the run.
-        self.close_observers: list = []
-        #: Total closes notified so far (stamps ``close_seq``).
+        self._hooks = machine.sim.hooks
+        #: Total closes so far (stamps ``close_seq``).
         self.closes_notified = 0
         #: Per-tier decomposition of the most recent close's delay
         #: (multi-tier mode only) — stashed here so the close paths can
-        #: hand it to observers without widening ``_close_measure``'s
-        #: return (which the epoch trace wraps).
+        #: hand it to ``close`` subscribers.
         self._last_tier_delays: Optional[tuple[float, ...]] = None
         if config.mode in (EmulationMode.TWO_MEMORY, EmulationMode.MULTI_TIER):
             machine.arch.require_local_remote_counters()
@@ -275,7 +273,9 @@ class EpochEngine:
         injected_ns, amortized_ns, overhead_ns, pool_before = self._amortize(
             thread, state, delay_ns
         )
-        if self.close_observers:
+        self.closes_notified += 1
+        if self._hooks.close:
+            # Only built when someone reads it.
             self._notify_close(EpochCloseInfo(
                 time_ns=self.machine.sim.now,
                 tid=thread.tid,
@@ -291,11 +291,8 @@ class EpochEngine:
                 cs_wall_ns=cs_wall_ns,
                 out_wall_ns=out_wall_ns,
                 tier_delays_ns=self._last_tier_delays,
+                close_seq=self.closes_notified,
             ))
-        else:
-            # Observer-free fast path: nothing reads the close record, so
-            # skip building it — only the sequence number must advance.
-            self.closes_notified += 1
         yield Compute(cost_cycles, label="quartz-epoch-processing")
         if self.config.injection_enabled and injected_ns > 0.0:
             self.stats.thread(thread.tid).delay_injected_ns += injected_ns
@@ -342,7 +339,8 @@ class EpochEngine:
         cs_share, out_share = self._split_delay(state, effective_ns)
         state.cs_wall_ns = 0.0
         state.out_wall_ns = 0.0
-        if self.close_observers:
+        self.closes_notified += 1
+        if self._hooks.close:
             self._notify_close(EpochCloseInfo(
                 time_ns=self.machine.sim.now,
                 tid=thread.tid,
@@ -361,9 +359,8 @@ class EpochEngine:
                 cs_share_ns=cs_share,
                 out_share_ns=out_share,
                 tier_delays_ns=self._last_tier_delays,
+                close_seq=self.closes_notified,
             ))
-        else:
-            self.closes_notified += 1
         if kind == "release":
             # CS delay propagates to waiters; outside delay after release.
             return SyncClosePlan(cost_cycles, pre_spin_ns=cs_share,
@@ -478,7 +475,7 @@ class EpochEngine:
         """Section 3.2 overhead amortisation against the thread's pool.
 
         Returns ``(injected_ns, amortized_ns, overhead_ns, pool_before_ns)``
-        — everything close observers need to audit the accounting.
+        — everything ``close`` subscribers need to audit the accounting.
         """
         overhead_ns = self._overhead_per_close_ns
         pool_before = state.overhead_pool_ns
@@ -492,12 +489,8 @@ class EpochEngine:
         return injected_ns, amortized_ns, overhead_ns, pool_before
 
     def _notify_close(self, info: EpochCloseInfo) -> None:
-        self.closes_notified += 1
-        if not self.close_observers:
-            return
-        info = replace(info, close_seq=self.closes_notified)
-        for observer in self.close_observers:
-            observer(info)
+        for subscriber in self._hooks.close:
+            subscriber(info)
 
     def _reopen(self, state: ThreadEpochState) -> None:
         state.start_ns = self.machine.sim.now

@@ -16,7 +16,7 @@ in parallel.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Callable, Optional, TYPE_CHECKING
+from typing import Optional, TYPE_CHECKING
 
 from repro.errors import QuartzError
 from repro.hw.machine import Machine
@@ -55,13 +55,12 @@ class PmWriteEmulator:
         self._pending_deadlines: dict[int, list[float]] = defaultdict(list)
         self.flushes_emulated = 0
         self.commits_emulated = 0
-        #: Optional ``observer(event, thread, op, deadline_ns)`` notified
-        #: once per hook invocation (``event`` is ``"pflush"`` or
-        #: ``"pcommit"``; the deadline is the posted completion time under
-        #: the PCOMMIT model, else ``None``).  The persistence-domain
-        #: model uses this to see write-emulation metadata the op stream
-        #: alone cannot carry.  Zero-overhead when unset.
-        self.observer: Optional[Callable] = None
+        #: ``pm_write(event, thread, op, deadline_ns)`` fires once per
+        #: hook invocation (``event`` is ``"pflush"`` or ``"pcommit"``;
+        #: the deadline is the posted completion time under the PCOMMIT
+        #: model, else ``None``): write-emulation metadata the op stream
+        #: alone cannot carry.
+        self._hooks = machine.sim.hooks
 
     # ------------------------------------------------------------------
     # Hooks
@@ -72,8 +71,8 @@ class PmWriteEmulator:
             result = yield ORIGINAL  # hardware clflush, stall-waited
             extra = self._extra_write_delay_ns(thread, op) * op.lines
             self.flushes_emulated += op.lines
-            if self.observer is not None:
-                self.observer("pflush", thread, op, None)
+            for observer in self._hooks.pm_write:
+                observer("pflush", thread, op, None)
             if extra > 0:
                 yield Spin(extra, label="quartz-pflush-delay")
             return result
@@ -87,8 +86,8 @@ class PmWriteEmulator:
         )
         self._pending_deadlines[thread.tid].append(deadline)
         self.flushes_emulated += op.lines
-        if self.observer is not None:
-            self.observer("pflush", thread, op, deadline)
+        for observer in self._hooks.pm_write:
+            observer("pflush", thread, op, deadline)
         return result
 
     def pcommit_hook(self, os: "SimOS", thread: "SimThread", op):
@@ -96,8 +95,8 @@ class PmWriteEmulator:
         result = yield ORIGINAL  # hardware drain of posted flushes
         deadlines = self._pending_deadlines.pop(thread.tid, [])
         self.commits_emulated += 1
-        if self.observer is not None:
-            self.observer("pcommit", thread, op, None)
+        for observer in self._hooks.pm_write:
+            observer("pcommit", thread, op, None)
         if deadlines:
             # Only the portion of emulated write time not already covered
             # by program progress is injected (Section 6's discounting).
@@ -117,7 +116,7 @@ class PmWriteEmulator:
     def discard_thread(self, thread: "SimThread") -> None:
         """Drop a finished thread's posted-flush deadlines.
 
-        Registered on the OS thread-exit callback when Quartz attaches:
+        Subscribed to the ``thread_exit`` hook when Quartz attaches:
         without it a reused tid would inherit a dead thread's pending
         writes and its first pcommit would stall on deadlines it never
         posted.

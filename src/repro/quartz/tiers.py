@@ -21,7 +21,7 @@ Three cooperating pieces:
   remap in the directory: the emulator charges subsequent accesses at
   the new tier's latency, which is exactly how a page move looks from
   the analytic model's viewpoint.
-* :class:`TierAccountant` — a dispatch observer counting per-thread,
+* :class:`TierAccountant` — an ``op`` hook subscriber counting per-thread,
   per-tier, per-direction (load/store) references.  The epoch engine
   snapshots these like performance counters and apportions the measured
   remote LLC misses across the NVM tiers in proportion.
@@ -329,9 +329,9 @@ def build_policy(
 
 
 class TierAccountant:
-    """Dispatch observer counting per-thread, per-tier references.
+    """``op`` subscriber counting per-thread, per-tier references.
 
-    Sees every executed op exactly once (the OS dispatch-observer seam),
+    Sees every executed op exactly once (the OS ``op`` hook event),
     filters memory batches against tiered regions, and accumulates
     cumulative ``(reads, writes)`` per tier per thread — the software
     analogue of a per-tier performance counter.  The epoch engine
@@ -339,26 +339,16 @@ class TierAccountant:
     like the hardware counter base.
 
     Also the hotness feed: every counted batch bumps the region's access
-    total and asks the policy whether the region should migrate.  An
-    existing dispatch observer (e.g. the persistence domain's) is
-    chained, never displaced.
+    total and asks the policy whether the region should migrate.
     """
 
-    def __init__(
-        self,
-        directory: TierDirectory,
-        policy: PlacementPolicy,
-        previous_observer=None,
-    ):
+    def __init__(self, directory: TierDirectory, policy: PlacementPolicy):
         self.directory = directory
         self.policy = policy
-        self.previous_observer = previous_observer
         #: tid -> per-tier [reads, writes] accumulators.
         self._counts: dict[int, list[list[float]]] = {}
 
     def __call__(self, thread: "SimThread", op) -> None:
-        if self.previous_observer is not None:
-            self.previous_observer(thread, op)
         if not isinstance(op, MemBatch):
             return
         tier = self.directory.tier_of(op.region.region_id)

@@ -43,6 +43,7 @@ from repro.validation.metrics import summarize
 
 if TYPE_CHECKING:
     from repro.quartz.emulator import Quartz
+    from repro.quartz.epoch import EpochCloseInfo
 
 #: Schema identity of the JSONL trace stream.
 TRACE_SCHEMA = "quartz-repro/epoch-trace"
@@ -342,39 +343,27 @@ def attach_trace(
 ) -> EpochTrace:
     """Instrument an attached Quartz with an epoch trace.
 
-    Wraps the engine's close paths; the emulator's behaviour is unchanged
-    (tracing is free in simulated time).  Returns the live trace.  With
-    ``sink`` set, every record also streams to the JSONL writer.
+    Subscribes to the simulator's ``close`` hook event; the emulator's
+    behaviour is unchanged (tracing is free in simulated time).  Returns
+    the live trace.  With ``sink`` set, every record also streams to the
+    JSONL writer.
     """
-    engine = quartz._engine
-    if engine is None:
+    if not quartz.attached:
         raise QuartzError("attach the emulator before attaching a trace")
     trace = EpochTrace(max_records=max_records, sink=sink)
-    original_measure = engine._close_measure
 
-    def traced_measure(thread, state, trigger):
-        epoch_length = engine.machine.sim.now - state.start_ns
-        injected_before = quartz.stats.thread(thread.tid).delay_injected_ns
-        delay_ns, cost = original_measure(thread, state, trigger)
+    def record_close(info: "EpochCloseInfo") -> None:
         trace.record(
             EpochRecord(
-                time_ns=engine.machine.sim.now,
-                tid=thread.tid,
-                thread_name=thread.name,
-                trigger=trigger,
-                epoch_length_ns=epoch_length,
-                delay_computed_ns=delay_ns,
-                # Injection happens after amortisation; resolved lazily
-                # below via the injected-delta of the stats record.
-                delay_injected_ns=max(
-                    0.0,
-                    delay_ns
-                    - max(0.0, state.overhead_pool_ns),
-                ),
+                time_ns=info.time_ns,
+                tid=info.tid,
+                thread_name=info.thread_name,
+                trigger=info.trigger,
+                epoch_length_ns=info.epoch_length_ns,
+                delay_computed_ns=info.delay_computed_ns,
+                delay_injected_ns=info.injected_ns,
             )
         )
-        del injected_before
-        return delay_ns, cost
 
-    engine._close_measure = traced_measure
+    quartz.os.hooks.subscribe("close", record_close)
     return trace

@@ -3,29 +3,32 @@
 The kernel dispatches through one of two loops sharing identical
 semantics:
 
-* the **fast path** — taken whenever no :attr:`Simulator.dispatch_observer`
-  is armed.  A tight loop with the heap, ``heappop`` and the event free
-  list bound to locals, slot-direct attribute access (no property calls),
-  and batched bookkeeping: ``events_dispatched`` and the pending-event
-  counter are reconciled when the loop exits rather than per event.
-  Fired events with no outside references are recycled through a
-  free list, so steady-state dispatch allocates nothing.
-* the **observable path** — taken while a dispatch observer (the
-  invariant monitor's seam) is armed.  Every event flows through the
-  observer exactly as before the fast path existed, with counters exact
-  at each dispatch.
+* the **fast path** — taken whenever nothing subscribes to the
+  ``dispatch`` event of :attr:`Simulator.hooks`.  A tight loop with the
+  heap, ``heappop`` and the event free list bound to locals, slot-direct
+  attribute access (no property calls), and batched bookkeeping:
+  ``events_dispatched`` and the pending-event counter are reconciled when
+  the loop exits rather than per event.  Fired events with no outside
+  references are recycled through a free list, so steady-state dispatch
+  allocates nothing.
+* the **observable path** — taken while ``dispatch`` has subscribers
+  (the invariant monitor's view).  Every event flows through them in
+  subscription order, with counters exact at each dispatch.
 
-Arming or disarming the observer mid-run is honoured: the loops check a
-wake flag each iteration and :meth:`Simulator.run` re-selects the path.
-Both paths dispatch byte-identical event sequences — the fast path is a
-pure mechanical specialisation, never a semantic fork.
+Subscribing or unsubscribing mid-run is honoured: :class:`~repro.sim.hooks.Hooks`
+rings the ``_wake`` doorbell the loops poll each iteration, and
+:meth:`Simulator.run` re-selects the path.  Both paths dispatch
+byte-identical event sequences — the fast path is a pure mechanical
+specialisation, never a semantic fork.
+
+Every other observation seam of the model is an event of the same
+registry (:mod:`repro.sim.hooks`).
 
 Cancellation is lazy (O(1)), but no longer unbounded: the simulator
 counts cancelled entries still in the heap and compacts in place once
 they exceed half of a non-trivial heap, preserving FIFO tie-break order
 (the (time, seq) total order survives re-heapification).
 """
-
 from __future__ import annotations
 
 from heapq import heapify as _heapify, heappop as _heappop, heappush as _heappush
@@ -34,6 +37,7 @@ from typing import Callable, Iterator, Optional
 
 from repro.errors import SimulationError
 from repro.sim.events import ScheduledEvent
+from repro.sim.hooks import Hooks
 from repro.sim.random import RandomStreams
 
 _INF = float("inf")
@@ -77,39 +81,16 @@ class Simulator:
         self._free: list[ScheduledEvent] = []
         #: Set by :meth:`request_stop`; consumed by the run loops.
         self._stop = False
-        #: One-bit doorbell the run loops poll: stop requested or an
-        #: observer armed mid-run.
+        #: One-bit doorbell the run loops poll: stop requested or the
+        #: ``dispatch`` subscribers changed mid-run.
         self._wake = False
         self.random = RandomStreams(seed=seed)
-        #: Optional hook mapping a relative delay to a perturbed delay —
-        #: the fault layer's timer-jitter/drift seam.  Must return a
-        #: non-negative float; None (the default) costs one attribute
-        #: check per schedule.
-        self.schedule_interceptor: Optional[Callable[[float], float]] = None
-        self._dispatch_observer: Optional[
-            Callable[[ScheduledEvent], None]
-        ] = None
+        #: Every observation seam of the run (see :mod:`repro.sim.hooks`).
+        self.hooks = Hooks(self)
 
     # ------------------------------------------------------------------
-    # Hooks
+    # Stop requests
     # ------------------------------------------------------------------
-    @property
-    def dispatch_observer(self) -> Optional[Callable[[ScheduledEvent], None]]:
-        """Optional hook invoked with each event as it is dispatched,
-        after the clock advances — the invariant monitor's view of
-        clock monotonicity and FIFO tie-breaking.  While armed, dispatch
-        runs on the observable path; arming mid-run takes effect before
-        the next event fires."""
-        return self._dispatch_observer
-
-    @dispatch_observer.setter
-    def dispatch_observer(
-        self, hook: Optional[Callable[[ScheduledEvent], None]]
-    ) -> None:
-        self._dispatch_observer = hook
-        if hook is not None:
-            self._wake = True  # kick a fast loop onto the observable path
-
     def request_stop(self) -> None:
         """Ask the running dispatch loop to return ``"stopped"`` before
         the next event fires.  Sticky until a run loop consumes it."""
@@ -125,10 +106,14 @@ class Simulator:
     # Scheduling
     # ------------------------------------------------------------------
     def schedule(self, delay_ns: float, callback: Callable[[], None]) -> ScheduledEvent:
-        """Schedule *callback* to run ``delay_ns`` from now."""
-        interceptor = self.schedule_interceptor
-        if interceptor is not None:
-            delay_ns = interceptor(delay_ns)
+        """Schedule *callback* to run ``delay_ns`` from now.
+
+        ``schedule`` subscribers (timer faults) fold over the delay first.
+        """
+        perturbers = self.hooks.schedule
+        if perturbers:
+            for perturb in perturbers:
+                delay_ns = perturb(delay_ns)
         if delay_ns < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay_ns})")
         seq = self._seq
@@ -210,8 +195,7 @@ class Simulator:
             self.now = time_ns
             self._events_dispatched += 1
             self._pending -= 1
-            observer = self._dispatch_observer
-            if observer is not None:
+            for observer in self.hooks.dispatch:
                 observer(event)
             event._fire()
             return True
@@ -242,7 +226,7 @@ class Simulator:
         """
         remaining = max_events
         while True:
-            if self._dispatch_observer is None and not self._wake:
+            if not self.hooks.dispatch and not self._wake:
                 reason, dispatched = self._run_fast(until_ns, remaining)
             else:
                 reason, dispatched = self._run_observed(until_ns, remaining)
@@ -251,7 +235,7 @@ class Simulator:
             if reason is not None:
                 return reason
             # reason None: the active loop yielded so the other could
-            # take over (observer armed or disarmed mid-run).
+            # take over (dispatch subscribers changed mid-run).
 
     def _run_fast(
         self, until_ns: Optional[float], max_events: Optional[int]
@@ -286,7 +270,7 @@ class Simulator:
                     if self._stop:
                         self._stop = False
                         return "stopped", dispatched
-                    return None, dispatched  # observer armed: switch loops
+                    return None, dispatched  # subscribed: switch loops
                 if time_ns > until:
                     push(heap, (time_ns, seq, event))
                     if until > self.now:
@@ -319,8 +303,10 @@ class Simulator:
     def _run_observed(
         self, until_ns: Optional[float], max_events: Optional[int]
     ) -> tuple[Optional[str], int]:
-        """The hook-visible dispatch loop: exact counters, observer seam."""
+        """The hook-visible dispatch loop: exact counters, ``dispatch``
+        subscribers called before each event fires."""
         heap = self._heap
+        hooks = self.hooks
         budget = maxsize if max_events is None else max_events
         dispatched = 0
         while heap:
@@ -334,9 +320,9 @@ class Simulator:
                 if self._stop:
                     self._stop = False
                     return "stopped", dispatched
-            observer = self._dispatch_observer
-            if observer is None:
-                return None, dispatched  # observer disarmed: fast path
+            observers = hooks.dispatch
+            if not observers:
+                return None, dispatched  # unsubscribed: fast path
             if until_ns is not None and time_ns > until_ns:
                 self.now = max(self.now, until_ns)
                 return "until", dispatched
@@ -349,7 +335,8 @@ class Simulator:
             self._events_dispatched += 1
             self._pending -= 1
             dispatched += 1
-            observer(event)
+            for observer in observers:
+                observer(event)
             event._fire()
         if self._wake:
             self._wake = False

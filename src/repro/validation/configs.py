@@ -93,6 +93,29 @@ def _fault_finish(
 BodyFactory = Callable[[dict], Callable]
 
 
+def _attach_emulator(
+    os: SimOS,
+    quartz_config: QuartzConfig,
+    calibration: Optional[CalibrationData],
+    engine: Optional[FaultEngine],
+    trace_sink: Optional["JsonlTraceWriter"],
+) -> Quartz:
+    """Attach Quartz to a Conf_1 testbed, with its epoch trace if asked."""
+    calibration = calibration or calibrate_arch(os.machine.arch)
+    if engine is not None:
+        # Perturbed calibration models a mis-measured testbed; it must be
+        # in place before the emulator derives its latency model from it.
+        calibration = engine.perturb_calibration(calibration)
+    quartz = Quartz(os, quartz_config, calibration=calibration)
+    quartz.attach()
+    if trace_sink is not None:
+        # Local import: repro.quartz.trace imports validation.metrics.
+        from repro.quartz.trace import attach_trace
+
+        attach_trace(quartz, sink=trace_sink)
+    return quartz
+
+
 def _drive(os: SimOS, body_factory: BodyFactory) -> RunOutcome:
     out: dict = {}
     start = os.sim.now
@@ -131,20 +154,7 @@ def run_conf1(
     machine = Machine(sim, arch, latency_jitter=True)
     os = SimOS(machine, default_cpu_node=0)
     engine, monitor = _fault_setup(machine, os, seed, fault_plan, check_invariants)
-    calibration = calibration or calibrate_arch(arch)
-    if engine is not None:
-        # Perturbed calibration models a mis-measured testbed; it must be
-        # in place before the emulator derives its latency model from it.
-        calibration = engine.perturb_calibration(calibration)
-    quartz = Quartz(os, quartz_config, calibration=calibration)
-    quartz.attach()
-    if monitor is not None:
-        monitor.attach_quartz(quartz)
-    if trace_sink is not None:
-        # Local import: repro.quartz.trace imports validation.metrics.
-        from repro.quartz.trace import attach_trace
-
-        attach_trace(quartz, sink=trace_sink)
+    quartz = _attach_emulator(os, quartz_config, calibration, engine, trace_sink)
     outcome = _drive(os, body_factory)
     outcome.quartz_stats = quartz.stats
     return _fault_finish(outcome, engine, monitor)
@@ -156,15 +166,16 @@ def run_service(
     quartz_config: QuartzConfig,
     seed: int = 0,
     calibration: Optional[CalibrationData] = None,
+    trace_sink: Optional["JsonlTraceWriter"] = None,
     fault_plan: Optional[FaultPlan] = None,
     check_invariants: bool = False,
 ) -> RunOutcome:
     """Conf_1 driving the multi-tenant KV service.
 
     Identical machine setup to :func:`run_conf1` (local memory, Quartz
-    emulating the target latency); the only difference is the outcome's
-    ``service_report`` — the per-tenant tail-latency/throughput/cache
-    summary of :class:`~repro.service.kvservice.ServiceResult`.  The
+    emulating the target latency, the same ``trace_sink``); the only
+    difference is the outcome's ``service_report`` — the per-tenant
+    tail-latency/throughput/cache summary of :class:`~repro.service.kvservice.ServiceResult`.  The
     service body runs its DRAM-cache accounting conservation check on
     every completion path, so a faulted run that corrupts cache
     bookkeeping surfaces as an :class:`~repro.errors.InvariantViolation`
@@ -174,13 +185,7 @@ def run_service(
     machine = Machine(sim, arch, latency_jitter=True)
     os = SimOS(machine, default_cpu_node=0)
     engine, monitor = _fault_setup(machine, os, seed, fault_plan, check_invariants)
-    calibration = calibration or calibrate_arch(arch)
-    if engine is not None:
-        calibration = engine.perturb_calibration(calibration)
-    quartz = Quartz(os, quartz_config, calibration=calibration)
-    quartz.attach()
-    if monitor is not None:
-        monitor.attach_quartz(quartz)
+    quartz = _attach_emulator(os, quartz_config, calibration, engine, trace_sink)
     outcome = _drive(os, body_factory)
     outcome.quartz_stats = quartz.stats
     if outcome.workload_result is not None:
@@ -199,15 +204,17 @@ def run_crash(
     shard: int = 0,
     shards: int = 1,
     mutant: Optional[str] = None,
+    trace_sink: Optional["JsonlTraceWriter"] = None,
     fault_plan: Optional[FaultPlan] = None,
     check_invariants: bool = False,
 ) -> RunOutcome:
     """Conf_1 with the crash-consistency checker attached.
 
     Builds the same machine as :func:`run_conf1` (local memory, Quartz
-    emulating the target), then drives a *recoverable* workload via
-    :func:`repro.pmem.check_workload`: a persistence domain shadows every
-    pmalloc'd line, a :class:`~repro.pmem.crash.CrashInjector` enumerates
+    emulating the target, the same ``trace_sink``), then drives a
+    *recoverable* workload via :func:`repro.pmem.check_workload`: a
+    persistence domain shadows every pmalloc'd line, a
+    :class:`~repro.pmem.crash.CrashInjector` enumerates
     crash points, and recovery is replayed against each stored image.
     ``shard``/``shards`` split snapshot *storage* (never enumeration)
     for the parallel runner; the result lands in ``crash_report``.
@@ -218,16 +225,9 @@ def run_crash(
     machine = Machine(sim, arch, latency_jitter=True)
     os = SimOS(machine, default_cpu_node=0)
     engine, monitor = _fault_setup(machine, os, seed, fault_plan, check_invariants)
-    calibration = calibration or calibrate_arch(arch)
-    if engine is not None:
-        calibration = engine.perturb_calibration(calibration)
-    quartz = Quartz(os, quartz_config, calibration=calibration)
-    quartz.attach()
-    if monitor is not None:
-        monitor.attach_quartz(quartz)
+    quartz = _attach_emulator(os, quartz_config, calibration, engine, trace_sink)
     report, result, elapsed = check_workload(
         os,
-        quartz,
         workload_id,
         workload_config,
         crash_plan,

@@ -215,22 +215,7 @@ def _execute(
             mutant=spec.extras.get("mutant"),
             **faults,
         )
-    if spec.mode == "crash":
-        return run_crash(
-            arch,
-            spec.workload,
-            spec.config,
-            spec.quartz,
-            spec.extras["crash_plan"],
-            seed=spec.seed,
-            calibration=calibrate_arch(arch, seed=spec.calibration_seed),
-            shard=spec.extras.get("shard", 0),
-            shards=spec.extras.get("shards", 1),
-            mutant=spec.extras.get("mutant"),
-            **faults,
-        )
-    if spec.mode == "conf1":
-        calibration = calibrate_arch(arch, seed=spec.calibration_seed)
+    if spec.mode in ("conf1", "crash", "service"):
         sink = _trace_writer
         if sink is not None:
             sink.begin_run(
@@ -240,27 +225,31 @@ def _execute(
                 mode=spec.mode,
                 seed=spec.seed,
             )
-        outcome = run_conf1(
-            arch,
-            factory,
-            spec.quartz,
-            seed=spec.seed,
-            calibration=calibration,
-            trace_sink=sink,
+        emulated = {
+            "seed": spec.seed,
+            "calibration": calibrate_arch(arch, seed=spec.calibration_seed),
+            "trace_sink": sink,
             **faults,
-        )
+        }
+        if spec.mode == "crash":
+            outcome = run_crash(
+                arch,
+                spec.workload,
+                spec.config,
+                spec.quartz,
+                spec.extras["crash_plan"],
+                shard=spec.extras.get("shard", 0),
+                shards=spec.extras.get("shards", 1),
+                mutant=spec.extras.get("mutant"),
+                **emulated,
+            )
+        elif spec.mode == "service":
+            outcome = run_service(arch, factory, spec.quartz, **emulated)
+        else:
+            outcome = run_conf1(arch, factory, spec.quartz, **emulated)
         if sink is not None and outcome.quartz_stats is not None:
             sink.write_stats(outcome.quartz_stats)
         return outcome
-    if spec.mode == "service":
-        return run_service(
-            arch,
-            factory,
-            spec.quartz,
-            seed=spec.seed,
-            calibration=calibrate_arch(arch, seed=spec.calibration_seed),
-            **faults,
-        )
     if spec.mode == "conf2":
         return run_conf2(arch, factory, seed=spec.seed, **faults)
     if spec.mode == "native":
@@ -455,8 +444,9 @@ _trace_writer = None  # Optional[JsonlTraceWriter]
 def set_trace_out(path: Optional[str]):
     """Open (or, with ``None``, close) the streaming epoch-trace sink.
 
-    While a sink is active every Conf_1 run the runner executes streams
-    its epoch closes and final emulator statistics to the JSONL file
+    While a sink is active every emulated run the runner executes
+    (``conf1``, ``service`` and ``crash`` modes) streams its epoch closes
+    and final emulator statistics to the JSONL file
     (see :mod:`repro.quartz.trace`), and :func:`run_specs` pins itself
     to in-process execution so the stream stays ordered and race-free.
     Returns the live writer (``None`` when closing).

@@ -185,7 +185,7 @@ def test_double_gate_install_is_rejected():
 def test_observer_chains_to_prior_dispatch_observer():
     os = _os()
     seen = []
-    os.interpose.dispatch_observer = lambda thread, op: seen.append(type(op))
+    os.hooks.subscribe("op", lambda thread, op: seen.append(type(op)))
     scheduler = ControlledScheduler(os)
 
     def main(ctx):
@@ -200,5 +200,5 @@ def test_observer_chains_to_prior_dispatch_observer():
         candidates = scheduler.enabled()
         assert candidates
         scheduler.grant(candidates[0])
-    assert seen, "chained observer never fired"
+    assert seen, "earlier op subscriber never fired"
     assert scheduler.ops_observed == len(seen)

@@ -165,12 +165,11 @@ def test_counter_faults_install_on_every_pmc():
     os = make_os()
     engine = FaultEngine(FaultPlan(counter_stale_p=0.5))
     engine.install(machine=os.machine, os=os)
-    assert all(
-        pmc.read_interceptor == engine._intercept_counter_read
-        for pmc in os.machine.pmcs
-    )
+    # One pmc_read subscription covers the register file of every core.
+    assert os.sim.hooks.pmc_read == (engine._intercept_counter_read,)
     engine.uninstall()
-    assert all(pmc.read_interceptor is None for pmc in os.machine.pmcs)
+    assert os.sim.hooks.pmc_read == ()
+    engine.uninstall()  # idempotent
 
 
 # ----------------------------------------------------------------------

@@ -172,15 +172,14 @@ def test_sleep_duration():
 def test_thread_callbacks_fire():
     os = make_os()
     events = []
-    os.thread_created_callbacks.append(lambda t: events.append(("created", t.name)))
-    os.thread_finished_callbacks.append(lambda t: events.append(("finished", t.name)))
+    os.hooks.subscribe("thread_exit", lambda t: events.append(("finished", t.name)))
 
     def body(ctx):
         yield Compute(1.0)
 
     os.create_thread(body, name="observed")
     os.run_to_completion()
-    assert events == [("created", "observed"), ("finished", "observed")]
+    assert events == [("finished", "observed")]
 
 
 def test_daemon_thread_does_not_block_completion():

@@ -61,7 +61,6 @@ def run_check(
     quartz.attach()
     report, result, _ = check_workload(
         os,
-        quartz,
         workload_id,
         config,
         plan,
@@ -168,11 +167,11 @@ def _run_injector(shard=0, shards=1):
     )
     quartz.attach()
     domain = PersistenceDomain()
-    domain.install(os, quartz.write_emulator)
+    domain.install(sim.hooks)
     injector = CrashInjector(
         domain, PLAN, run_seed=0, shard=shard, shards=shards
     )
-    injector.install(sim, quartz.epoch_engine)
+    injector.install(sim)
     workload = build_recoverable("kvstore", KV_CONFIG)
     out: dict = {}
     os.create_thread(workload.body_factory(domain, out), name="main")

@@ -2,8 +2,8 @@
 
 The domain only reads ``thread.tid`` and op fields, so these tests drive
 it directly with hand-built regions and a stub thread — the end-to-end
-seams (dispatch observer, write-emulator hooks, crash injector) are
-covered by ``test_crash_check.py``.
+hook events (``op``, ``pm_write``, crash-injector triggers) are covered
+by ``test_crash_check.py``.
 """
 
 import pytest
@@ -13,6 +13,7 @@ from repro.hw.topology import MemoryRegion
 from repro.ops import Commit, Flush, FlushOpt
 from repro.pmem import CrashPlan, PersistenceDomain
 from repro.pmem.crash import CrashInjector
+from repro.sim.hooks import Hooks
 from repro.units import CACHE_LINE_BYTES
 
 
@@ -158,8 +159,10 @@ def test_commit_observer_fires_after_drain():
     region = pm_region()
     thread = StubThread(1)
     seen = []
-    domain.commit_observers.append(
-        lambda t, op: seen.append(dict(domain.persisted_image()["pm"]))
+    hooks = Hooks()
+    domain.install(hooks)
+    hooks.subscribe(
+        "commit", lambda t, op: seen.append(dict(domain.persisted_image()["pm"]))
     )
     domain.record(region, 0, "v")
     domain.observe_op(thread, FlushOpt(region, lines=1, line=0))

@@ -138,12 +138,9 @@ def test_detach_unregisters_the_exit_callback():
 
     osys.create_thread(body)
     osys.run_to_completion()
-    assert quartz.write_emulator.discard_thread in osys.thread_finished_callbacks
+    assert quartz.write_emulator.discard_thread in osys.hooks.thread_exit
     quartz.detach()
-    assert (
-        quartz.write_emulator.discard_thread
-        not in osys.thread_finished_callbacks
-    )
+    assert quartz.write_emulator.discard_thread not in osys.hooks.thread_exit
 
 
 def test_pflush_model_keeps_no_deadlines():

@@ -467,10 +467,10 @@ def test_tier_delay_conservation_invariant_holds():
         placement_policy="round-robin",
         max_epoch_ns=MILLISECOND,
     )
+    monitor = InvariantMonitor()
+    monitor.attach_sim(machine.sim)
     quartz = Quartz(osys, config, calibration=calibrate_arch(IVY_BRIDGE))
     quartz.attach()
-    monitor = InvariantMonitor()
-    monitor.attach_quartz(quartz)
 
     def body(ctx):
         a = ctx.pmalloc(GIB, page_size=PageSize.HUGE_2M)

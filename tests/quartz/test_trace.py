@@ -81,6 +81,27 @@ def test_trace_totals_track_stats():
     assert 0.9 <= trace.injection_ratio() <= 1.0
 
 
+def test_trace_injected_delay_equals_stats():
+    # Short sync epochs leave part of each close's own overhead in the
+    # amortisation pool; the trace must record exactly what was injected.
+    def body(ctx):
+        mutex = Mutex(ctx.os)
+        region = ctx.pmalloc(2 * GIB, page_size=PageSize.HUGE_2M)
+        for _ in range(200):
+            yield MutexLock(mutex)
+            yield MemBatch(region, 50, PatternKind.CHASE)
+            yield MutexUnlock(mutex)
+
+    trace, quartz = run_traced(
+        body,
+        config=QuartzConfig(nvm_read_latency_ns=500.0, min_epoch_ns=0.0),
+    )
+    assert len(trace.by_trigger(EpochTrigger.SYNC)) >= 200
+    assert trace.total_injected_ns == pytest.approx(
+        quartz.stats.delay_injected_ns, rel=1e-12
+    )
+
+
 def test_trace_by_thread_filters():
     trace, _ = run_traced(chase_body)
     tids = {r.tid for r in trace.records}

@@ -116,7 +116,7 @@ def test_fast_and_observed_paths_dispatch_identical_sequences():
     seen = []
     obs = Simulator(seed=3)
     _workload(obs, observed_fired)
-    obs.dispatch_observer = lambda event: seen.append(event.time)
+    obs.hooks.subscribe("dispatch", lambda event: seen.append(event.time))
     obs.run()
 
     assert observed_fired == fast_fired
@@ -133,10 +133,10 @@ def test_observer_armed_mid_run_switches_paths_without_skew():
         sim.schedule(float(i + 1), lambda i=i: fired.append(i))
 
     def arm():
-        sim.dispatch_observer = lambda event: seen.append(event)
+        sim.hooks.subscribe("dispatch", seen.append)
 
     def disarm():
-        sim.dispatch_observer = None
+        sim.hooks.unsubscribe("dispatch", seen.append)
 
     sim.schedule(5.5, arm)
     sim.schedule(12.5, disarm)
@@ -152,9 +152,9 @@ def test_observer_sees_events_before_their_callback_fires():
     sim = Simulator()
     states = []
     sim.schedule(1.0, lambda: None)
-    sim.dispatch_observer = lambda event: states.append(
+    sim.hooks.subscribe("dispatch", lambda event: states.append(
         (event.fired, sim.now == event.time)
-    )
+    ))
     sim.run()
     assert states == [(False, True)]
 
@@ -246,7 +246,7 @@ def test_cancel_stop_in_same_callback_revives_run():
 def test_request_stop_on_observable_path():
     sim = Simulator()
     fired = []
-    sim.dispatch_observer = lambda event: None
+    sim.hooks.subscribe("dispatch", lambda event: None)
     sim.schedule(1.0, sim.request_stop)
     sim.schedule(2.0, lambda: fired.append("x"))
     assert sim.run() == "stopped"

@@ -12,15 +12,19 @@ from repro.hw import IVY_BRIDGE
 from repro.quartz.config import QuartzConfig
 from repro.units import MILLISECOND
 from repro.validation import runner as runner_module
+from repro.quartz.trace import read_trace_jsonl
 from repro.validation.experiments import run_figure12
+from repro.validation.experiments.fast import run_fast
 from repro.validation.reporting import render_table
 from repro.validation.runner import (
     RunSpec,
+    close_trace_out,
     consume_run_stats,
     default_cli_jobs,
     reset_run_stats,
     resolve_jobs,
     run_specs,
+    set_trace_out,
 )
 from repro.workloads.memlat import MemLatConfig
 
@@ -275,3 +279,18 @@ def test_resolve_jobs_honours_environment(monkeypatch):
 def test_default_cli_jobs_uses_every_core(monkeypatch):
     monkeypatch.delenv("QUARTZ_REPRO_JOBS", raising=False)
     assert default_cli_jobs() >= 1
+
+
+@pytest.mark.parametrize("experiment_id", ("service-latency", "crash-check"))
+def test_trace_out_records_epochs_of_every_emulated_mode(tmp_path, experiment_id):
+    # Service and crash runs attach Quartz like Conf_1 runs do, so the
+    # --trace-out stream must carry their epochs and run brackets too.
+    path = tmp_path / "trace.jsonl"
+    set_trace_out(str(path))
+    try:
+        run_fast(experiment_id, jobs=1)
+    finally:
+        close_trace_out()
+    document = read_trace_jsonl(path)
+    assert len(document.trace) >= 1
+    assert len(document.runs) == len(document.stats) >= 1
