@@ -24,17 +24,12 @@ from repro.validation.experiments.fast import FAST_KWARGS, run_fast
 from repro.validation.runner import consume_run_stats, reset_run_stats
 
 #: The fast-and-representative default set: one microbenchmark, one
-#: sweep, one application validation, one N-tier hybrid-memory sweep,
-#: and the multi-tenant KV service.
+#: sweep, one application validation and one N-tier hybrid-memory sweep.
+#: The KV service is timed by the ``kv-service`` workload of
+#: ``benchmarks/e2e`` instead.
 DEFAULT_EXPERIMENTS = (
     "table2", "figure8", "pagerank-validation", "tier-sweep",
-    "service-latency",
 )
-
-#: Experiment id -> BENCH file basename, where the historical file name
-#: differs from the registry id (the digest-covered experiment_id inside
-#: the document always stays the registry id).
-BENCH_BASENAMES = {"service-latency": "kvservice"}
 
 
 def emit_one(experiment: str, out_dir: Path, jobs: int) -> Path:
@@ -44,8 +39,7 @@ def emit_one(experiment: str, out_dir: Path, jobs: int) -> Path:
     result = run_fast(experiment, jobs=jobs)
     wall_s = time.perf_counter() - started
     stats = consume_run_stats()
-    basename = BENCH_BASENAMES.get(experiment, experiment)
-    path = out_dir / f"BENCH_{basename}.json"
+    path = out_dir / f"BENCH_{experiment}.json"
     manifest = export.build_manifest(
         stats=stats,
         knobs={

@@ -102,14 +102,15 @@ class CacheHierarchySim:
 # ----------------------------------------------------------------------
 # Analytic model (production path)
 # ----------------------------------------------------------------------
-@dataclass
+@dataclass(frozen=True)
 class BatchProfile:
     """How one :class:`MemBatch` resolves against the memory hierarchy.
 
     Counts are floats (batches are statistically, not individually,
     resolved).  ``demand_dram_loads`` excludes prefetch-covered lines,
     which appear in ``prefetched_lines`` instead: those retire as LLC hits
-    (the PMC view) but still transfer bytes.
+    (the PMC view) but still transfer bytes.  Frozen: the model hands the
+    same instance to every batch of the same shape.
     """
 
     accesses: int
@@ -163,9 +164,15 @@ class AnalyticCacheModel:
     #: access streams when the workload does not say otherwise.
     DEFAULT_RANDOM_PARALLELISM = 1
 
+    #: Distinct batch shapes remembered before the memo starts over, so
+    #: interrupted batches (each remainder a new access count) cannot
+    #: grow it without limit.
+    MEMO_LIMIT = 4096
+
     def __init__(self, arch: ArchSpec):
         self.arch = arch
         self.llc_sharers = 1
+        self._memo: dict[tuple, BatchProfile] = {}
 
     # -- capacity helpers ------------------------------------------------
     def _effective_l3(self) -> float:
@@ -180,18 +187,34 @@ class AnalyticCacheModel:
 
     # -- main entry point --------------------------------------------------
     def resolve(self, batch: MemBatch) -> BatchProfile:
-        """Resolve a batch into per-level hit/miss counts."""
-        batch.region.require_live()
+        """Resolve a batch into per-level hit/miss counts.
+
+        The result depends only on the batch's shape and the current
+        ``llc_sharers``, so it is memoized on exactly those fields.  The
+        liveness and non-temporal-load checks run on every call.
+        """
+        region = batch.region
+        region.require_live()
         if batch.accesses == 0:
             return BatchProfile(accesses=0, is_store=batch.is_store)
         if batch.non_temporal and not batch.is_store:
             raise HardwareError("non-temporal hint is only meaningful for stores")
-        if batch.pattern is PatternKind.SEQUENTIAL:
-            profile = self._resolve_sequential(batch)
-        else:
-            profile = self._resolve_irregular(batch)
-        profile.tlb_walks = self._tlb_walks(batch, profile)
-        profile.dram_bytes *= batch.dram_bytes_multiplier
+        key = (
+            batch.pattern, batch.effective_footprint, batch.accesses,
+            batch.parallelism, batch.stride_bytes, batch.is_store,
+            batch.non_temporal, batch.dram_bytes_multiplier, region.page_size,
+            self.llc_sharers,
+        )
+        memo = self._memo
+        profile = memo.get(key)
+        if profile is None:
+            if len(memo) >= self.MEMO_LIMIT:
+                memo.clear()
+            if batch.pattern is PatternKind.SEQUENTIAL:
+                profile = self._resolve_sequential(batch)
+            else:
+                profile = self._resolve_irregular(batch)
+            memo[key] = profile
         return profile
 
     # -- pattern-specific resolution ----------------------------------------
@@ -220,7 +243,8 @@ class AnalyticCacheModel:
             demand_dram_loads=misses,
             prefetched_lines=0.0,
             effective_mlp=float(max(1, mlp)),
-            dram_bytes=misses * bytes_per_miss,
+            tlb_walks=self._tlb_walks(batch),
+            dram_bytes=misses * bytes_per_miss * batch.dram_bytes_multiplier,
             is_store=batch.is_store,
         )
 
@@ -242,7 +266,10 @@ class AnalyticCacheModel:
                 demand_dram_loads=0.0,
                 prefetched_lines=line_misses,
                 effective_mlp=float(arch.mshr_count),
-                dram_bytes=lines_touched * CACHE_LINE_BYTES,
+                tlb_walks=self._tlb_walks(batch),
+                dram_bytes=(
+                    lines_touched * CACHE_LINE_BYTES * batch.dram_bytes_multiplier
+                ),
                 is_store=True,
             )
         covered = line_misses * arch.prefetch_coverage
@@ -261,12 +288,13 @@ class AnalyticCacheModel:
             demand_dram_loads=demand,
             prefetched_lines=covered,
             effective_mlp=float(arch.mshr_count),
-            dram_bytes=line_misses * bytes_per_line,
+            tlb_walks=self._tlb_walks(batch),
+            dram_bytes=line_misses * bytes_per_line * batch.dram_bytes_multiplier,
             is_store=batch.is_store,
         )
 
     # -- TLB ------------------------------------------------------------------
-    def _tlb_walks(self, batch: MemBatch, profile: BatchProfile) -> float:
+    def _tlb_walks(self, batch: MemBatch) -> float:
         """Page walks triggered by the batch.
 
         Irregular patterns walk with probability 1 - coverage when the

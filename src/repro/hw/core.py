@@ -96,6 +96,19 @@ class Core:
         self.socket = core_id // (machine.arch.cores_per_socket * machine.arch.smt)
         self.current_thread: Optional["SimThread"] = None
         self.stats = CoreStats()
+        events = machine.arch.counter_events
+        self._stall_event = events.l2_stalls
+        self._l3_hit_event = events.l3_hit
+        # LLC-miss events charged for loads served by the local node and
+        # by a remote one.
+        combined = (
+            () if events.l3_miss_combined is None else (events.l3_miss_combined,)
+        )
+        if events.has_local_remote_split:
+            self._local_miss_events = (events.l3_miss_local,) + combined
+            self._remote_miss_events = (events.l3_miss_remote,) + combined
+        else:
+            self._local_miss_events = self._remote_miss_events = combined
 
     # ------------------------------------------------------------------
     # Timestamp counter
@@ -121,17 +134,18 @@ class Core:
         Returns an :class:`OpResult`; raises :class:`OpInterrupted` when a
         signal preempts the op.
         """
-        if isinstance(op, Compute):
-            return (yield from self._execute_compute(op))
-        if isinstance(op, Spin):
-            return (yield from self._execute_spin(op))
-        if isinstance(op, MemBatch):
+        kind = type(op)
+        if kind is MemBatch:
             return (yield from self._execute_membatch(op))
-        if isinstance(op, Flush):
+        if kind is Compute:
+            return (yield from self._execute_compute(op))
+        if kind is Spin:
+            return (yield from self._execute_spin(op))
+        if kind is Flush:
             return (yield from self._execute_flush(op))
-        if isinstance(op, FlushOpt):
+        if kind is FlushOpt:
             return (yield from self._execute_flushopt(thread, op))
-        if isinstance(op, Commit):
+        if kind is Commit:
             return (yield from self._execute_commit(thread, op))
         raise HardwareError(f"core cannot execute op {op!r}")
 
@@ -169,10 +183,11 @@ class Core:
         return OpResult(op, op.duration_ns)
 
     # -- memory batches -----------------------------------------------------
-    def _membatch_timing(self, batch: MemBatch, profile: "BatchProfile"):
-        """Return (compute_like_ns, mem_wait_ns, duration_min_ns)."""
+    def _membatch_timing(
+        self, batch: MemBatch, profile: "BatchProfile", freq: float
+    ):
+        """Return (compute_like_ns, mem_wait_ns, duration_min_ns) at *freq*."""
         arch = self.machine.arch
-        freq = self.frequency_ghz()
         compute_ns = batch.accesses * batch.compute_cycles_per_access / freq
         hit_ilp = 1.0 if batch.pattern is PatternKind.CHASE else _PIPELINED_HIT_ILP
         l12_ns = (
@@ -200,7 +215,10 @@ class Core:
         if batch.accesses == 0:
             return OpResult(batch, 0.0)
         profile = self.machine.cache_model(self.socket).resolve(batch)
-        compute_like, _mem_wait, duration_min = self._membatch_timing(batch, profile)
+        freq = self.frequency_ghz()
+        compute_like, _mem_wait, duration_min = self._membatch_timing(
+            batch, profile, freq
+        )
         sim = self.machine.sim
         start = sim.now
         if profile.dram_bytes > 0:
@@ -218,7 +236,7 @@ class Core:
                 controller.withdraw(flow)
                 fraction = flow.fraction_done
                 self._account_membatch(
-                    batch, profile, fraction, sim.now - start, compute_like
+                    batch, profile, fraction, sim.now - start, compute_like, freq
                 )
                 raise OpInterrupted(
                     batch.split_remainder(fraction), intr.payload, sim.now - start
@@ -229,12 +247,14 @@ class Core:
             except Interrupt as intr:
                 elapsed = sim.now - start
                 fraction = elapsed / duration_min if duration_min > 0 else 1.0
-                self._account_membatch(batch, profile, fraction, elapsed, compute_like)
+                self._account_membatch(
+                    batch, profile, fraction, elapsed, compute_like, freq
+                )
                 raise OpInterrupted(
                     batch.split_remainder(fraction), intr.payload, elapsed
                 ) from None
         elapsed = sim.now - start
-        self._account_membatch(batch, profile, 1.0, elapsed, compute_like)
+        self._account_membatch(batch, profile, 1.0, elapsed, compute_like, freq)
         return OpResult(batch, elapsed)
 
     def _account_membatch(
@@ -244,26 +264,31 @@ class Core:
         fraction: float,
         elapsed_ns: float,
         compute_like_ns: float,
+        freq: float,
     ) -> None:
-        """Charge PMCs and stats for the completed *fraction* of a batch."""
+        """Charge PMCs and stats for the completed *fraction* of a batch.
+
+        *freq* is the frequency read at the start of the batch.  With DVFS
+        on, stall cycles accrue at the frequency the batch ends at, so it
+        is read again here.
+        """
         if fraction < 1.0:
             self.stats.interrupts_taken += 1
-        events = self.machine.arch.counter_events
         pmc = self.machine.pmc(self.core_id)
         stall_ns = 0.0
         if not batch.is_store:
             stall_ns = max(0.0, elapsed_ns - fraction * compute_like_ns)
-        stall_cycles = stall_ns * self.frequency_ghz()
-        pmc.increment(events.l2_stalls, stall_cycles)
-        pmc.increment(events.l3_hit, fraction * profile.pmc_l3_hits)
+        if self.machine.dvfs.enabled:
+            freq = self.frequency_ghz()
+        pmc.increment(self._stall_event, stall_ns * freq)
+        pmc.increment(self._l3_hit_event, fraction * profile.pmc_l3_hits)
         dram_loads = fraction * profile.pmc_dram_loads
-        if events.has_local_remote_split:
-            if batch.region.node == self.socket:
-                pmc.increment(events.l3_miss_local, dram_loads)
-            else:
-                pmc.increment(events.l3_miss_remote, dram_loads)
-        if events.l3_miss_combined is not None:
-            pmc.increment(events.l3_miss_combined, dram_loads)
+        if batch.region.node == self.socket:
+            miss_events = self._local_miss_events
+        else:
+            miss_events = self._remote_miss_events
+        for event in miss_events:
+            pmc.increment(event, dram_loads)
         self.stats.busy_ns += elapsed_ns
         self.stats.stall_ns += stall_ns
         self.stats.mem_accesses += fraction * batch.accesses

@@ -289,23 +289,31 @@ class MemoryController:
         within its own register-scaled capacity, then the results become
         rate caps in a combined fill against the overall capacity — so
         the combined register still binds when the per-kind registers are
-        left open.
+        left open.  A lone flow skips the fills: each stage gives it
+        ``min(cap, capacity / 1)``, which is the nested ``min`` below.
         """
         self._advance_all()
-        kind_limits: dict[int, float] = {}
-        for kind in ("read", "write"):
-            kind_flows = [flow for flow in self._flows if flow.kind == kind]
-            if not kind_flows:
-                continue
-            caps = {flow.flow_id: flow.rate_cap for flow in kind_flows}
-            kind_limits.update(
-                self._water_fill(kind_flows, caps, self._kind_bandwidth(kind))
+        if len(self._flows) == 1:
+            flow = self._flows[0]
+            flow.assigned_rate = min(
+                min(flow.rate_cap, self._kind_bandwidth(flow.kind)),
+                self.effective_bandwidth,
             )
-        assigned = self._water_fill(
-            self._flows, kind_limits, self.effective_bandwidth
-        )
-        for flow in self._flows:
-            flow.assigned_rate = assigned[flow.flow_id]
+        else:
+            kind_limits: dict[int, float] = {}
+            for kind in ("read", "write"):
+                kind_flows = [flow for flow in self._flows if flow.kind == kind]
+                if not kind_flows:
+                    continue
+                caps = {flow.flow_id: flow.rate_cap for flow in kind_flows}
+                kind_limits.update(
+                    self._water_fill(kind_flows, caps, self._kind_bandwidth(kind))
+                )
+            assigned = self._water_fill(
+                self._flows, kind_limits, self.effective_bandwidth
+            )
+            for flow in self._flows:
+                flow.assigned_rate = assigned[flow.flow_id]
         for flow in self._flows:
             if flow._completion_event is not None:
                 flow._completion_event.cancel()

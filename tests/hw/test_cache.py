@@ -1,5 +1,7 @@
 """Tests for the detailed and analytic cache models."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import HardwareError
@@ -222,6 +224,84 @@ def test_freed_region_rejected():
     r.freed = True
     with pytest.raises(HardwareError, match="use after free"):
         model().resolve(MemBatch(r, 10, PatternKind.RANDOM))
+
+
+# ----------------------------------------------------------------------
+# Shape memo of the analytic model
+# ----------------------------------------------------------------------
+MEMO_SHAPES = {
+    "chase": dict(pattern=PatternKind.CHASE, parallelism=4),
+    "random-store": dict(pattern=PatternKind.RANDOM, is_store=True),
+    "sequential": dict(pattern=PatternKind.SEQUENTIAL, stride_bytes=8),
+    "nt-store": dict(
+        pattern=PatternKind.SEQUENTIAL, stride_bytes=8, is_store=True,
+        non_temporal=True, dram_bytes_multiplier=2.0,
+    ),
+    "hot-footprint": dict(pattern=PatternKind.RANDOM, footprint_bytes=40 * MIB),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(MEMO_SHAPES))
+def test_memo_hit_equals_a_fresh_models_profile(shape):
+    r = region(512 * MIB)
+    warm = model()
+    first = warm.resolve(MemBatch(r, 10_000, **MEMO_SHAPES[shape]))
+    hit = warm.resolve(MemBatch(r, 10_000, **MEMO_SHAPES[shape]))
+    assert hit is first
+    assert hit == model().resolve(MemBatch(r, 10_000, **MEMO_SHAPES[shape]))
+
+
+def test_changing_llc_sharers_changes_the_next_result():
+    r = region(20 * MIB)
+    batch = MemBatch(r, 10_000, PatternKind.RANDOM)
+    shared = model()
+    alone = shared.resolve(batch)
+    shared.llc_sharers = 8
+    crowded = shared.resolve(batch)
+    assert crowded.demand_dram_loads > alone.demand_dram_loads
+    shared.llc_sharers = 1
+    assert shared.resolve(batch) == alone
+
+
+def test_freed_region_rejected_on_a_memo_hit():
+    r = region(MIB)
+    batch = MemBatch(r, 10, PatternKind.RANDOM)
+    warm = model()
+    warm.resolve(batch)
+    r.freed = True
+    with pytest.raises(HardwareError, match="use after free"):
+        warm.resolve(batch)
+
+
+def test_non_temporal_load_rejected_on_every_call():
+    r = region(MIB)
+    warm = model()
+    # The same shape as a store is legal and lands in the memo first.
+    warm.resolve(MemBatch(r, 10, PatternKind.SEQUENTIAL, is_store=True,
+                          non_temporal=True))
+    batch = MemBatch(r, 10, PatternKind.SEQUENTIAL, non_temporal=True)
+    for _ in range(3):
+        with pytest.raises(HardwareError, match="non-temporal"):
+            warm.resolve(batch)
+
+
+def test_memo_stays_bounded_over_many_distinct_access_counts():
+    r = region(512 * MIB)
+    warm = model()
+    limit = AnalyticCacheModel.MEMO_LIMIT
+    for accesses in range(1, 3 * limit):
+        warm.resolve(MemBatch(r, accesses, PatternKind.CHASE))
+        assert len(warm._memo) <= limit
+    # Shapes resolved after a reset are still exact.
+    assert warm.resolve(MemBatch(r, 7, PatternKind.CHASE)) == model().resolve(
+        MemBatch(r, 7, PatternKind.CHASE)
+    )
+
+
+def test_batch_profile_is_frozen():
+    profile = model().resolve(MemBatch(region(MIB), 10, PatternKind.RANDOM))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        profile.dram_bytes = 0.0
 
 
 # ----------------------------------------------------------------------

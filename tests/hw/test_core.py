@@ -4,11 +4,14 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.errors import HardwareError
 from repro.hw import IVY_BRIDGE, Machine
 from repro.hw.core import OpInterrupted
 from repro.hw.memory import THROTTLE_REGISTER_MAX
 from repro.hw.topology import PageSize
-from repro.ops import Commit, Compute, Flush, FlushOpt, MemBatch, PatternKind, Spin
+from repro.ops import (
+    Commit, Compute, Flush, FlushOpt, MemBatch, Op, PatternKind, Spin,
+)
 from repro.sim import Simulator
 from repro.units import GIB, MIB
 
@@ -247,3 +250,53 @@ def test_tsc_is_invariant_under_dvfs():
     machine.sim.run(until_ns=1000.0)
     assert core.tsc_ns() == 1000.0
     assert core.tsc_cycles() == pytest.approx(1000.0 * IVY_BRIDGE.freq_ghz)
+
+
+def record_frequency_reads(monkeypatch, core):
+    """Log the simulated time of every ``frequency_ghz`` call on *core*."""
+    reads = []
+    read = core.frequency_ghz
+
+    def logged():
+        reads.append(core.machine.sim.now)
+        return read()
+
+    monkeypatch.setattr(core, "frequency_ghz", logged)
+    return reads
+
+
+def test_dvfs_stall_cycles_accrue_at_the_completion_time_frequency(monkeypatch):
+    machine = make_machine()
+    machine.dvfs.enable()
+    core = machine.core(0)
+    reads = record_frequency_reads(monkeypatch, core)
+    # ~1.7 ms of chasing: most of one 2 ms DVFS period.
+    batch = chase_batch(machine, accesses=20_000)
+    run_op(machine, batch)
+    end = machine.sim.now
+    assert reads == [0.0, end]
+    assert machine.dvfs.frequency_ghz(0, 0.0) != machine.dvfs.frequency_ghz(0, end)
+    stalls = machine.pmc(0).true_value(IVY_BRIDGE.counter_events.l2_stalls)
+    assert stalls == core.stats.stall_ns * machine.dvfs.frequency_ghz(0, end)
+
+
+@pytest.mark.parametrize("interrupt_at", [None, 30_000.0])
+@pytest.mark.parametrize("is_store", [False, True])
+def test_batch_reads_the_frequency_once_without_dvfs(
+    monkeypatch, is_store, interrupt_at
+):
+    machine = make_machine()
+    reads = record_frequency_reads(monkeypatch, machine.core(0))
+    region = machine.allocate(8 * GIB, node=0, page_size=PageSize.HUGE_2M)
+    batch = MemBatch(region, 1000, PatternKind.CHASE, is_store=is_store)
+    run_op(machine, batch, interrupt_at=interrupt_at)
+    assert len(reads) <= 1
+
+
+def test_unknown_op_is_rejected():
+    class Bogus(Op):
+        pass
+
+    machine = make_machine()
+    with pytest.raises(HardwareError, match="cannot execute"):
+        next(machine.core(0).execute(fake_thread(), Bogus()))

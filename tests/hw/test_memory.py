@@ -1,6 +1,8 @@
 """Tests for the memory controller: throttling and fluid flow sharing."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import HardwareError
 from repro.hw.memory import (
@@ -152,3 +154,50 @@ def test_invalid_controller_parameters_rejected():
         MemoryController(sim, 0, peak_bw_bytes_per_ns=0.0, channels=4)
     with pytest.raises(HardwareError):
         MemoryController(sim, 0, peak_bw_bytes_per_ns=1.0, channels=0)
+
+
+# ----------------------------------------------------------------------
+# Single-flow fast path
+# ----------------------------------------------------------------------
+registers = st.integers(min_value=0, max_value=THROTTLE_REGISTER_MAX)
+positive = st.floats(
+    min_value=1e-3, max_value=1e9, allow_nan=False, allow_infinity=False
+)
+
+
+def water_filled_rate(ctrl, flow):
+    """The rate the general two-stage fill assigns *flow* when alone."""
+    kind_limits = MemoryController._water_fill(
+        [flow], {flow.flow_id: flow.rate_cap}, ctrl._kind_bandwidth(flow.kind)
+    )
+    return MemoryController._water_fill(
+        [flow], kind_limits, ctrl.effective_bandwidth
+    )[flow.flow_id]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    peak=positive,
+    total_bytes=positive,
+    rate_cap=positive,
+    kind=st.sampled_from(("read", "write")),
+    throttle=registers,
+    rw=st.none() | st.tuples(registers, registers),
+    start_ns=st.floats(min_value=0.0, max_value=1e6),
+)
+def test_property_single_flow_matches_the_water_fill_bit_for_bit(
+    peak, total_bytes, rate_cap, kind, throttle, rw, start_ns
+):
+    sim = Simulator()
+    ctrl = MemoryController(
+        sim, node=0, peak_bw_bytes_per_ns=peak, channels=4,
+        rw_throttle_supported=rw is not None,
+    )
+    ctrl.program_throttle_register(throttle, privileged=True)
+    if rw is not None:
+        ctrl.program_rw_throttle_registers(*rw, privileged=True)
+    sim.run(until_ns=start_ns)
+    flow = ctrl.submit(total_bytes, rate_cap=rate_cap, kind=kind)
+    rate = water_filled_rate(ctrl, flow)
+    assert flow.assigned_rate == rate
+    assert run_flow(sim, flow) == start_ns + total_bytes / rate
