@@ -57,9 +57,10 @@ class CounterEventSet:
 class CounterFidelity:
     """Systematic and random measurement error of a family's PMCs.
 
-    ``bias_sigma`` is the standard deviation of a per-run, per-event
-    systematic scale error (event definitions miscount consistently within
-    a run); ``read_noise_sigma`` is white noise applied per read delta.
+    ``bias_sigma`` is the standard deviation of a per-(core, event)
+    systematic scale error (event definitions miscount consistently, on
+    every run of the part); ``read_noise_sigma`` is white noise applied
+    per read delta.
     """
 
     bias_sigma: float

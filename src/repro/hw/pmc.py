@@ -4,11 +4,14 @@ The simulated hardware increments *true* event counts as the core executes;
 readers observe those counts through a measurement layer that models the
 per-family counter fidelity of real Xeons:
 
-* a **systematic bias** per (core, event), drawn once per machine — event
-  definitions over/under-count consistently (Section 4.4 footnote 6 notes
-  Sandy Bridge counters are "less reliable", the paper's explanation for
-  its larger emulation error);
-* **white read noise** applied to each read delta;
+* a **systematic bias** per (family, core, event) — event definitions
+  over/under-count consistently (Section 4.4 footnote 6 notes Sandy
+  Bridge counters are "less reliable", the paper's explanation for its
+  larger emulation error).  It is a fixed property of the part, so it is
+  derived once per process into :data:`_BIAS_TABLE` and shared by every
+  machine of the family;
+* **white read noise** applied to each read delta, drawn from the core's
+  ``pmc-read-core{n}`` stream, which is created on the first noisy read;
 * monotonicity is preserved (a real counter never runs backwards).
 
 Only the events of Table 1 exist per family; programming or reading any
@@ -17,9 +20,33 @@ other event raises, mirroring a bad ``PERFEVTSEL`` programming.
 
 from __future__ import annotations
 
+import random
+import zlib
+
 from repro.errors import HardwareError
 from repro.hw.arch import ArchSpec
 from repro.sim import Simulator
+
+#: (family, core id, event, bias sigma) -> systematic bias factor.
+_BIAS_TABLE: dict[tuple[str, int, str, float], float] = {}
+
+
+def systematic_bias(family: str, core_id: int, event: str, sigma: float) -> float:
+    """The fixed miscount factor of one counter of one part.
+
+    A *hardware property* of the family — identical on every run of the
+    same testbed (which is why the paper's per-family error bands persist
+    across its 20 trials) — so it is derived deterministically from
+    (family, core, event), independent of the run seed, and computed once
+    per process.  ``sigma`` is part of the key, so an arch whose
+    ``bias_sigma`` was replaced never shares an entry with the original.
+    """
+    key = (family, core_id, event, sigma)
+    bias = _BIAS_TABLE.get(key)
+    if bias is None:
+        seed = zlib.crc32(f"pmc/{family}/core{core_id}/{event}".encode("utf-8"))
+        bias = _BIAS_TABLE[key] = 1.0 + random.Random(seed).gauss(0.0, sigma)
+    return bias
 
 
 class PmcFile:
@@ -35,23 +62,14 @@ class PmcFile:
         # Measurement state per event: (true value at last read, last
         # reported value).
         self._read_state: dict[str, tuple[float, float]] = {}
-        self._bias: dict[str, float] = {}
         sigma = arch.counter_fidelity.bias_sigma
-        for name in sorted(self._valid_events):
-            # The systematic miscount of an event is a *hardware property*
-            # of the family — identical on every run of the same testbed
-            # (which is why the paper's per-family error bands persist
-            # across its 20 trials) — so it is derived deterministically
-            # from (family, core, event), independent of the run seed.
-            import random as _random
-            import zlib as _zlib
-
-            fingerprint = _zlib.crc32(
-                f"pmc/{arch.name}/core{core_id}/{name}".encode("utf-8")
-            )
-            rng = _random.Random(fingerprint)
-            self._bias[name] = 1.0 + rng.gauss(0.0, sigma)
-        self._noise_rng = sim.random.stream(f"pmc-read-core{core_id}")
+        self._bias: dict[str, float] = {
+            name: systematic_bias(arch.name, core_id, name, sigma)
+            for name in self._valid_events
+        }
+        # Created on the first noisy read: a stream's seed depends only on
+        # its name, so the draws are the same whenever it is created.
+        self._noise_rng: random.Random | None = None
         self._hooks = sim.hooks
 
     # ------------------------------------------------------------------
@@ -109,6 +127,10 @@ class PmcFile:
         fidelity = self.arch.counter_fidelity
         observed_delta = delta * self._bias[event]
         if delta > 0 and fidelity.read_noise_sigma > 0:
+            if self._noise_rng is None:
+                self._noise_rng = self.sim.random.stream(
+                    f"pmc-read-core{self.core_id}"
+                )
             observed_delta *= 1.0 + self._noise_rng.gauss(
                 0.0, fidelity.read_noise_sigma
             )

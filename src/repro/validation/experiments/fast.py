@@ -4,7 +4,8 @@ One entry per ``REGISTRY`` id, each a zero-argument builder returning
 the keyword arguments that make the driver run in seconds rather than
 minutes (the same scales the fast test-suite variants use).  Consumers:
 the JSON-export round-trip tests (``tests/validation/test_export.py``)
-and the perf-trajectory seeder (``benchmarks/emit_bench.py``).
+and the ``registry`` workload of the end-to-end benchmark
+(``benchmarks/e2e``).
 
 These presets trade statistical quality for speed — they exercise every
 driver's full plumbing (grids, runner, reporting, export) but are not

@@ -58,6 +58,11 @@ class Graph500Config:
             raise WorkloadError(
                 f"vertex state must have a size: {self.bytes_per_vertex}"
             )
+        if self.compute_cycles_per_edge < 0:
+            raise WorkloadError(
+                "compute cycles per edge cannot be negative: "
+                f"{self.compute_cycles_per_edge}"
+            )
 
 
 @dataclass

@@ -6,12 +6,24 @@ have; per the substitution rule we generate preferential-attachment
 for the memory model: a heavy-tailed degree distribution driving random
 accesses over a rank/visited vector much larger than the LLC.  Sizes are
 scaled down (documented in EXPERIMENTS.md) but configurable.
+
+Both generators are pure functions of their arguments, and experiments
+ask for the same graph many times (drivers sharing a preset, workload
+bodies that build their default graph on every run, crash recovery
+replaying the graph its body ran on), so the public entry points are a
+content-addressed, per-process memo: the key is the generator plus every
+argument, arguments are validated on every call, at most
+:data:`MEMO_LIMIT` graphs are kept (least recently used first out), and
+a cached graph's arrays are read-only so no caller can alter a graph
+another caller shares.  Only inputs are memoized, never a run's results.
 """
 
 from __future__ import annotations
 
 import random
+from collections import OrderedDict
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -50,6 +62,46 @@ class CsrGraph:
         return self.col[self.row_ptr[vertex] : self.row_ptr[vertex + 1]]
 
 
+#: Graphs the memo keeps.  An experiment needs one or two distinct
+#: graphs; a bound this small keeps a sweep over many seeds from holding
+#: every graph it ever built.
+MEMO_LIMIT = 4
+
+_MEMO: OrderedDict[tuple, CsrGraph] = OrderedDict()
+
+
+def _memoized(build: Callable[..., CsrGraph], *args) -> CsrGraph:
+    """``build(*args)``, built once per process for equal arguments.
+
+    Argument types are part of the key, so ``True`` never aliases ``1``
+    and a value a fresh build would reject never hits a cached graph.
+    """
+    key = (build, *((type(arg), arg) for arg in args))
+    graph = _MEMO.get(key)
+    if graph is not None:
+        _MEMO.move_to_end(key)
+        return graph
+    graph = build(*args)
+    graph.row_ptr.flags.writeable = False
+    graph.col.flags.writeable = False
+    _MEMO[key] = graph
+    if len(_MEMO) > MEMO_LIMIT:
+        _MEMO.popitem(last=False)
+    return graph
+
+
+def _csr(vertex_count: int, src: np.ndarray, dst: np.ndarray) -> CsrGraph:
+    """CSR form of the arcs ``src[i] -> dst[i]``, each row in arc order."""
+    order = np.argsort(src, kind="stable")
+    row_ptr = np.zeros(vertex_count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=vertex_count), out=row_ptr[1:])
+    return CsrGraph(
+        vertex_count=vertex_count,
+        row_ptr=row_ptr,
+        col=dst.astype(np.int32)[order],
+    )
+
+
 def synthetic_scale_free(
     vertex_count: int, edges_per_vertex: int, seed: int = 0
 ) -> CsrGraph:
@@ -66,9 +118,26 @@ def synthetic_scale_free(
         raise WorkloadError(f"need at least one edge per vertex: {edges_per_vertex}")
     if edges_per_vertex >= vertex_count:
         raise WorkloadError("edges_per_vertex must be below vertex_count")
+    return _memoized(_build_scale_free, vertex_count, edges_per_vertex, seed)
+
+
+def _build_scale_free(
+    vertex_count: int, edges_per_vertex: int, seed: int
+) -> CsrGraph:
+    # The pool is [0, v, t, v, t, ...]: after the seed vertex, the arcs
+    # v -> t of the attachment order, interleaved.
+    pool = np.array(_attachment_pool(vertex_count, edges_per_vertex, seed))
+    sources, targets = pool[1::2], pool[2::2]
+    # Symmetrise: store both arc directions.
+    src = np.concatenate([sources, targets])
+    dst = np.concatenate([targets, sources])
+    return _csr(vertex_count, src, dst)
+
+
+def _attachment_pool(
+    vertex_count: int, edges_per_vertex: int, seed: int
+) -> list[int]:
     rng = random.Random(seed)
-    sources: list[int] = []
-    targets: list[int] = []
     # Every draw lands in this list twice, making sampling degree-biased.
     endpoint_pool: list[int] = [0]
     for vertex in range(1, vertex_count):
@@ -77,23 +146,9 @@ def synthetic_scale_free(
         while len(chosen) < attach_count:
             chosen.add(endpoint_pool[rng.randrange(len(endpoint_pool))])
         for target in chosen:
-            sources.append(vertex)
-            targets.append(target)
             endpoint_pool.append(vertex)
             endpoint_pool.append(target)
-    # Symmetrise: store both arc directions.
-    src = np.concatenate([np.array(sources), np.array(targets)])
-    dst = np.concatenate([np.array(targets), np.array(sources)])
-    order = np.argsort(src, kind="stable")
-    src, dst = src[order], dst[order]
-    counts = np.bincount(src, minlength=vertex_count)
-    row_ptr = np.zeros(vertex_count + 1, dtype=np.int64)
-    np.cumsum(counts, out=row_ptr[1:])
-    return CsrGraph(
-        vertex_count=vertex_count,
-        row_ptr=row_ptr,
-        col=dst.astype(np.int32),
-    )
+    return endpoint_pool
 
 
 def synthetic_power_law(
@@ -115,6 +170,12 @@ def synthetic_power_law(
         raise WorkloadError(f"need at least one edge per vertex: {avg_degree}")
     if exponent <= 1.0:
         raise WorkloadError(f"exponent must exceed 1: {exponent}")
+    return _memoized(_build_power_law, vertex_count, avg_degree, exponent, seed)
+
+
+def _build_power_law(
+    vertex_count: int, avg_degree: int, exponent: float, seed: int
+) -> CsrGraph:
     rng = np.random.default_rng(seed)
     degrees = rng.zipf(exponent, size=vertex_count).astype(np.int64)
     degrees = np.clip(degrees, 1, max(2, vertex_count // 10))
@@ -132,13 +193,4 @@ def synthetic_power_law(
     endpoint_a, endpoint_b = endpoint_a[keep], endpoint_b[keep]
     src = np.concatenate([endpoint_a, endpoint_b])
     dst = np.concatenate([endpoint_b, endpoint_a])
-    order = np.argsort(src, kind="stable")
-    src, dst = src[order], dst[order]
-    counts = np.bincount(src, minlength=vertex_count)
-    row_ptr = np.zeros(vertex_count + 1, dtype=np.int64)
-    np.cumsum(counts, out=row_ptr[1:])
-    return CsrGraph(
-        vertex_count=vertex_count,
-        row_ptr=row_ptr,
-        col=dst.astype(np.int32),
-    )
+    return _csr(vertex_count, src, dst)

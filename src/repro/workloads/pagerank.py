@@ -85,6 +85,15 @@ class PageRankConfig:
             raise WorkloadError(
                 f"gather parallelism must be >= 1: {self.gather_parallelism}"
             )
+        if self.bytes_per_vertex < 1:
+            raise WorkloadError(
+                f"vertex record must have a size: {self.bytes_per_vertex}"
+            )
+        if self.compute_cycles_per_edge < 0:
+            raise WorkloadError(
+                "compute cycles per edge cannot be negative: "
+                f"{self.compute_cycles_per_edge}"
+            )
 
 
 @dataclass

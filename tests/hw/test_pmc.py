@@ -1,10 +1,14 @@
 """Tests for the performance-counter model."""
 
+import random
+import zlib
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import HardwareError
-from repro.hw import HASWELL, IVY_BRIDGE, SANDY_BRIDGE
-from repro.hw.pmc import PmcFile
+from repro.hw import HASWELL, IVY_BRIDGE, SANDY_BRIDGE, Machine
+from repro.hw.pmc import _BIAS_TABLE, PmcFile
 from repro.sim import Simulator
 
 
@@ -137,3 +141,84 @@ def test_sandy_bridge_noisier_than_ivy_bridge():
         return sum(deviations) / len(deviations)
 
     assert spread(SANDY_BRIDGE) > 2 * spread(IVY_BRIDGE)
+
+
+# ----------------------------------------------------------------------
+# Per-family constants: the bias table and the lazy read-noise stream
+# ----------------------------------------------------------------------
+def _direct_bias(arch, core, event):
+    """The bias recomputed from its identities, bypassing the table."""
+    seed = zlib.crc32(f"pmc/{arch.name}/core{core}/{event}".encode("utf-8"))
+    return 1.0 + random.Random(seed).gauss(0.0, arch.counter_fidelity.bias_sigma)
+
+
+@pytest.mark.parametrize("arch", [SANDY_BRIDGE, IVY_BRIDGE, HASWELL],
+                         ids=lambda arch: arch.name)
+def test_bias_table_equals_a_direct_recomputation(arch):
+    machine = Machine(Simulator(seed=4), arch)
+    sigma = arch.counter_fidelity.bias_sigma
+    for pmc in machine.pmcs:
+        for event in arch.counter_events.all_events():
+            expected = _direct_bias(arch, pmc.core_id, event)
+            assert pmc._bias[event] == expected
+            assert _BIAS_TABLE[(arch.name, pmc.core_id, event, sigma)] == expected
+
+
+def test_replaced_bias_sigma_never_aliases_the_original():
+    event = IVY_BRIDGE.counter_events.l2_stalls
+    original = make_pmc(arch=IVY_BRIDGE)
+    wider = replace(
+        IVY_BRIDGE,
+        counter_fidelity=replace(IVY_BRIDGE.counter_fidelity, bias_sigma=0.3),
+    )
+    assert wider.name == IVY_BRIDGE.name
+    replaced = make_pmc(arch=wider)
+    assert replaced._bias[event] != original._bias[event]
+    assert replaced._bias[event] == _direct_bias(wider, 0, event)
+
+
+def test_second_machine_of_an_arch_seeds_no_random(monkeypatch):
+    Machine(Simulator(seed=0), IVY_BRIDGE)
+    constructed = []
+
+    class CountingRandom(random.Random):
+        def __init__(self, *args):
+            constructed.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(random, "Random", CountingRandom)
+    Machine(Simulator(seed=1), IVY_BRIDGE)
+    assert constructed == []
+
+
+def _reported(order, rounds=5):
+    sim = Simulator(seed=7)
+    event = SANDY_BRIDGE.counter_events.l2_stalls
+    pmcs = {}
+    for core in (1, 3):
+        pmcs[core] = PmcFile(sim, SANDY_BRIDGE, core_id=core)
+        pmcs[core].program((event,), privileged=True)
+    readings = {core: [] for core in pmcs}
+    for step in range(rounds):
+        for core in order:
+            pmcs[core].increment(event, 1_000.0 * (step + core))
+            readings[core].append(pmcs[core].read(event))
+    return readings
+
+
+def test_read_order_across_cores_does_not_change_any_core_sequence():
+    assert _reported((3, 1)) == _reported((1, 3))
+
+
+def test_a_core_never_read_never_creates_its_noise_stream():
+    sim = Simulator(seed=2)
+    machine = Machine(sim, IVY_BRIDGE)
+    event = IVY_BRIDGE.counter_events.l3_hit
+    for pmc in machine.pmcs[:3]:
+        pmc.program((event,), privileged=True)
+    machine.pmc(0).increment(event, 100.0)
+    machine.pmc(1).increment(event, 100.0)
+    machine.pmc(0).read(event)
+    machine.pmc(2).read(event)  # a zero delta draws no noise
+    created = {name for name in sim.random._streams if name.startswith("pmc-")}
+    assert created == {"pmc-read-core0"}

@@ -115,6 +115,16 @@ def test_pagerank_config_validation():
         PageRankConfig(max_iterations=0)
 
 
+def test_pagerank_rejects_an_empty_vertex_record():
+    with pytest.raises(WorkloadError, match="vertex record"):
+        PageRankConfig(bytes_per_vertex=0)
+
+
+def test_pagerank_rejects_negative_compute_per_edge():
+    with pytest.raises(WorkloadError, match="cannot be negative"):
+        PageRankConfig(compute_cycles_per_edge=-1.0)
+
+
 # ----------------------------------------------------------------------
 # Graph500 BFS
 # ----------------------------------------------------------------------
@@ -155,3 +165,8 @@ def test_bfs_detects_corrupted_tree(small_graph):
 def test_graph500_config_validation():
     with pytest.raises(WorkloadError):
         Graph500Config(roots=0)
+
+
+def test_graph500_rejects_negative_compute_per_edge():
+    with pytest.raises(WorkloadError, match="cannot be negative"):
+        Graph500Config(compute_cycles_per_edge=-0.5)

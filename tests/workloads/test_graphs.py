@@ -1,12 +1,16 @@
 """Tests for the synthetic graph substrate."""
 
+import itertools
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import WorkloadError
-from repro.workloads.graphs import synthetic_scale_free
+from repro.workloads import graphs
+from repro.workloads.graphs import synthetic_power_law, synthetic_scale_free
 
 
 def test_basic_shape():
@@ -85,3 +89,88 @@ def test_property_valid_csr(n, m, seed):
     # No self loops.
     for vertex in range(n):
         assert vertex not in set(int(x) for x in graph.neighbors(vertex))
+
+
+# ----------------------------------------------------------------------
+# The input memo
+# ----------------------------------------------------------------------
+def _same_arrays(a, b):
+    return (
+        a.vertex_count == b.vertex_count
+        and a.row_ptr.dtype == b.row_ptr.dtype
+        and a.col.dtype == b.col.dtype
+        and np.array_equal(a.row_ptr, b.row_ptr)
+        and np.array_equal(a.col, b.col)
+    )
+
+
+def test_equal_arguments_return_the_same_graph():
+    assert synthetic_scale_free(250, 3, seed=4) is synthetic_scale_free(250, 3, 4)
+    assert synthetic_power_law(5_000, 3, seed=1) is synthetic_power_law(
+        5_000, 3, 2.1, 1
+    )
+
+
+@pytest.mark.parametrize("array", ["col", "row_ptr"])
+def test_cached_arrays_are_read_only(array):
+    graph = synthetic_scale_free(250, 3, seed=4)
+    with pytest.raises(ValueError):
+        getattr(graph, array)[0] = 7
+    with pytest.raises(ValueError):
+        getattr(graph, array)[:] += 1
+
+
+def test_distinct_arguments_never_collide():
+    seen = {}
+    for n, e, seed in itertools.product((60, 61), (2, 3), (0, 1)):
+        graph = synthetic_scale_free(n, e, seed=seed)
+        assert _same_arrays(graph, graphs._build_scale_free(n, e, seed))
+        seen[(n, e, seed)] = graph
+    assert len({id(graph) for graph in seen.values()}) == len(seen)
+
+
+def test_argument_types_are_part_of_the_key():
+    by_int = synthetic_scale_free(60, 2, seed=1)
+    assert synthetic_scale_free(60, 2, seed=True) is not by_int
+    assert synthetic_scale_free(60, 2, seed=1) is by_int
+
+
+def test_memo_stays_within_its_bound_and_evicts_least_recently_used():
+    kept = synthetic_scale_free(40, 2, seed=0)
+    first = {}
+    for seed in range(1, graphs.MEMO_LIMIT + 5):
+        assert synthetic_scale_free(40, 2, seed=0) is kept  # recently used
+        first[seed] = synthetic_scale_free(40, 2, seed=seed)
+        assert len(graphs._MEMO) <= graphs.MEMO_LIMIT
+    assert synthetic_scale_free(40, 2, seed=1) is not first[1]
+
+
+def test_invalid_arguments_are_rejected_on_every_call():
+    for _ in range(2):
+        with pytest.raises(WorkloadError):
+            synthetic_scale_free(10, 10)
+        with pytest.raises(WorkloadError):
+            synthetic_power_law(100, 2, exponent=1.0)
+
+
+@pytest.mark.parametrize(
+    "public, build, args",
+    [
+        (synthetic_scale_free, graphs._build_scale_free, (800, 4, 6)),
+        (synthetic_power_law, graphs._build_power_law, (6_000, 4, 2.1, 6)),
+    ],
+    ids=["scale-free", "power-law"],
+)
+def test_memo_hit_equals_a_fresh_private_build(public, build, args):
+    first = public(*args)
+    hit = public(*args)
+    assert hit is first
+    fresh = build(*args)
+    assert fresh is not hit and fresh.col.flags.writeable
+    assert _same_arrays(hit, fresh)
+
+
+def test_pickle_round_trip_gives_equal_arrays():
+    graph = synthetic_power_law(6_000, 4, seed=6)
+    clone = pickle.loads(pickle.dumps(graph))
+    assert _same_arrays(clone, graph)
