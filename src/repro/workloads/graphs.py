@@ -20,6 +20,7 @@ another caller shares.  Only inputs are memoized, never a run's results.
 
 from __future__ import annotations
 
+import operator
 import random
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -110,7 +111,7 @@ def synthetic_scale_free(
     Each new vertex attaches to ``edges_per_vertex`` existing vertices
     sampled proportionally to degree (by drawing from the running
     endpoint list), yielding the heavy-tailed degree distribution of web
-    and social graphs.
+    and social graphs.  The endpoint list must stay below 2**32 entries.
     """
     if vertex_count < 2:
         raise WorkloadError(f"need at least two vertices: {vertex_count}")
@@ -118,6 +119,11 @@ def synthetic_scale_free(
         raise WorkloadError(f"need at least one edge per vertex: {edges_per_vertex}")
     if edges_per_vertex >= vertex_count:
         raise WorkloadError("edges_per_vertex must be below vertex_count")
+    if 2 * edges_per_vertex * (vertex_count - 1) + 1 >= _ONE_WORD_LIMIT:
+        raise WorkloadError(
+            "endpoint pool would reach 2**32 entries, past the one-word draws "
+            f"the builder reads: 2 * {edges_per_vertex} * ({vertex_count} - 1) + 1"
+        )
     return _memoized(_build_scale_free, vertex_count, edges_per_vertex, seed)
 
 
@@ -134,20 +140,78 @@ def _build_scale_free(
     return _csr(vertex_count, src, dst)
 
 
+#: MT19937 words the scale-free builder pulls from the generator at a
+#: time.  Held as a Python list a word costs about 40 bytes, so a chunk
+#: this size adds about 1.3 MB to a build however large its pool grows.
+WORD_CHUNK = 1 << 15
+
+#: Pool length at which ``randrange`` needs more than one 32-bit word.
+_ONE_WORD_LIMIT = 1 << 32
+
+
+def _mt19937(seed) -> np.random.MT19937:
+    """A numpy MT19937 in the state ``random.Random(seed)`` starts in."""
+    state = random.Random(seed).getstate()[1]
+    generator = np.random.MT19937(0)
+    generator.state = {
+        "bit_generator": "MT19937",
+        "state": {"key": np.array(state[:-1], dtype=np.uint32), "pos": state[-1]},
+    }
+    return generator
+
+
 def _attachment_pool(
     vertex_count: int, edges_per_vertex: int, seed: int
 ) -> list[int]:
-    rng = random.Random(seed)
+    """The endpoint pool, drawn as ``random.Random(seed).randrange`` would.
+
+    Each new vertex draws ``endpoint_pool[rng.randrange(len(endpoint_pool))]``
+    until it has ``min(edges_per_vertex, vertex)`` distinct targets.
+    CPython's ``randrange(n)`` rejection-samples ``getrandbits(k)`` with
+    ``k = n.bit_length()``, and for ``k <= 32`` that is the top ``k`` bits
+    of one MT19937 word.  So the words are read in bulk from a numpy
+    MT19937 in the same state, shifted to the pool length's bit length in
+    numpy, and rejected inline: every draw, and so the pool, is the one
+    the stdlib loop would make.
+    """
+    generator = _mt19937(seed)
     # Every draw lands in this list twice, making sampling degree-biased.
     endpoint_pool: list[int] = [0]
+    append = endpoint_pool.append
+    pool_size = 1
+    # randrange(pool_size) reads `bits` bits while pool_size < band_end.
+    bits, band_end = 1, 2
+    raw = generator.random_raw(WORD_CHUNK)
+    words = iter((raw >> (32 - bits)).tolist())
     for vertex in range(1, vertex_count):
+        if pool_size >= band_end:
+            bits = pool_size.bit_length()
+            band_end = 1 << bits
+            # Re-shift the words this chunk has left to the new width.
+            raw = raw[len(raw) - operator.length_hint(words):]
+            words = iter((raw >> (32 - bits)).tolist())
         attach_count = min(edges_per_vertex, vertex)
         chosen: set[int] = set()
-        while len(chosen) < attach_count:
-            chosen.add(endpoint_pool[rng.randrange(len(endpoint_pool))])
+        add = chosen.add
+        need = attach_count
+        while need:
+            for word in words:
+                if word < pool_size:
+                    add(endpoint_pool[word])
+                    need -= 1
+                    if not need:
+                        break
+            else:  # chunk used up mid-vertex: draw the next one
+                raw = generator.random_raw(WORD_CHUNK)
+                words = iter((raw >> (32 - bits)).tolist())
+                continue
+            # A target drawn twice counts once.
+            need = attach_count - len(chosen)
+        # The set's iteration order fixes the pool layout.
         for target in chosen:
-            endpoint_pool.append(vertex)
-            endpoint_pool.append(target)
+            append(vertex)
+            append(target)
+        pool_size += 2 * attach_count
     return endpoint_pool
 
 
@@ -160,9 +224,10 @@ def synthetic_power_law(
     """Large power-law graph via the configuration model (vectorised).
 
     Used for experiment-scale graphs (hundreds of thousands of vertices)
-    where the per-edge Python loop of :func:`synthetic_scale_free` would
-    be too slow.  Degrees are Zipf-distributed with the given exponent
-    (clipped), stubs are shuffled and paired; self-loops are dropped.
+    where :func:`synthetic_scale_free`, which still visits every draw in
+    Python, would be too slow.  Degrees are Zipf-distributed with the
+    given exponent (clipped), stubs are shuffled and paired; self-loops
+    are dropped.
     """
     if vertex_count < 2:
         raise WorkloadError(f"need at least two vertices: {vertex_count}")

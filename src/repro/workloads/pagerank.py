@@ -186,7 +186,7 @@ def pagerank_body(
                 is_store=True, label="pr-scatter",
             )
             # -- the actual numerics ------------------------------------
-            contributions = ranks[src] / out_degree[src]
+            contributions = (ranks / out_degree)[src]
             next_ranks = teleport + config.damping * np.bincount(
                 dst, weights=contributions, minlength=n
             )

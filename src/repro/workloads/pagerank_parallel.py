@@ -9,9 +9,10 @@ iteration's traffic, and meet at a :class:`~repro.os.sync.Barrier`
 (Quartz interposes on the barrier to inject accumulated delay before
 arrival, so per-iteration skew propagates correctly).
 
-The numerics remain exact: ranks match the sequential implementation
-bit-for-bit because each worker computes its own destination range with
-the same contribution formula.
+The numerics remain exact: each worker computes its own destination
+range with the sequential implementation's contribution formula, so the
+ranks are bit-identical for every thread count and match the sequential
+ones to rounding (a vertex sums its in-arcs in its CSR row's order).
 """
 
 from __future__ import annotations
@@ -67,6 +68,8 @@ class _SharedState:
         )
         self.dst = graph.col.astype(np.int64)
         self.ranks = np.full(graph.vertex_count, 1.0 / graph.vertex_count)
+        # What each vertex sends along every out-arc this iteration.
+        self.contrib = self.ranks / self.out_degree
         self.next_ranks = np.zeros(graph.vertex_count)
         self.residual = np.inf
         self.iterations = 0
@@ -127,7 +130,7 @@ def _worker_body(ctx, shared: _SharedState, regions, vertex_range, barrier):
         # owns and the column entries are the contributing sources.
         sources = shared.dst[edge_low:edge_high]
         destinations = shared.src[edge_low:edge_high]
-        contributions = shared.ranks[sources] / shared.out_degree[sources]
+        contributions = shared.contrib[sources]
         partial = np.bincount(
             destinations - low, weights=contributions, minlength=my_vertices
         )[:my_vertices]
@@ -140,6 +143,7 @@ def _worker_body(ctx, shared: _SharedState, regions, vertex_range, barrier):
             shared.ranks, shared.next_ranks = (
                 shared.next_ranks.copy(), shared.next_ranks,
             )
+            shared.contrib = shared.ranks / shared.out_degree
             shared.iterations += 1
             shared.done = (
                 shared.iterations >= config.max_iterations

@@ -1,11 +1,15 @@
 """Tests for the synthetic graph substrate."""
 
+import hashlib
 import itertools
 import pickle
+import random
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import WorkloadError
@@ -174,3 +178,111 @@ def test_pickle_round_trip_gives_equal_arrays():
     graph = synthetic_power_law(6_000, 4, seed=6)
     clone = pickle.loads(pickle.dumps(graph))
     assert _same_arrays(clone, graph)
+
+
+# ----------------------------------------------------------------------
+# The bulk word stream of the scale-free builder
+# ----------------------------------------------------------------------
+def _stdlib_attachment_pool(vertex_count, edges_per_vertex, seed):
+    """The reference: one ``random.Random.randrange`` call per draw."""
+    rng = random.Random(seed)
+    endpoint_pool = [0]
+    for vertex in range(1, vertex_count):
+        attach_count = min(edges_per_vertex, vertex)
+        chosen = set()
+        while len(chosen) < attach_count:
+            chosen.add(endpoint_pool[rng.randrange(len(endpoint_pool))])
+        for target in chosen:
+            endpoint_pool.append(vertex)
+            endpoint_pool.append(target)
+    return endpoint_pool
+
+
+def _stdlib_graph(vertex_count, edges_per_vertex, seed):
+    with mock.patch.object(graphs, "_attachment_pool", _stdlib_attachment_pool):
+        return graphs._build_scale_free(vertex_count, edges_per_vertex, seed)
+
+
+@st.composite
+def _scale_free_args(draw):
+    vertex_count = draw(st.integers(2, 3_000))
+    edges_per_vertex = draw(st.integers(1, min(12, vertex_count - 1)))
+    seed = draw(
+        st.sampled_from([0, -1, 2**32, 2**32 + 1, -(2**40)])
+        | st.integers(-(2**70), 2**70)
+    )
+    return vertex_count, edges_per_vertex, seed
+
+
+@settings(max_examples=40, deadline=None)
+@given(_scale_free_args())
+@example((2, 1, 0))
+@example((3_000, 12, -7))
+@example((2_500, 5, 2**64 + 3))
+def test_bulk_words_build_the_stdlib_graph(args):
+    built = graphs._build_scale_free(*args)
+    reference = _stdlib_graph(*args)
+    assert _same_arrays(built, reference)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7, 1_000])
+def test_chunk_boundaries_do_not_change_the_pool(monkeypatch, chunk):
+    # Small chunks run out mid-vertex and straddle every bit-length band.
+    monkeypatch.setattr(graphs, "WORD_CHUNK", chunk)
+    for args in ((700, 3, 11), (300, 9, -2)):
+        assert graphs._attachment_pool(*args) == _stdlib_attachment_pool(*args)
+
+
+@pytest.mark.parametrize("seed", [0, 5, -3, 2**32 + 9, 2**100])
+def test_raw_words_are_the_stdlib_getrandbits_stream(seed):
+    rng = random.Random(seed)
+    words = graphs._mt19937(seed).random_raw(2_000)
+    assert words.tolist() == [rng.getrandbits(32) for _ in range(2_000)]
+
+
+def _csr_sha256(graph):
+    digest = hashlib.sha256(graph.row_ptr.astype("<i8").tobytes())
+    digest.update(graph.col.astype("<i4").tobytes())
+    return digest.hexdigest()
+
+
+# Graphs large enough that the pool reaches bit lengths 19-20, which the
+# property above never does; digests of the per-draw stdlib builder.
+@pytest.mark.parametrize(
+    "args, sha256",
+    [
+        ((50_000, 6, 0),
+         "911f67f926105a15c4aded8eab895552fd46e34fe6d86277854805e48cc8b823"),
+        ((50_000, 6, 1),
+         "2eb53c6636ceb44134c70812ef347fd0ef33afc8acfbcfd183a37d029ab2d13e"),
+        ((50_000, 6, 2),
+         "1186cbc98f6cb9a86e3bcda206ea7b5c30d7413fa2338e4a8fc177d006e8df3b"),
+        ((100_000, 4, 0),
+         "ba1aac5b4e403daf07edad89a8d23519af34e5b693e72e53a1a0383ead51d5d6"),
+    ],
+    ids=["50k-6-s0", "50k-6-s1", "50k-6-s2", "100k-4-s0"],
+)
+def test_large_graphs_match_their_pinned_digests(args, sha256):
+    assert _csr_sha256(graphs._build_scale_free(*args)) == sha256
+
+
+def test_word_chunks_bound_the_pool_phase_transient_memory():
+    # The pool itself is about 6.9 MB; reading a whole bit-length band of
+    # words at once would take the peak past 20 MB.
+    tracemalloc.start()
+    try:
+        pool = graphs._attachment_pool(50_000, 6, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(pool) == 2 * 6 * (50_000 - 1) + 1 - 2 * sum(range(6))
+    assert peak < 12_000_000
+
+
+def test_pools_past_one_word_draws_are_rejected(monkeypatch):
+    monkeypatch.setattr(graphs, "_memoized", lambda build, *args: args)
+    # The largest pool, 2 * edges * (vertices - 1) + 1, must stay below 2**32.
+    assert synthetic_scale_free(2**31, 1) == (2**31, 1, 0)
+    for vertex_count, edges_per_vertex in ((2**31 + 1, 1), (2**30 + 1, 2)):
+        with pytest.raises(WorkloadError, match=r"2\*\*32"):
+            synthetic_scale_free(vertex_count, edges_per_vertex)

@@ -92,3 +92,49 @@ def test_single_thread_parallel_equals_sequential_time_roughly(graph):
 def test_config_validation():
     with pytest.raises(WorkloadError):
         ParallelPageRankConfig(threads=0)
+
+
+def _per_arc_ranks(graph, config, iterations, pull):
+    """Power iteration dividing every arc's rank by its sender's degree.
+
+    The serial body pushes along each row's arcs into the column vertex;
+    the parallel body pulls into each row vertex from its columns.  The
+    two sum a vertex's in-arcs in different orders, so each body has its
+    own reference.
+    """
+    n = graph.vertex_count
+    out_degree = np.maximum(graph.out_degrees(), 1)
+    rows = np.repeat(np.arange(n), np.diff(graph.row_ptr))
+    cols = graph.col.astype(np.int64)
+    senders, receivers = (cols, rows) if pull else (rows, cols)
+    ranks = np.full(n, 1.0 / n)
+    teleport = (1.0 - config.damping) / n
+    for _ in range(iterations):
+        contributions = ranks[senders] / out_degree[senders]
+        ranks = teleport + config.damping * np.bincount(
+            receivers, weights=contributions, minlength=n
+        )
+    return ranks
+
+
+def test_gathered_contributions_match_the_per_arc_iteration_bit_for_bit():
+    fast_graph = synthetic_scale_free(3_000, 5, seed=1)
+    config = PageRankConfig(
+        vertex_count=3_000, edges_per_vertex=5, max_iterations=12,
+        tolerance=1e-15,
+    )
+    out = {}
+    run(pagerank_body(config, out, graph=fast_graph))
+    assert out["result"].iterations == 12
+    assert out["result"].ranks.tobytes() == _per_arc_ranks(
+        fast_graph, config, 12, pull=False
+    ).tobytes()
+    pulled = _per_arc_ranks(fast_graph, config, 12, pull=True).tobytes()
+    for threads in (1, 4):
+        out = {}
+        run(parallel_pagerank_body(
+            ParallelPageRankConfig(base=config, threads=threads), out,
+            graph=fast_graph,
+        ))
+        assert out["result"].iterations == 12
+        assert out["result"].ranks.tobytes() == pulled
