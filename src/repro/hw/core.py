@@ -2,11 +2,15 @@
 
 A :class:`Core` turns instruction-level ops (:mod:`repro.ops`) into
 simulated time, performance-counter increments, and memory-controller
-traffic.  Execution is a generator driven by the OS layer; in-flight work
-is *divisible*, so an :class:`~repro.sim.Interrupt` (a POSIX signal in the
-modelled world) lands with instruction granularity: the core withdraws its
-memory flow, accounts the completed fraction, and raises
-:class:`OpInterrupted` carrying the remainder op for later resumption.
+traffic.  Execution is one plain step per op, driven by the OS layer:
+:meth:`Core.execute` starts the op and returns the single wait it needs
+(none, a :class:`~repro.sim.Timeout`, or a memory flow's ``done``
+condition) with a token; :meth:`Core.finish` completes it after the wait.
+In-flight work is *divisible*, so an :class:`~repro.sim.Interrupt` (a POSIX
+signal in the modelled world) lands with instruction granularity:
+:meth:`Core.abort` withdraws the memory flow, accounts the completed
+fraction, and returns an :class:`OpInterrupted` carrying the remainder op
+for later resumption.
 
 Timing model for a memory batch (see DESIGN.md):
 
@@ -40,6 +44,7 @@ from repro.ops import (
     Op,
     OpResult,
     PatternKind,
+    PersistTail,
     Spin,
 )
 from repro.sim import Interrupt, Timeout
@@ -129,58 +134,150 @@ class Core:
     # Op execution
     # ------------------------------------------------------------------
     def execute(self, thread: "SimThread", op: Op):
-        """Execute *op* on behalf of *thread* (generator).
+        """Start *op* for *thread*: the hardware half of one op step.
 
-        Returns an :class:`OpResult`; raises :class:`OpInterrupted` when a
-        signal preempts the op.
+        Returns ``(wait, token)``.  A ``wait`` of None means the op is
+        done and ``token`` is its :class:`OpResult`.  Otherwise the caller
+        yields ``wait`` (a :class:`Timeout` or a memory flow's ``done``
+        condition) and then passes ``token`` to :meth:`finish`, or to
+        :meth:`abort` when an :class:`Interrupt` lands instead.
         """
         kind = type(op)
+        now = self.machine.sim.now
         if kind is MemBatch:
-            return (yield from self._execute_membatch(op))
+            if op.accesses == 0:
+                return None, OpResult(op, 0.0)
+            profile = self.machine.cache_model(self.socket).resolve(op)
+            freq = self.frequency_ghz()
+            compute_like, _mem_wait, duration_min = self._membatch_timing(
+                op, profile, freq
+            )
+            controller = flow = None
+            if profile.dram_bytes > 0:
+                controller = self.machine.controller(op.region.node)
+                rate_cap = profile.dram_bytes / max(duration_min, 1e-9)
+                flow = controller.submit(
+                    profile.dram_bytes,
+                    rate_cap,
+                    label=op.label or "membatch",
+                    kind="write" if op.is_store else "read",
+                )
+            wait = Timeout(duration_min) if flow is None else flow.done
+            return wait, (
+                kind, op, now, duration_min, profile, compute_like, freq, controller, flow
+            )
         if kind is Compute:
-            return (yield from self._execute_compute(op))
+            duration = op.cycles / self.frequency_ghz()
+            return Timeout(duration), (kind, op, now, duration)
         if kind is Spin:
-            return (yield from self._execute_spin(op))
+            # Spin loops poll rdtscp, which is invariant: the duration is
+            # exact wall time regardless of DVFS.
+            return Timeout(op.duration_ns), (kind, op, now, op.duration_ns)
         if kind is Flush:
-            return (yield from self._execute_flush(op))
-        if kind is FlushOpt:
-            return (yield from self._execute_flushopt(thread, op))
+            # clflush: synchronous line writebacks (serialized).
+            duration = self._flush_latency_ns(op.region.node) * op.lines
+            controller = self.machine.controller(op.region.node)
+            nbytes = op.lines * CACHE_LINE_BYTES
+            controller.submit(
+                nbytes, nbytes / max(duration, 1e-9), label="clflush", kind="write"
+            )
+            return Timeout(duration), (kind, op, now, duration)
         if kind is Commit:
-            return (yield from self._execute_commit(thread, op))
+            # pcommit: drain all outstanding optimized flushes.
+            deadline = max(thread.outstanding_flushes, default=now)
+            thread.outstanding_flushes.clear()
+            token = (kind, op, now, max(0.0, deadline - now), thread)
+            if token[3] > 0:
+                return Timeout(token[3]), token
+            return None, self.finish(token)
+        if kind is FlushOpt or kind is PersistTail and op.cycles:
+            # clflushopt: post the writeback, do not stall.  A FlushOpt
+            # tail issues what an interrupt left and posts the completion.
+            region = op.region if kind is FlushOpt else op.op.region
+            cycles = _FLUSHOPT_ISSUE_CYCLES * op.lines if kind is FlushOpt else op.cycles
+            latency = self._flush_latency_ns(region.node)
+            issue_ns = cycles / self.frequency_ghz()
+            if kind is FlushOpt:
+                nbytes = op.lines * CACHE_LINE_BYTES
+                self.machine.controller(region.node).submit(
+                    nbytes, nbytes / max(latency, 1e-9), label="clflushopt", kind="write"
+                )
+            thread.outstanding_flushes.append(now + issue_ns + latency)
+            return Timeout(issue_ns), (FlushOpt, op, now, issue_ns, thread, cycles)
+        if kind is PersistTail:
+            return Timeout(op.drain_ns), (Commit, op, now, op.drain_ns, thread)
         raise HardwareError(f"core cannot execute op {op!r}")
 
-    # -- compute and spin ------------------------------------------------
-    def _execute_compute(self, op: Compute):
-        duration = op.cycles / self.frequency_ghz()
-        start = self.machine.sim.now
-        try:
-            yield Timeout(duration)
-        except Interrupt as intr:
-            elapsed = self.machine.sim.now - start
-            self.stats.busy_ns += elapsed
-            self.stats.interrupts_taken += 1
-            fraction = elapsed / duration if duration > 0 else 1.0
-            remaining_cycles = op.cycles * max(0.0, 1.0 - fraction)
-            remainder = Compute(remaining_cycles, op.label) if remaining_cycles > 0.5 else None
-            raise OpInterrupted(remainder, intr.payload, elapsed) from None
-        self.stats.busy_ns += duration
+    def finish(self, token: tuple) -> OpResult:
+        """Complete the op behind *token* once its wait has elapsed."""
+        kind = token[0]
+        if kind is MemBatch:
+            elapsed = self.machine.sim.now - token[2]
+            self._account_membatch(token[1], token[4], 1.0, elapsed, token[5], token[6])
+            return OpResult(token[1], elapsed)
+        op, duration, stats = token[1], token[3], self.stats
+        if kind is Spin:
+            stats.spin_ns += duration
+        else:
+            stats.busy_ns += duration
+            if kind is Commit:
+                stats.stall_ns += duration
         return OpResult(op, duration)
 
-    def _execute_spin(self, op: Spin):
-        # Spin loops poll rdtscp, which is invariant: the duration is exact
-        # wall time regardless of DVFS.
-        start = self.machine.sim.now
-        try:
-            yield Timeout(op.duration_ns)
-        except Interrupt as intr:
-            elapsed = self.machine.sim.now - start
-            self.stats.spin_ns += elapsed
-            self.stats.interrupts_taken += 1
+    def abort(self, token: tuple, interrupt: Interrupt) -> OpInterrupted:
+        """Account the done part of the op behind *token* and return the
+        :class:`OpInterrupted` carrying what is left of it."""
+        kind, op, start, duration = token[:4]
+        stats = self.stats
+        elapsed = self.machine.sim.now - start
+        if kind is MemBatch:
+            _, _, _, _, profile, compute_like, freq, controller, flow = token
+            if flow is not None:
+                controller.withdraw(flow)
+                fraction = flow.fraction_done
+            else:
+                fraction = elapsed / duration if duration > 0 else 1.0
+            self._account_membatch(op, profile, fraction, elapsed, compute_like, freq)
+            return OpInterrupted(
+                op.split_remainder(fraction), interrupt.payload, elapsed
+            )
+        stats.interrupts_taken += 1
+        fraction = elapsed / duration if duration > 0 else 1.0
+        remainder: Optional[Op] = None
+        if kind is Spin:
+            stats.spin_ns += elapsed
             remaining = op.duration_ns - elapsed
-            remainder = Spin(remaining, op.label) if remaining > 0 else None
-            raise OpInterrupted(remainder, intr.payload, elapsed) from None
-        self.stats.spin_ns += op.duration_ns
-        return OpResult(op, op.duration_ns)
+            if remaining > 0:
+                remainder = Spin(remaining, op.label)
+            return OpInterrupted(remainder, interrupt.payload, elapsed)
+        stats.busy_ns += elapsed
+        if kind is Compute:
+            remaining_cycles = op.cycles * max(0.0, 1.0 - fraction)
+            if remaining_cycles > 0.5:
+                remainder = Compute(remaining_cycles, op.label)
+        elif kind is Flush:
+            done_lines = int(op.lines * fraction)
+            remaining = op.lines - done_lines
+            if remaining:
+                line = None if op.line is None else op.line + done_lines
+                remainder = Flush(op.region, remaining, op.label, line=line)
+        elif kind is FlushOpt:
+            # The writeback stays posted; only the unissued rest resumes
+            # after the handler, and it posts the completion anew.
+            cycles = token[5] * max(0.0, 1.0 - fraction)
+            if cycles > 0.5:
+                token[4].outstanding_flushes.pop()
+                base = op if type(op) is FlushOpt else op.op
+                remainder = PersistTail(base, cycles=cycles)
+        else:
+            # Commit: the flushes it drains were cleared at its start; the
+            # rest of the drain stalls on after the handler.
+            stats.stall_ns += elapsed
+            remaining = duration - elapsed
+            if remaining > 0:
+                base = op if type(op) is Commit else op.op
+                remainder = PersistTail(base, drain_ns=remaining)
+        return OpInterrupted(remainder, interrupt.payload, elapsed)
 
     # -- memory batches -----------------------------------------------------
     def _membatch_timing(
@@ -210,52 +307,6 @@ class Core:
         hidden = overlap * min(compute_like, mem_wait)
         duration_min = compute_like + mem_wait - hidden
         return compute_like, mem_wait, duration_min
-
-    def _execute_membatch(self, batch: MemBatch):
-        if batch.accesses == 0:
-            return OpResult(batch, 0.0)
-        profile = self.machine.cache_model(self.socket).resolve(batch)
-        freq = self.frequency_ghz()
-        compute_like, _mem_wait, duration_min = self._membatch_timing(
-            batch, profile, freq
-        )
-        sim = self.machine.sim
-        start = sim.now
-        if profile.dram_bytes > 0:
-            controller = self.machine.controller(batch.region.node)
-            rate_cap = profile.dram_bytes / max(duration_min, 1e-9)
-            flow = controller.submit(
-                profile.dram_bytes,
-                rate_cap,
-                label=batch.label or "membatch",
-                kind="write" if batch.is_store else "read",
-            )
-            try:
-                yield flow.done
-            except Interrupt as intr:
-                controller.withdraw(flow)
-                fraction = flow.fraction_done
-                self._account_membatch(
-                    batch, profile, fraction, sim.now - start, compute_like, freq
-                )
-                raise OpInterrupted(
-                    batch.split_remainder(fraction), intr.payload, sim.now - start
-                ) from None
-        else:
-            try:
-                yield Timeout(duration_min)
-            except Interrupt as intr:
-                elapsed = sim.now - start
-                fraction = elapsed / duration_min if duration_min > 0 else 1.0
-                self._account_membatch(
-                    batch, profile, fraction, elapsed, compute_like, freq
-                )
-                raise OpInterrupted(
-                    batch.split_remainder(fraction), intr.payload, elapsed
-                ) from None
-        elapsed = sim.now - start
-        self._account_membatch(batch, profile, 1.0, elapsed, compute_like, freq)
-        return OpResult(batch, elapsed)
 
     def _account_membatch(
         self,
@@ -298,63 +349,3 @@ class Core:
     def _flush_latency_ns(self, node: int) -> float:
         """Time for a line writeback to reach the home memory of *node*."""
         return self.machine.dram_latency_ns(self.socket, node)
-
-    def _execute_flush(self, op: Flush):
-        """clflush: synchronous line writebacks (serialized)."""
-        latency = self._flush_latency_ns(op.region.node)
-        duration = latency * op.lines
-        controller = self.machine.controller(op.region.node)
-        nbytes = op.lines * CACHE_LINE_BYTES
-        controller.submit(
-            nbytes, nbytes / max(duration, 1e-9), label="clflush", kind="write"
-        )
-        start = self.machine.sim.now
-        try:
-            yield Timeout(duration)
-        except Interrupt as intr:
-            elapsed = self.machine.sim.now - start
-            fraction = elapsed / duration if duration > 0 else 1.0
-            done_lines = int(op.lines * fraction)
-            remaining = op.lines - done_lines
-            remainder = (
-                Flush(
-                    op.region,
-                    remaining,
-                    op.label,
-                    line=None if op.line is None else op.line + done_lines,
-                )
-                if remaining
-                else None
-            )
-            self.stats.busy_ns += elapsed
-            self.stats.interrupts_taken += 1
-            raise OpInterrupted(remainder, intr.payload, elapsed) from None
-        self.stats.busy_ns += duration
-        return OpResult(op, duration)
-
-    def _execute_flushopt(self, thread: "SimThread", op: FlushOpt):
-        """clflushopt: post the writeback, do not stall."""
-        latency = self._flush_latency_ns(op.region.node)
-        issue_ns = _FLUSHOPT_ISSUE_CYCLES * op.lines / self.frequency_ghz()
-        controller = self.machine.controller(op.region.node)
-        nbytes = op.lines * CACHE_LINE_BYTES
-        controller.submit(
-            nbytes, nbytes / max(latency, 1e-9), label="clflushopt", kind="write"
-        )
-        completion = self.machine.sim.now + issue_ns + latency * 1.0
-        thread.outstanding_flushes.append(completion)
-        yield Timeout(issue_ns)
-        self.stats.busy_ns += issue_ns
-        return OpResult(op, issue_ns)
-
-    def _execute_commit(self, thread: "SimThread", op: Commit):
-        """pcommit: drain all outstanding optimized flushes."""
-        now = self.machine.sim.now
-        deadline = max(thread.outstanding_flushes, default=now)
-        thread.outstanding_flushes.clear()
-        wait = max(0.0, deadline - now)
-        if wait > 0:
-            yield Timeout(wait)
-        self.stats.busy_ns += wait
-        self.stats.stall_ns += wait
-        return OpResult(op, wait)

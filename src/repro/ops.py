@@ -214,6 +214,22 @@ class Commit(Op):
 
 
 @dataclass(frozen=True)
+class PersistTail(Op):
+    """The rest of a :class:`FlushOpt` or :class:`Commit` a signal cut short.
+
+    The core hands one back as the remainder of the interrupted op.  A
+    FlushOpt tail issues the last ``cycles`` and posts the writeback
+    completion the interrupt held back; a Commit tail stalls out the last
+    ``drain_ns`` of the drain.  Neither posts a line nor drains a commit
+    again, so persistence observers see the original op exactly once.
+    """
+
+    op: Op
+    cycles: float = 0.0
+    drain_ns: float = 0.0
+
+
+@dataclass(frozen=True)
 class MutexLock(Op):
     """Acquire a simulated pthread mutex (blocking)."""
 

@@ -50,14 +50,23 @@ class Mutex:
         """Threads currently blocked on the mutex."""
         return len(self._waiters)
 
-    # Channel-B generator: yields kernel waitables, driven by the OS.
-    def _acquire(self, thread: "SimThread"):
+    def _try_acquire(self, thread: "SimThread") -> bool:
+        """Take the mutex if it is free, without blocking."""
         if self.owner is thread:
             raise OsError(f"thread {thread.name!r} self-deadlock on {self.name!r}")
         if self.owner is None:
             self.owner = thread
             self.acquisitions += 1
-            return
+            return True
+        return False
+
+    # Channel-B generators: yield kernel waitables, driven by the OS.
+    def _acquire(self, thread: "SimThread"):
+        if not self._try_acquire(thread):
+            yield from self._acquire_contended(thread)
+
+    def _acquire_contended(self, thread: "SimThread"):
+        """Block until the current owner hands the mutex over."""
         self.contended_acquisitions += 1
         while True:
             if self.owner is None:

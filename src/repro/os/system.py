@@ -12,8 +12,13 @@ model.  It owns:
 * **interposition** — op hooks wrap ``pthread_mutex_unlock`` and friends
   exactly where the real library's ``LD_PRELOAD`` shims sit.
 
-The OS raises the ``gate``, ``op``, ``signal`` and ``thread_exit``
-events of the simulator's :class:`~repro.sim.hooks.Hooks`.
+Ops run through one flat step: a plain :meth:`SimOS._dispatch` per op,
+then at most one ``yield`` in the channel's own frame (a thread body, an
+interposer or a signal handler).  Only ops that really wait — a contended
+lock, condition and barrier waits, joins, sleeps, gate parks and
+interposer streams — get a sub-generator.  The OS raises the ``gate``,
+``op``, ``signal`` and ``thread_exit`` events of the simulator's
+:class:`~repro.sim.hooks.Hooks`.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ import itertools
 from typing import Any, Callable, Iterator, Optional
 
 from repro.errors import DeadlockError, OsError, SimulationError
-from repro.hw.core import OpInterrupted
 from repro.hw.machine import Machine
 from repro.ops import (
     BarrierWait,
@@ -146,12 +150,12 @@ class SimOS:
                 yield from gate(thread, None)
             begin_hook = self.interpose.op_hook("thread_begin")
             if begin_hook is not None:
-                yield from self._run_hook_ops(thread, begin_hook, None)
+                yield from self._exec_stream(thread, begin_hook(self, thread, None), False)
             generator = thread.body(thread.context, *thread.args)
             result = yield from self._exec_stream(thread, generator)
             end_hook = self.interpose.op_hook("thread_end")
             if end_hook is not None:
-                yield from self._run_hook_ops(thread, end_hook, None)
+                yield from self._exec_stream(thread, end_hook(self, thread, None), False)
             thread.result = result
             return result
         finally:
@@ -170,108 +174,106 @@ class SimOS:
             for subscriber in self.hooks.thread_exit:
                 subscriber(thread)
 
-    def _exec_stream(self, thread: SimThread, generator: Iterator):
-        """Drive a generator of ops, sending each op's result back."""
-        result: Any = None
+    # ------------------------------------------------------------------
+    # Op channels: the flat step protocol
+    # ------------------------------------------------------------------
+    def _exec_stream(
+        self, thread: SimThread, generator: Iterator, interpose=True, intercepted=None
+    ):
+        """Drive one op channel: a thread body (``interpose``), an
+        interposer's stream (its :data:`ORIGINAL` runs ``intercepted``) or
+        a signal handler.  Each op takes one step: a plain :meth:`_dispatch`,
+        then at most one ``yield wait`` here for a core op, or a ``yield
+        from`` into the sub-generator of an op that really waits.
+        """
+        send = generator.send
+        dispatch = self._dispatch
+        finish = thread.core.finish
+        hooks = self.hooks
+        result = original = None
         while True:
             try:
-                op = generator.send(result)
+                op = send(result)
             except StopIteration as stop:
-                return stop.value
-            result = yield from self._run_op_with_signals(thread, op)
+                return original if stop.value is None else stop.value
+            is_original = op is ORIGINAL and not interpose
+            if is_original:
+                if intercepted is None:
+                    result = original = None
+                    continue
+                op = intercepted
+            elif interpose and hooks.gate and type(op) in _BOUNDARY_OPS:
+                for gate in hooks.gate:
+                    yield from gate(thread, op)
+            wait, token = dispatch(thread, op, interpose)
+            if wait is None:
+                result = token
+            elif wait is _FRAME:
+                result = yield from token
+            else:
+                try:
+                    yield wait
+                except Interrupt as interrupt:
+                    result = yield from self._resume(thread, token, interrupt, interpose)
+                else:
+                    result = finish(token)
+            while thread.pending_signals and not thread.signals_masked:
+                yield from self._deliver_signal(thread, thread.pending_signals.popleft())
+            if is_original:
+                original = result
 
-    # ------------------------------------------------------------------
-    # Op execution with signal delivery
-    # ------------------------------------------------------------------
-    def _run_op_with_signals(
-        self, thread: SimThread, op: Op, interpose: bool = True
-    ):
-        """Execute one op; handle interrupts and queued signals around it."""
-        current: Optional[Op] = op
-        result = None
-        while current is not None:
-            try:
-                result = yield from self._dispatch(thread, current, interpose)
-                current = None
-            except OpInterrupted as interrupted:
-                yield from self._deliver_signal(thread, interrupted.payload)
-                current = interrupted.remainder
-        while thread.pending_signals and not thread.signals_masked:
-            signal = thread.pending_signals.popleft()
-            yield from self._deliver_signal(thread, signal)
-        return result
+    def _resume(self, thread: SimThread, token, interrupt: Interrupt, interpose):
+        """Deliver the signal that cut a core op short, then run the rest."""
+        interrupted = thread.core.abort(token, interrupt)
+        yield from self._deliver_signal(thread, interrupted.payload)
+        if interrupted.remainder is None:
+            return None
+        return (yield from self._exec_stream(thread, _single(interrupted.remainder), interpose))
 
     def _dispatch(self, thread: SimThread, op: Op, interpose: bool = True):
-        """Route one op to the core, the sync layer, or an interposer."""
-        hooks = self.hooks
+        """Route one op to an interposer, the sync layer, or the core.
+
+        A plain call, entered once per routed op, returning ``(wait,
+        token)`` as :meth:`Core.execute` does; a ``wait`` of ``_FRAME``
+        makes ``token`` the sub-generator the channel runs with ``yield from``.
+        """
+        kind = type(op)
         if interpose:
-            gates = hooks.gate
-            if gates and type(op) in _BOUNDARY_OPS:
-                for gate in gates:
-                    yield from gate(thread, op)
-            symbol = _INTERPOSED_SYMBOLS.get(type(op))
+            symbol = _INTERPOSED_SYMBOLS.get(kind)
             if symbol is not None:
                 hook = self.interpose.op_hook(symbol)
                 if hook is not None:
-                    result = yield from self._run_hook_ops(thread, hook, op)
-                    return result
+                    return _FRAME, self._exec_stream(thread, hook(self, thread, op), False, op)
         # Past the interposition check every op is about to actually run,
         # so an ``op`` subscriber sees each executed op exactly once:
         # hook-intercepted ops re-enter here with ``interpose=False`` for
         # the ORIGINAL / replacement ops their hooks emit.
-        observers = hooks.op
+        observers = self.hooks.op
         if observers:
             for observer in observers:
                 observer(thread, op)
-        if isinstance(op, MutexLock):
-            yield from op.mutex._acquire(thread)
-            return None
-        if isinstance(op, MutexUnlock):
+        if kind not in _SYNC_OPS:
+            return thread.core.execute(thread, op)
+        if kind is MutexLock:
+            if op.mutex._try_acquire(thread):
+                return None, None
+            return _FRAME, op.mutex._acquire_contended(thread)
+        if kind is MutexUnlock:
             op.mutex._release(thread)
-            return None
-        if isinstance(op, CondWait):
-            yield from op.cond._wait(thread, op.mutex)
-            return None
-        if isinstance(op, CondNotify):
-            return op.cond._notify(notify_all=op.notify_all)
-        if isinstance(op, BarrierWait):
-            generation = yield from op.barrier._wait(thread)
-            return generation
-        if isinstance(op, SpawnThread):
-            return self.create_thread(
+            return None, None
+        if kind is CondWait:
+            return _FRAME, op.cond._wait(thread, op.mutex)
+        if kind is CondNotify:
+            return None, op.cond._notify(notify_all=op.notify_all)
+        if kind is BarrierWait:
+            return _FRAME, op.barrier._wait(thread)
+        if kind is SpawnThread:
+            return None, self.create_thread(
                 op.body, name=op.name, cpu_node=op.core_hint, args=op.args
             )
-        if isinstance(op, JoinThread):
-            result = yield from self._interruptible_join(thread, op.thread)
-            return result
-        if isinstance(op, Sleep):
-            yield from self._interruptible_sleep(thread, op.duration_ns)
-            return None
-        result = yield from thread.core.execute(thread, op)
-        return result
-
-    def _run_hook_ops(self, thread: SimThread, hook: Callable, op: Optional[Op]):
-        """Run an interposer generator in the OS execution channel."""
-        generator = hook(self, thread, op)
-        sub_result: Any = None
-        original_result: Any = None
-        while True:
-            try:
-                item = generator.send(sub_result)
-            except StopIteration as stop:
-                return stop.value if stop.value is not None else original_result
-            if item is ORIGINAL:
-                if op is None:
-                    sub_result = None
-                else:
-                    sub_result = yield from self._run_op_with_signals(
-                        thread, op, interpose=False
-                    )
-                original_result = sub_result
-            else:
-                sub_result = yield from self._run_op_with_signals(
-                    thread, item, interpose=False
-                )
+        if kind is JoinThread:
+            return _FRAME, self._interruptible_join(thread, op.thread)
+        return _FRAME, self._interruptible_sleep(thread, op.duration_ns)
 
     def run_op_hook(self, thread: SimThread, hook: Callable, op: Op):
         """Run an interposer in the *workload* channel (yields raw ops).
@@ -366,16 +368,7 @@ class SimOS:
             return  # unhandled signals are ignored (SIG_IGN model)
         thread.signals_masked = True
         try:
-            generator = handler(thread, signal)
-            sub_result: Any = None
-            while True:
-                try:
-                    item = generator.send(sub_result)
-                except StopIteration:
-                    break
-                sub_result = yield from self._dispatch(
-                    thread, item, interpose=False
-                )
+            yield from self._exec_stream(thread, handler(thread, signal), False)
         finally:
             thread.signals_masked = False
 
@@ -434,6 +427,20 @@ _BOUNDARY_OPS: frozenset = frozenset(
         JoinThread,
     }
 )
+
+#: Op types the OS runs itself; ``_dispatch`` sends every other op to the core.
+_SYNC_OPS: frozenset = frozenset(
+    {MutexLock, MutexUnlock, CondWait, CondNotify, BarrierWait, SpawnThread, JoinThread, Sleep}
+)
+
+#: ``_dispatch``'s wait for an op that runs in its own sub-generator.
+_FRAME = object()
+
+
+def _single(op: Op):
+    """A one-op stream (the remainder of an interrupted op)."""
+    return (yield op)
+
 
 #: Op types with OS-level interposition points and their symbol names.
 _INTERPOSED_SYMBOLS: dict[type, str] = {

@@ -6,13 +6,12 @@ import pytest
 
 from repro.errors import HardwareError
 from repro.hw import IVY_BRIDGE, Machine
-from repro.hw.core import OpInterrupted
 from repro.hw.memory import THROTTLE_REGISTER_MAX
 from repro.hw.topology import PageSize
 from repro.ops import (
     Commit, Compute, Flush, FlushOpt, MemBatch, Op, PatternKind, Spin,
 )
-from repro.sim import Simulator
+from repro.sim import Interrupt, Simulator
 from repro.units import GIB, MIB
 
 
@@ -33,10 +32,16 @@ def run_op(machine, op, core_id=0, interrupt_at=None, thread=None):
     start = machine.sim.now
 
     def proc():
+        wait, token = core.execute(thread, op)
+        if wait is None:
+            outcome["result"] = token
+            return
         try:
-            outcome["result"] = yield from core.execute(thread, op)
-        except OpInterrupted as interrupted:
-            outcome["interrupted"] = interrupted
+            yield wait
+        except Interrupt as interrupt:
+            outcome["interrupted"] = core.abort(token, interrupt)
+        else:
+            outcome["result"] = core.finish(token)
 
     process = machine.sim.spawn(proc())
     if interrupt_at is not None:
@@ -299,4 +304,4 @@ def test_unknown_op_is_rejected():
 
     machine = make_machine()
     with pytest.raises(HardwareError, match="cannot execute"):
-        next(machine.core(0).execute(fake_thread(), Bogus()))
+        machine.core(0).execute(fake_thread(), Bogus())

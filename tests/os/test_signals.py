@@ -6,8 +6,10 @@ from repro.errors import OsError
 from repro.hw import IVY_BRIDGE, Machine
 from repro.hw.topology import PageSize
 from repro.ops import (
+    Commit,
     Compute,
     Flush,
+    FlushOpt,
     MemBatch,
     MutexLock,
     MutexUnlock,
@@ -16,6 +18,7 @@ from repro.ops import (
     Spin,
 )
 from repro.os import ORIGINAL, Mutex, SimOS, Signal
+from repro.pmem import PersistenceDomain
 from repro.sim import Simulator
 from repro.units import GIB, MIB
 
@@ -70,6 +73,61 @@ def test_signal_interrupts_memory_batch_with_partial_progress():
     assert hits == [100_000.0]
     # Batch still completes in (roughly) full time + nothing extra.
     assert os.sim.now == pytest.approx(10_000 * 87.0, rel=0.02)
+
+
+def run_flushopt_commit(signal_at=None):
+    """FlushOpt of 4000 lines, then Commit; optionally signalled once.
+
+    On Ivy Bridge the issue takes 9,090.9 ns and the drain 87 ns, so a
+    signal at 5,000 ns lands in the issue and one at 9,120 ns in the drain.
+    """
+    os = make_os()
+    domain = PersistenceDomain()
+    domain.install(os.hooks)
+    handled, posted = [], []
+
+    def handler(thread, signal):
+        handled.append(os.sim.now)
+        yield Compute(2_200.0)  # 1,000 ns
+
+    os.signal_handlers[SIGTEST] = handler
+
+    def body(ctx):
+        region = ctx.pmalloc(MIB, label="log")
+        for line in range(4000):
+            domain.record(region, line, line)
+        yield FlushOpt(region, lines=4000)
+        posted.append(len(ctx.thread.outstanding_flushes))
+        yield Commit()
+        return ctx.now_ns
+
+    thread = os.create_thread(body)
+    if signal_at is not None:
+        os.sim.schedule(signal_at, lambda: os.post_signal(thread, Signal(SIGTEST)))
+    os.run_to_completion()
+    return os, thread, domain, handled, posted
+
+
+@pytest.mark.parametrize("signal_at", [5_000.0, 9_120.0])
+def test_signal_during_flushopt_issue_or_commit_drain(signal_at):
+    clean_os, clean, _, _, _ = run_flushopt_commit()
+    os, thread, domain, handled, posted = run_flushopt_commit(signal_at)
+    assert handled == [signal_at]
+    assert posted == [1]  # one writeback completion for the one FlushOpt
+    assert thread.finished
+    # The handler's 1,000 ns is added; the rest of the issue or drain
+    # resumes after it, so the commit still waits out every flush.
+    assert thread.result == pytest.approx(clean.result + 1_000.0, abs=1e-6)
+    assert clean.result == pytest.approx(4000 * 5 / 2.2 + 87.0, abs=1e-6)
+    assert thread.outstanding_flushes == []
+    # Every line was posted once and persisted by the one commit.
+    stats = domain.stats()
+    assert stats["flushes_seen"] == 1 and stats["commits_seen"] == 1
+    assert stats["lines_posted"] == stats["lines_persisted"] == 4000
+    assert stats["posted_lines"] == stats["dirty_lines"] == 0
+    served = clean_os.machine.controller(0).total_bytes_served
+    assert os.machine.controller(0).total_bytes_served == served == 4000 * 64
+    assert thread.core.stats.interrupts_taken == 1
 
 
 def test_signal_queued_while_masked_and_delivered_after():
