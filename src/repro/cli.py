@@ -23,6 +23,7 @@ import argparse
 import inspect
 import sys
 import time
+from dataclasses import replace
 from typing import Optional, Sequence
 
 from repro.errors import (
@@ -35,9 +36,12 @@ from repro.faults import FaultPlan, clear_active_faults, set_active_faults
 from repro.hw.arch import arch_by_name
 from repro.quartz.calibration import calibrate_arch
 from repro.validation import export
-from repro.validation.experiments import REGISTRY
-from repro.validation.experiments.service import SERVICE_PRESETS
-from repro.validation.experiments.sweeps import SWEEP_PRESETS
+from repro.validation.experiments import (
+    REGISTRY,
+    SERVICE_PRESETS,
+    SWEEP_PRESETS,
+    manifest_sections,
+)
 from repro.validation.reporting import render_table
 from repro.validation.runner import (
     close_trace_out,
@@ -46,6 +50,85 @@ from repro.validation.runner import (
     reset_run_stats,
     set_trace_out,
 )
+
+
+def _output_flags() -> argparse.ArgumentParser:
+    """``--jobs``/``--format``/``--out``: every result-emitting command's."""
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument(
+        "--jobs",
+        type=int,
+        help=(
+            "worker processes for the run grid (default: QUARTZ_REPRO_JOBS "
+            "or all cores; results are identical for any job count)"
+        ),
+    )
+    flags.add_argument(
+        "--format",
+        choices=("table", "json"),
+        default="table",
+        help=(
+            "output format: the ASCII table, or the schema-versioned JSON "
+            "export document (default: table)"
+        ),
+    )
+    flags.add_argument(
+        "-o", "--output", "--out",
+        dest="output",
+        help="also write the rendered output (current --format) to a file",
+    )
+    return flags
+
+
+def _fault_flags() -> argparse.ArgumentParser:
+    """``--faults``/``--check-invariants``: the commands that take them."""
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument(
+        "--faults",
+        help=(
+            "run under deterministic fault injection; semicolon-separated "
+            "clauses, e.g. 'seed(7); signal-delay(ns=2e6, p=1.0); "
+            "timer-jitter(rel=0.01)' — see repro.faults.plan for the "
+            "full grammar"
+        ),
+    )
+    flags.add_argument(
+        "--check-invariants",
+        action="store_true",
+        help=(
+            "attach the runtime invariant monitor (clock monotonicity, "
+            "delay conservation, split proportionality); the run aborts "
+            "with exit code 3 at the first violation"
+        ),
+    )
+    return flags
+
+
+def _oracle_flags(parser, shards: int, shards_help: str, seed: int) -> None:
+    """The mutant axis and sharding of ``crash-check`` and ``explore``."""
+    parser.add_argument(
+        "--mutant",
+        choices=("all", "none", "missing-flush", "misordered-barrier"),
+        default="all",
+        help=(
+            "protocol variant(s) to run: the correct protocol ('none'), a "
+            "seeded bug, or the full oracle sweep (default: all; litmus "
+            "tests without a persist protocol only accept 'none')"
+        ),
+    )
+    parser.add_argument(
+        "--shards",
+        type=int,
+        default=shards,
+        help=(
+            f"ways to {shards_help} (fixed per invocation, so results are "
+            f"identical for any --jobs value; default: {shards})"
+        ),
+    )
+    parser.add_argument("--seed", type=int, default=seed, help="run seed")
+    parser.add_argument(
+        "--arch", help="processor family of the simulated testbed"
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -57,10 +140,13 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
+    outputs, faults = _output_flags(), _fault_flags()
 
     subparsers.add_parser("list", help="list available experiments")
 
-    run = subparsers.add_parser("run", help="run one experiment")
+    run = subparsers.add_parser(
+        "run", help="run one experiment", parents=[outputs, faults]
+    )
     run.add_argument("experiment", choices=sorted(REGISTRY), metavar="experiment")
     run.add_argument(
         "--arch",
@@ -68,28 +154,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--trials", type=int, help="trial count (where the experiment allows)"
-    )
-    run.add_argument(
-        "--jobs",
-        type=int,
-        help=(
-            "worker processes for the run grid (default: QUARTZ_REPRO_JOBS "
-            "or all cores; results are identical for any job count)"
-        ),
-    )
-    run.add_argument(
-        "--format",
-        choices=("table", "json"),
-        default="table",
-        help=(
-            "output format: the ASCII table, or the schema-versioned JSON "
-            "export document (default: table)"
-        ),
-    )
-    run.add_argument(
-        "-o", "--output", "--out",
-        dest="output",
-        help="also write the rendered output (current --format) to a file",
     )
     run.add_argument(
         "--trace-out",
@@ -100,30 +164,12 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     run.add_argument(
-        "--faults",
-        help=(
-            "run under deterministic fault injection; semicolon-separated "
-            "clauses, e.g. 'seed(7); signal-delay(ns=2e6, p=1.0); "
-            "timer-jitter(rel=0.01)' — see repro.faults.plan for the "
-            "full grammar"
-        ),
-    )
-    run.add_argument(
         "--tiers",
         help=(
             "emulated memory-tier ladder for the multi-tier experiments: "
             "comma-separated read/write latency pairs in ns, fastest "
             "first, e.g. '250/350,400/600,700/1100' (tier 0, the local "
             "DRAM, is implicit)"
-        ),
-    )
-    run.add_argument(
-        "--check-invariants",
-        action="store_true",
-        help=(
-            "attach the runtime invariant monitor (clock monotonicity, "
-            "delay conservation, split proportionality); the run aborts "
-            "with exit code 3 at the first violation"
         ),
     )
 
@@ -139,6 +185,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     crash = subparsers.add_parser(
         "crash-check",
+        parents=[outputs],
         help=(
             "crash-consistency check a recoverable PM workload "
             "(persistence-domain simulation + recovery validation)"
@@ -149,48 +196,11 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("kvstore", "graph500"),
         help="recoverable workload to check",
     )
-    crash.add_argument(
-        "--mutant",
-        choices=("all", "none", "missing-flush", "misordered-barrier"),
-        default="all",
-        help=(
-            "protocol variant(s) to run: the correct protocol ('none'), a "
-            "seeded bug, or the full oracle sweep (default: all)"
-        ),
-    )
-    crash.add_argument(
-        "--shards",
-        type=int,
-        default=4,
-        help=(
-            "ways to shard crash-image storage across runs (fixed per "
-            "invocation, so results are identical for any --jobs value; "
-            "default: 4)"
-        ),
-    )
-    crash.add_argument("--seed", type=int, default=411, help="run seed")
-    crash.add_argument(
-        "--arch", help="processor family of the simulated testbed"
-    )
-    crash.add_argument(
-        "--jobs",
-        type=int,
-        help="worker processes (default: QUARTZ_REPRO_JOBS or all cores)",
-    )
-    crash.add_argument(
-        "--format",
-        choices=("table", "json"),
-        default="table",
-        help="output format (default: table)",
-    )
-    crash.add_argument(
-        "-o", "--output", "--out",
-        dest="output",
-        help="also write the rendered output (current --format) to a file",
-    )
+    _oracle_flags(crash, 4, "shard crash-image storage across runs", 411)
 
     explore = subparsers.add_parser(
         "explore",
+        parents=[outputs],
         help=(
             "model-check a recoverable workload: enumerate every thread "
             "interleaving and cross each with every reachable crash point"
@@ -201,28 +211,10 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("mutex-log", "disjoint-locks", "kvstore", "graph500"),
         help="explorable workload (litmus tests or recoverable PM bodies)",
     )
-    explore.add_argument(
-        "--mutant",
-        choices=("all", "none", "missing-flush", "misordered-barrier"),
-        default="all",
-        help=(
-            "protocol variant(s) to explore: the correct protocol "
-            "('none'), a seeded bug, or the full oracle sweep (default: "
-            "all; litmus tests without a persist protocol only accept "
-            "'none')"
-        ),
+    _oracle_flags(
+        explore, 2,
+        "partition the schedule tree at its first decision point", 0,
     )
-    explore.add_argument(
-        "--shards",
-        type=int,
-        default=2,
-        help=(
-            "ways to partition the schedule tree at its first decision "
-            "point (fixed per invocation, so results are identical for "
-            "any --jobs value; default: 2)"
-        ),
-    )
-    explore.add_argument("--seed", type=int, default=0, help="run seed")
     explore.add_argument(
         "--no-prune",
         action="store_true",
@@ -231,28 +223,10 @@ def _build_parser() -> argparse.ArgumentParser:
             "tree (the pruning-soundness baseline; slower, same verdict)"
         ),
     )
-    explore.add_argument(
-        "--arch", help="processor family of the simulated testbed"
-    )
-    explore.add_argument(
-        "--jobs",
-        type=int,
-        help="worker processes (default: QUARTZ_REPRO_JOBS or all cores)",
-    )
-    explore.add_argument(
-        "--format",
-        choices=("table", "json"),
-        default="table",
-        help="output format (default: table)",
-    )
-    explore.add_argument(
-        "-o", "--output", "--out",
-        dest="output",
-        help="also write the rendered output (current --format) to a file",
-    )
 
     service = subparsers.add_parser(
         "service",
+        parents=[outputs, faults],
         help=(
             "run the trace-driven multi-tenant KV service (DRAM cache "
             "tier + tail-latency reporting) at a named preset"
@@ -261,38 +235,6 @@ def _build_parser() -> argparse.ArgumentParser:
     service.add_argument(
         "preset", choices=sorted(SERVICE_PRESETS), metavar="preset",
         help=f"service preset ({', '.join(sorted(SERVICE_PRESETS))})",
-    )
-    service.add_argument(
-        "--jobs",
-        type=int,
-        help="worker processes (default: QUARTZ_REPRO_JOBS or all cores)",
-    )
-    service.add_argument(
-        "--faults",
-        help=(
-            "run under deterministic fault injection (same grammar as "
-            "'run --faults'); the cache-accounting conservation checks "
-            "still gate the run"
-        ),
-    )
-    service.add_argument(
-        "--check-invariants",
-        action="store_true",
-        help=(
-            "attach the runtime invariant monitor; the run aborts with "
-            "exit code 3 at the first violation"
-        ),
-    )
-    service.add_argument(
-        "--format",
-        choices=("table", "json"),
-        default="table",
-        help="output format (default: table)",
-    )
-    service.add_argument(
-        "-o", "--output", "--out",
-        dest="output",
-        help="also write the rendered output (current --format) to a file",
     )
 
     sweep = subparsers.add_parser(
@@ -304,7 +246,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sweep_sub = sweep.add_subparsers(dest="sweep_command", required=True)
     sweep_run = sweep_sub.add_parser(
-        "run", help="start a journaled sweep of a preset grid"
+        "run", help="start a journaled sweep of a preset grid",
+        parents=[outputs],
     )
     sweep_run.add_argument(
         "preset", choices=sorted(SWEEP_PRESETS), metavar="preset",
@@ -316,6 +259,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sweep_resume = sweep_sub.add_parser(
         "resume",
+        parents=[outputs],
         help=(
             "resume an interrupted sweep: verified checkpoints are "
             "reused, only unfinished specs re-execute"
@@ -330,21 +274,6 @@ def _build_parser() -> argparse.ArgumentParser:
             help="sweep directory (journal.jsonl + results.jsonl)",
         )
     for sub in (sweep_run, sweep_resume):
-        sub.add_argument(
-            "--jobs", type=int,
-            help=(
-                "worker processes (default: QUARTZ_REPRO_JOBS or all "
-                "cores; results are identical for any job count)"
-            ),
-        )
-        sub.add_argument(
-            "--format", choices=("table", "json"), default="table",
-            help="output format (default: table)",
-        )
-        sub.add_argument(
-            "-o", "--output", "--out", dest="output",
-            help="also write the rendered output (current --format) to a file",
-        )
         sub.add_argument(
             "--interrupt-after", type=int, default=None,
             help=(
@@ -460,310 +389,186 @@ def _driver_kwargs(
     return kwargs
 
 
-def _run_experiment(args: argparse.Namespace) -> int:
-    driver = REGISTRY[args.experiment]
-    kwargs = _driver_kwargs(args.experiment, driver, args)
+def _run_kwargs(args: argparse.Namespace) -> tuple[str, dict, dict]:
+    """``run <experiment>``: the registry driver under the CLI flags."""
+    kwargs = _driver_kwargs(args.experiment, REGISTRY[args.experiment], args)
+    knobs = {
+        "command": "run",
+        "experiment": args.experiment,
+        "arch": args.arch,
+        "trials": args.trials,
+        "check_invariants": bool(args.check_invariants),
+    }
+    return args.experiment, kwargs, knobs
+
+
+def _oracle_kwargs(args: argparse.Namespace) -> tuple[str, dict, dict]:
+    """``crash-check`` / ``explore``: one oracle experiment per workload."""
+    from repro.validation.experiments.explore import (
+        DEFAULT_EXPLORE_PLAN,
+        MUTANT_AXIS,
+    )
+
+    if args.mutant != "all":
+        mutants = (args.mutant,)
+    elif args.workload == "disjoint-locks":
+        # Litmus tests without a persist protocol reject mutants.
+        mutants = ("none",)
+    else:
+        mutants = MUTANT_AXIS
+    kwargs = {
+        "workload": args.workload,
+        "mutants": mutants,
+        "shards": args.shards,
+        "seed": args.seed,
+        "jobs": args.jobs if args.jobs else default_cli_jobs(),
+    }
+    if args.arch:
+        kwargs["arch"] = arch_by_name(args.arch)
+    experiment_id = "crash-check"
+    if args.command == "explore":
+        experiment_id = "explore-check"
+        kwargs["explore_plan"] = replace(
+            DEFAULT_EXPLORE_PLAN, prune=not args.no_prune
+        )
+    knobs = {
+        "command": args.command,
+        "workload": args.workload,
+        "mutant": args.mutant,
+        "shards": args.shards,
+        "seed": args.seed,
+        "arch": args.arch,
+    }
+    return experiment_id, kwargs, knobs
+
+
+def _service_kwargs(args: argparse.Namespace) -> tuple[str, dict, dict]:
+    """``service <preset>``: a service experiment at a named scale."""
+    experiment_id, build_kwargs = SERVICE_PRESETS[args.preset]
+    kwargs = build_kwargs()
+    kwargs["jobs"] = args.jobs if args.jobs else default_cli_jobs()
+    knobs = {
+        "command": "service",
+        "preset": args.preset,
+        "experiment": experiment_id,
+        "check_invariants": bool(args.check_invariants),
+    }
+    return experiment_id, kwargs, knobs
+
+
+#: Command -> kwargs builder for every command that runs one registry
+#: experiment; each returns ``(experiment id, driver kwargs, knobs)``.
+EXPERIMENT_COMMANDS = {
+    "run": _run_kwargs,
+    "crash-check": _oracle_kwargs,
+    "explore": _oracle_kwargs,
+    "service": _service_kwargs,
+}
+
+
+def _render(args: argparse.Namespace, result, stats, **manifest) -> str:
+    """Write *result* to stdout in ``--format``; returns the text."""
+    if args.format == "json":
+        document = export.build_document(
+            result,
+            export.build_manifest(stats=stats, **manifest),
+            telemetry=stats.telemetry() if stats is not None else None,
+        )
+        rendered = export.dumps_document(document)
+    else:
+        rendered = render_table(result) + "\n"
+    sys.stdout.write(rendered)
+    return rendered
+
+
+def _finish(args: argparse.Namespace, rendered: str, lines: list) -> None:
+    """Print the trailing info *lines*, then honour ``--out``."""
     # In JSON mode stdout carries the document and nothing else.
     info = sys.stderr if args.format == "json" else sys.stdout
+    for line in lines:
+        print(line, file=info)
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as handle:
+            handle.write(rendered)
+        print(f"written to {args.output}", file=info)
+
+
+def _summary(stats) -> list:
+    return [stats.summary()] if stats is not None and stats.runs else []
+
+
+def _emit(
+    args: argparse.Namespace, experiment_id: str, kwargs: dict, knobs: dict
+) -> int:
+    """Run one registry experiment and emit it: every command's one path.
+
+    Reset stats → run the driver → build the manifest (its plan sections
+    derived from the experiment id and kwargs) → render → summary →
+    ``--out`` → verdict.  Exit codes: 0 success; 2 a malformed
+    ``--faults`` plan; 3 an invariant violated (the run aborts at the
+    first one); 4 a result row failed its oracle (``ok`` false); 130
+    interrupted, after the partial runner summary.
+    """
     fault_plan = None
-    if args.faults:
+    if getattr(args, "faults", None):
         try:
             fault_plan = FaultPlan.parse(args.faults)
         except FaultPlanError as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
-    if args.trace_out:
+    check_invariants = getattr(args, "check_invariants", False)
+    if getattr(args, "trace_out", None):
         set_trace_out(args.trace_out)
-    if fault_plan is not None or args.check_invariants:
-        set_active_faults(fault_plan, args.check_invariants)
+    if fault_plan is not None or check_invariants:
+        set_active_faults(fault_plan, check_invariants)
     reset_run_stats()
     started = time.perf_counter()
     try:
         try:
-            result = driver(**kwargs)
+            result = REGISTRY[experiment_id](**kwargs)
         finally:
             trace_info = close_trace_out()
             clear_active_faults()
     except InvariantViolation as error:
         print(f"error: {error}", file=sys.stderr)
+        hint = (
+            "; re-run without --check-invariants to observe the raw "
+            "(faulted) behaviour" if check_invariants else ""
+        )
         print(
-            "the run aborted at the first violated invariant; re-run "
-            "without --check-invariants to observe the raw (faulted) "
-            "behaviour",
+            f"the run aborted at the first violated invariant{hint}",
             file=sys.stderr,
         )
         return 3
     except RunInterrupted as interrupt:
-        stats = consume_run_stats()
         print(f"interrupted: {interrupt}", file=sys.stderr)
-        if stats is not None and stats.runs:
-            print(stats.summary(), file=sys.stderr)
+        for line in _summary(consume_run_stats()):
+            print(line, file=sys.stderr)
         return 130
     wall_s = time.perf_counter() - started
     stats = consume_run_stats()
-    if args.format == "json":
-        document = export.build_document(
-            result,
-            export.build_manifest(
-                stats=stats,
-                knobs={
-                    "command": "run",
-                    "experiment": args.experiment,
-                    "arch": args.arch,
-                    "trials": args.trials,
-                    "check_invariants": bool(args.check_invariants),
-                },
-                faults=fault_plan.to_dict() if fault_plan is not None else None,
-            ),
-            telemetry=stats.telemetry() if stats is not None else None,
-        )
-        rendered = export.dumps_document(document)
-        sys.stdout.write(rendered)
-    else:
-        rendered = render_table(result) + "\n"
-        sys.stdout.write(rendered)
-    print(f"\n(completed in {wall_s:.1f}s wall time)", file=info)
-    if stats is not None and stats.runs:
-        print(stats.summary(), file=info)
+    rendered = _render(
+        args, result, stats, knobs=knobs,
+        faults=fault_plan.to_dict() if fault_plan is not None else None,
+        **manifest_sections(experiment_id, kwargs, knobs.get("preset")),
+    )
+    lines = [f"\n(completed in {wall_s:.1f}s wall time)", *_summary(stats)]
     if trace_info is not None:
         path, runs, records = trace_info
-        print(
+        lines.append(
             f"epoch trace: {records} record(s) across {runs} emulated "
-            f"run(s) written to {path}",
-            file=info,
+            f"run(s) written to {path}"
         )
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
-        print(f"written to {args.output}", file=info)
-    return 0
-
-
-def _crash_check(args: argparse.Namespace) -> int:
-    """The ``crash-check`` subcommand: run the oracle, gate on its verdict.
-
-    Exit codes: 0 every expectation held; 4 the checker's verdict failed
-    (violations on the correct protocol, or a mutant escaping uncaught).
-    """
-    from repro.hw.arch import IVY_BRIDGE
-    from repro.validation.experiments.crash import (
-        DEFAULT_CRASH_PLAN,
-        MUTANT_AXIS,
-        run_crash_check,
-    )
-
-    info = sys.stderr if args.format == "json" else sys.stdout
-    mutants = MUTANT_AXIS if args.mutant == "all" else (args.mutant,)
-    arch = arch_by_name(args.arch) if args.arch else IVY_BRIDGE
-    reset_run_stats()
-    started = time.perf_counter()
-    result = run_crash_check(
-        arch=arch,
-        workload=args.workload,
-        mutants=mutants,
-        shards=args.shards,
-        seed=args.seed,
-        jobs=args.jobs if args.jobs else default_cli_jobs(),
-    )
-    wall_s = time.perf_counter() - started
-    stats = consume_run_stats()
-    if args.format == "json":
-        document = export.build_document(
-            result,
-            export.build_manifest(
-                stats=stats,
-                knobs={
-                    "command": "crash-check",
-                    "workload": args.workload,
-                    "mutant": args.mutant,
-                    "shards": args.shards,
-                    "seed": args.seed,
-                    "arch": args.arch,
-                },
-                crash=DEFAULT_CRASH_PLAN.to_dict(),
-            ),
-            telemetry=stats.telemetry() if stats is not None else None,
-        )
-        rendered = export.dumps_document(document)
-    else:
-        rendered = render_table(result) + "\n"
-    sys.stdout.write(rendered)
-    print(f"\n(completed in {wall_s:.1f}s wall time)", file=info)
-    if stats is not None and stats.runs:
-        print(stats.summary(), file=info)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
-        print(f"written to {args.output}", file=info)
-    failed = [row for row in result.rows if not row["ok"]]
-    if failed:
-        for row in failed:
-            print(
-                f"error: crash-check expectation failed for "
-                f"{row['workload']}/{row['mutant']}: expected "
-                f"{row['expected']} violation(s), got {row['violations']}",
-                file=sys.stderr,
-            )
-        return 4
-    return 0
-
-
-def _explore(args: argparse.Namespace) -> int:
-    """The ``explore`` subcommand: model-check, gate on the verdict.
-
-    Exit codes: 0 every expectation held (the report prints schedule and
-    crash-point counts); 4 the oracle's verdict failed — violations on
-    the correct protocol, a mutant surviving the full exploration, or a
-    capped (non-exhaustive) run.
-    """
-    from dataclasses import replace
-
-    from repro.hw.arch import IVY_BRIDGE
-    from repro.validation.experiments.explore import (
-        DEFAULT_EXPLORE_PLAN,
-        MUTANT_AXIS,
-        run_explore_check,
-    )
-
-    info = sys.stderr if args.format == "json" else sys.stdout
-    if args.mutant == "all":
-        # Litmus tests without a persist protocol reject mutants.
-        mutants = MUTANT_AXIS if args.workload != "disjoint-locks" else ("none",)
-    else:
-        mutants = (args.mutant,)
-    arch = arch_by_name(args.arch) if args.arch else IVY_BRIDGE
-    plan = DEFAULT_EXPLORE_PLAN
-    if args.no_prune:
-        plan = replace(plan, prune=False)
-    reset_run_stats()
-    started = time.perf_counter()
-    result = run_explore_check(
-        arch=arch,
-        workload=args.workload,
-        mutants=mutants,
-        shards=args.shards,
-        seed=args.seed,
-        explore_plan=plan,
-        jobs=args.jobs if args.jobs else default_cli_jobs(),
-    )
-    wall_s = time.perf_counter() - started
-    stats = consume_run_stats()
-    if args.format == "json":
-        document = export.build_document(
-            result,
-            export.build_manifest(
-                stats=stats,
-                knobs={
-                    "command": "explore",
-                    "workload": args.workload,
-                    "mutant": args.mutant,
-                    "shards": args.shards,
-                    "seed": args.seed,
-                    "arch": args.arch,
-                },
-                explore=plan.to_dict(),
-            ),
-            telemetry=stats.telemetry() if stats is not None else None,
-        )
-        rendered = export.dumps_document(document)
-    else:
-        rendered = render_table(result) + "\n"
-    sys.stdout.write(rendered)
-    print(f"\n(completed in {wall_s:.1f}s wall time)", file=info)
-    if stats is not None and stats.runs:
-        print(stats.summary(), file=info)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
-        print(f"written to {args.output}", file=info)
-    failed = [row for row in result.rows if not row["ok"]]
-    if failed:
-        for row in failed:
-            print(
-                f"error: explore expectation failed for "
-                f"{row['workload']}/{row['mutant']}: expected "
-                f"{row['expected']} violation(s), got {row['violations']} "
-                f"across {row['schedules']} schedule(s)",
-                file=sys.stderr,
-            )
-        return 4
-    return 0
-
-
-def _service(args: argparse.Namespace) -> int:
-    """The ``service`` subcommand: one KV-service preset, gated exports.
-
-    Exit codes: 0 on success, 2 on a misconfigured preset/fault plan,
-    3 when an invariant (including the DRAM cache's accounting
-    conservation) is violated, 130 when interrupted.
-    """
-    from repro.validation.experiments.service import service_scenario
-
-    info = sys.stderr if args.format == "json" else sys.stdout
-    experiment_id, build_kwargs = SERVICE_PRESETS[args.preset]
-    driver = REGISTRY[experiment_id]
-    kwargs = build_kwargs()
-    kwargs["jobs"] = args.jobs if args.jobs else default_cli_jobs()
-    fault_plan = None
-    if args.faults:
-        try:
-            fault_plan = FaultPlan.parse(args.faults)
-        except FaultPlanError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    if fault_plan is not None or args.check_invariants:
-        set_active_faults(fault_plan, args.check_invariants)
-    reset_run_stats()
-    started = time.perf_counter()
-    try:
-        try:
-            result = driver(**kwargs)
-        finally:
-            clear_active_faults()
-    except InvariantViolation as error:
-        print(f"error: {error}", file=sys.stderr)
+    _finish(args, rendered, lines)
+    failed = [row for row in result.rows if not row.get("ok", True)]
+    for row in failed:
         print(
-            "the service run aborted at the first violated invariant "
-            "(runtime or cache-accounting conservation)",
+            f"error: {experiment_id} expectation failed for "
+            f"{row['workload']}/{row['mutant']}: expected "
+            f"{row['expected']} violation(s), got {row['violations']}",
             file=sys.stderr,
         )
-        return 3
-    except RunInterrupted as interrupt:
-        stats = consume_run_stats()
-        print(f"interrupted: {interrupt}", file=sys.stderr)
-        if stats is not None and stats.runs:
-            print(stats.summary(), file=sys.stderr)
-        return 130
-    wall_s = time.perf_counter() - started
-    stats = consume_run_stats()
-    if args.format == "json":
-        document = export.build_document(
-            result,
-            export.build_manifest(
-                stats=stats,
-                knobs={
-                    "command": "service",
-                    "preset": args.preset,
-                    "experiment": experiment_id,
-                    "check_invariants": bool(args.check_invariants),
-                },
-                faults=fault_plan.to_dict() if fault_plan is not None else None,
-                service=service_scenario(args.preset),
-            ),
-            telemetry=stats.telemetry() if stats is not None else None,
-        )
-        rendered = export.dumps_document(document)
-    else:
-        rendered = render_table(result) + "\n"
-    sys.stdout.write(rendered)
-    print(f"\n(completed in {wall_s:.1f}s wall time)", file=info)
-    if stats is not None and stats.runs:
-        print(stats.summary(), file=info)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
-        print(f"written to {args.output}", file=info)
-    return 0
+    return 4 if failed else 0
 
 
 def _sweep(args: argparse.Namespace) -> int:
@@ -795,7 +600,6 @@ def _sweep(args: argparse.Namespace) -> int:
         print(f"journal: {status['journal']}")
         return 0
 
-    info = sys.stderr if args.format == "json" else sys.stdout
     jobs = args.jobs if args.jobs else default_cli_jobs()
     reset_run_stats()
     started = time.perf_counter()
@@ -829,38 +633,23 @@ def _sweep(args: argparse.Namespace) -> int:
         return 2
     wall_s = time.perf_counter() - started
     stats = consume_run_stats()
-    if args.format == "json":
-        document = export.build_document(
-            sweep_run.result,
-            export.build_manifest(
-                stats=stats,
-                knobs={
-                    "command": "sweep",
-                    "preset": sweep_run.preset,
-                    "scale": sweep_run.scale,
-                },
-            ),
-            telemetry=stats.telemetry() if stats is not None else None,
-        )
-        rendered = export.dumps_document(document)
-    else:
-        rendered = render_table(sweep_run.result) + "\n"
-    sys.stdout.write(rendered)
+    rendered = _render(
+        args, sweep_run.result, stats,
+        knobs={
+            "command": "sweep",
+            "preset": sweep_run.preset,
+            "scale": sweep_run.scale,
+        },
+    )
     report = sweep_run.report
-    print(
+    _finish(args, rendered, [
         f"\nsweep {sweep_run.preset} ({sweep_run.scale}): "
         f"{report.total} spec(s), {report.executed} executed, "
         f"{report.skipped} reused from checkpoints"
         f"{f', {report.tampered} tampered record(s) re-run' if report.tampered else ''} "
         f"in {wall_s:.1f}s wall",
-        file=info,
-    )
-    if stats is not None and stats.runs:
-        print(stats.summary(), file=info)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
-        print(f"written to {args.output}", file=info)
+        *_summary(stats),
+    ])
     return 0
 
 
@@ -903,16 +692,10 @@ def _trace_summarize(args: argparse.Namespace) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point."""
     args = _build_parser().parse_args(argv)
+    if args.command in EXPERIMENT_COMMANDS:
+        return _emit(args, *EXPERIMENT_COMMANDS[args.command](args))
     if args.command == "list":
         return _list_experiments()
-    if args.command == "run":
-        return _run_experiment(args)
-    if args.command == "crash-check":
-        return _crash_check(args)
-    if args.command == "explore":
-        return _explore(args)
-    if args.command == "service":
-        return _service(args)
     if args.command == "calibrate":
         return _calibrate(args)
     if args.command == "sweep":

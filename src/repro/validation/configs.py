@@ -1,5 +1,12 @@
 """The validation testbed configurations of Section 4.3 (Figure 10).
 
+Every run is built by one function, :func:`run_testbed`: Simulator →
+Machine → SimOS → fault engine and invariant monitor → optional Quartz
+(calibrate, perturb, attach, epoch trace) → a *drive* that runs the
+workload and returns the outcome.  The testbeds differ only in where
+memory lives and whether the emulator is attached; the paper's named
+configurations are one call each:
+
 * :func:`run_conf1` — computation and memory on socket 0, Quartz attached
   and emulating a higher latency (Figure 10a);
 * :func:`run_conf2` — computation on socket 0, memory physically bound to
@@ -10,12 +17,14 @@
 Each run builds a fresh machine (caches cold, counters zeroed — the
 paper's "invalidate caches between runs"), drives the workload's main
 body to completion, and returns the workload result plus emulator
-statistics.
+statistics.  Each attachment that reports (``faults``, ``invariants``,
+``crash``, ``service``; ``explore`` from :func:`run_explore`) adds its
+report to :attr:`RunOutcome.reports` under its name.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.faults.engine import FaultEngine
@@ -44,29 +53,127 @@ class RunOutcome:
     elapsed_ns: float
     quartz_stats: Optional[QuartzStats] = None
     machine: Optional[Machine] = None
-    #: :meth:`FaultEngine.report` of a faulted run (None when clean).
-    fault_report: Optional[dict] = None
-    #: :meth:`InvariantMonitor.report` when ``check_invariants`` was set.
-    invariant_report: Optional[dict] = None
-    #: :meth:`~repro.pmem.checker.CrashCheckReport.to_dict` of a
-    #: crash-checked run (None otherwise).
-    crash_report: Optional[dict] = None
-    #: :meth:`~repro.explore.ExploreReport.to_dict` of a model-checking
-    #: run (None otherwise).
-    explore_report: Optional[dict] = None
-    #: :meth:`~repro.service.kvservice.ServiceResult.report` of a KV
-    #: service run (None otherwise).
-    service_report: Optional[dict] = None
+    #: Attachment name -> its JSON-safe report: ``faults``
+    #: (:meth:`FaultEngine.report`), ``invariants``
+    #: (:meth:`InvariantMonitor.report`), ``crash``
+    #: (:meth:`~repro.pmem.checker.CrashCheckReport.to_dict`),
+    #: ``explore`` (:meth:`~repro.explore.ExploreReport.to_dict`) and
+    #: ``service`` (:meth:`~repro.service.kvservice.ServiceResult.report`).
+    #: An attachment that was not on the run has no entry.
+    reports: dict = field(default_factory=dict)
 
 
-def _fault_setup(
-    machine: Machine,
-    os: SimOS,
+BodyFactory = Callable[[dict], Callable]
+#: Runs the workload on a built testbed and returns its outcome.
+Drive = Callable[[SimOS], RunOutcome]
+
+
+def drive_body(
+    body_factory: BodyFactory, name: str = "main", report: Optional[str] = None
+) -> Drive:
+    """Drive one main thread built by *body_factory* to completion.
+
+    ``name`` is the thread name.  It keys the random streams, so the
+    Table 2 / Figure 8 measurement loops keep their historical unnamed
+    (``""``) thread.  ``report`` files the workload result's
+    ``report()`` under that name — the KV service's tail-latency summary.
+    """
+
+    def drive(os: SimOS) -> RunOutcome:
+        out: dict = {}
+        start = os.sim.now
+        os.create_thread(body_factory(out), name=name)
+        os.run_to_completion()
+        outcome = RunOutcome(
+            workload_result=out.get("result"),
+            elapsed_ns=os.sim.now - start,
+            machine=os.machine,
+        )
+        if report is not None and outcome.workload_result is not None:
+            outcome.reports[report] = outcome.workload_result.report()
+        return outcome
+
+    return drive
+
+
+def drive_crash_check(
+    workload_id: str,
+    workload_config: Any,
     seed: int,
-    fault_plan: Optional[FaultPlan],
-    check_invariants: bool,
-) -> tuple[Optional[FaultEngine], Optional[InvariantMonitor]]:
-    """Install the run's fault engine and/or invariant monitor (if any)."""
+    crash_plan: "CrashPlan",
+    shard: int = 0,
+    shards: int = 1,
+    mutant: Optional[str] = None,
+) -> Drive:
+    """Drive a *recoverable* workload under the crash-consistency checker.
+
+    Via :func:`repro.pmem.check_workload`: a persistence domain shadows
+    every pmalloc'd line, a :class:`~repro.pmem.crash.CrashInjector`
+    enumerates crash points, and recovery is replayed against each
+    stored image.  ``shard``/``shards`` split snapshot *storage* (never
+    enumeration) for the parallel runner; the result is the ``crash``
+    report.
+    """
+
+    def drive(os: SimOS) -> RunOutcome:
+        from repro.pmem import check_workload
+
+        report, result, elapsed = check_workload(
+            os,
+            workload_id,
+            workload_config,
+            crash_plan,
+            run_seed=seed,
+            shard=shard,
+            shards=shards,
+            mutant=mutant,
+        )
+        return RunOutcome(
+            workload_result=result,
+            elapsed_ns=elapsed,
+            machine=os.machine,
+            reports={"crash": report.to_dict()},
+        )
+
+    return drive
+
+
+def run_testbed(
+    arch: ArchSpec,
+    drive: Drive,
+    seed: int = 0,
+    mem_node: Optional[int] = None,
+    latency_jitter: bool = True,
+    throttle_register: Optional[int] = None,
+    quartz_config: Optional[QuartzConfig] = None,
+    calibration: Optional[CalibrationData] = None,
+    trace_sink: Optional["JsonlTraceWriter"] = None,
+    fault_plan: Optional[FaultPlan] = None,
+    check_invariants: bool = False,
+) -> RunOutcome:
+    """Build one testbed, attach what is asked for, and *drive* it.
+
+    ``mem_node`` binds memory to a node (``None``: first-touch local);
+    ``latency_jitter`` draws per-access DRAM latencies from the measured
+    range; ``throttle_register`` programs the node-0 controller before
+    the workload starts (Figure 8).  ``quartz_config`` attaches Quartz
+    with ``calibration`` (measured on first use when omitted), and
+    ``trace_sink`` (a :class:`~repro.quartz.trace.JsonlTraceWriter`)
+    streams every closed epoch to a JSONL file as the run executes —
+    free in simulated time, so tracing never changes results.
+
+    ``fault_plan`` runs the experiment under seeded fault injection;
+    ``check_invariants`` attaches an :class:`InvariantMonitor` that
+    raises :class:`~repro.errors.InvariantViolation` at the first broken
+    runtime invariant.  Both file their reports on the outcome.
+    """
+    sim = Simulator(seed=seed)
+    machine = Machine(sim, arch, latency_jitter=latency_jitter)
+    if throttle_register is not None:
+        machine.controller(0).program_throttle_register(
+            throttle_register, privileged=True
+        )
+    os = SimOS(machine, default_cpu_node=0, default_mem_node=mem_node)
     engine = None
     if fault_plan is not None and not fault_plan.is_empty:
         engine = FaultEngine(fault_plan, run_seed=seed)
@@ -74,176 +181,55 @@ def _fault_setup(
     monitor = None
     if check_invariants:
         monitor = InvariantMonitor()
-        monitor.attach_sim(machine.sim)
-    return engine, monitor
+        monitor.attach_sim(sim)
+    quartz = None
+    if quartz_config is not None:
+        calibration = calibration or calibrate_arch(arch)
+        if engine is not None:
+            # Perturbed calibration models a mis-measured testbed; it must
+            # be in place before the emulator derives its latency model.
+            calibration = engine.perturb_calibration(calibration)
+        quartz = Quartz(os, quartz_config, calibration=calibration)
+        quartz.attach()
+        if trace_sink is not None:
+            # Local import: repro.quartz.trace imports validation.metrics.
+            from repro.quartz.trace import attach_trace
 
-
-def _fault_finish(
-    outcome: "RunOutcome",
-    engine: Optional[FaultEngine],
-    monitor: Optional[InvariantMonitor],
-) -> RunOutcome:
+            attach_trace(quartz, sink=trace_sink)
+    outcome = drive(os)
+    if quartz is not None:
+        outcome.quartz_stats = quartz.stats
     if engine is not None:
-        outcome.fault_report = engine.report()
+        outcome.reports["faults"] = engine.report()
     if monitor is not None:
-        outcome.invariant_report = monitor.report()
+        outcome.reports["invariants"] = monitor.report()
     return outcome
-
-
-BodyFactory = Callable[[dict], Callable]
-
-
-def _attach_emulator(
-    os: SimOS,
-    quartz_config: QuartzConfig,
-    calibration: Optional[CalibrationData],
-    engine: Optional[FaultEngine],
-    trace_sink: Optional["JsonlTraceWriter"],
-) -> Quartz:
-    """Attach Quartz to a Conf_1 testbed, with its epoch trace if asked."""
-    calibration = calibration or calibrate_arch(os.machine.arch)
-    if engine is not None:
-        # Perturbed calibration models a mis-measured testbed; it must be
-        # in place before the emulator derives its latency model from it.
-        calibration = engine.perturb_calibration(calibration)
-    quartz = Quartz(os, quartz_config, calibration=calibration)
-    quartz.attach()
-    if trace_sink is not None:
-        # Local import: repro.quartz.trace imports validation.metrics.
-        from repro.quartz.trace import attach_trace
-
-        attach_trace(quartz, sink=trace_sink)
-    return quartz
-
-
-def _drive(os: SimOS, body_factory: BodyFactory) -> RunOutcome:
-    out: dict = {}
-    start = os.sim.now
-    os.create_thread(body_factory(out), name="main")
-    os.run_to_completion()
-    return RunOutcome(
-        workload_result=out.get("result"),
-        elapsed_ns=os.sim.now - start,
-        machine=os.machine,
-    )
 
 
 def run_conf1(
     arch: ArchSpec,
     body_factory: BodyFactory,
     quartz_config: QuartzConfig,
-    seed: int = 0,
-    calibration: Optional[CalibrationData] = None,
-    trace_sink: Optional["JsonlTraceWriter"] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    check_invariants: bool = False,
+    **options,
 ) -> RunOutcome:
     """Conf_1: local memory, Quartz emulating the target latency.
 
-    ``trace_sink`` (a :class:`~repro.quartz.trace.JsonlTraceWriter`)
-    streams every closed epoch to a JSONL file as the run executes —
-    the CLI's ``--trace-out`` plumbing.  Tracing never changes results
-    (it is free in simulated time).
-
-    ``fault_plan`` runs the experiment under seeded fault injection;
-    ``check_invariants`` attaches an :class:`InvariantMonitor` that
-    raises :class:`~repro.errors.InvariantViolation` at the first broken
-    runtime invariant.  Both are recorded on the outcome.
+    ``options`` are :func:`run_testbed`'s (``seed``, ``calibration``,
+    ``trace_sink``, ``fault_plan``, ``check_invariants``).
     """
-    sim = Simulator(seed=seed)
-    machine = Machine(sim, arch, latency_jitter=True)
-    os = SimOS(machine, default_cpu_node=0)
-    engine, monitor = _fault_setup(machine, os, seed, fault_plan, check_invariants)
-    quartz = _attach_emulator(os, quartz_config, calibration, engine, trace_sink)
-    outcome = _drive(os, body_factory)
-    outcome.quartz_stats = quartz.stats
-    return _fault_finish(outcome, engine, monitor)
-
-
-def run_service(
-    arch: ArchSpec,
-    body_factory: BodyFactory,
-    quartz_config: QuartzConfig,
-    seed: int = 0,
-    calibration: Optional[CalibrationData] = None,
-    trace_sink: Optional["JsonlTraceWriter"] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    check_invariants: bool = False,
-) -> RunOutcome:
-    """Conf_1 driving the multi-tenant KV service.
-
-    Identical machine setup to :func:`run_conf1` (local memory, Quartz
-    emulating the target latency, the same ``trace_sink``); the only
-    difference is the outcome's ``service_report`` — the per-tenant
-    tail-latency/throughput/cache summary of :class:`~repro.service.kvservice.ServiceResult`.  The
-    service body runs its DRAM-cache accounting conservation check on
-    every completion path, so a faulted run that corrupts cache
-    bookkeeping surfaces as an :class:`~repro.errors.InvariantViolation`
-    here, not as silently wrong tails.
-    """
-    sim = Simulator(seed=seed)
-    machine = Machine(sim, arch, latency_jitter=True)
-    os = SimOS(machine, default_cpu_node=0)
-    engine, monitor = _fault_setup(machine, os, seed, fault_plan, check_invariants)
-    quartz = _attach_emulator(os, quartz_config, calibration, engine, trace_sink)
-    outcome = _drive(os, body_factory)
-    outcome.quartz_stats = quartz.stats
-    if outcome.workload_result is not None:
-        outcome.service_report = outcome.workload_result.report()
-    return _fault_finish(outcome, engine, monitor)
-
-
-def run_crash(
-    arch: ArchSpec,
-    workload_id: str,
-    workload_config: Any,
-    quartz_config: QuartzConfig,
-    crash_plan: "CrashPlan",
-    seed: int = 0,
-    calibration: Optional[CalibrationData] = None,
-    shard: int = 0,
-    shards: int = 1,
-    mutant: Optional[str] = None,
-    trace_sink: Optional["JsonlTraceWriter"] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    check_invariants: bool = False,
-) -> RunOutcome:
-    """Conf_1 with the crash-consistency checker attached.
-
-    Builds the same machine as :func:`run_conf1` (local memory, Quartz
-    emulating the target, the same ``trace_sink``), then drives a
-    *recoverable* workload via :func:`repro.pmem.check_workload`: a
-    persistence domain shadows every pmalloc'd line, a
-    :class:`~repro.pmem.crash.CrashInjector` enumerates
-    crash points, and recovery is replayed against each stored image.
-    ``shard``/``shards`` split snapshot *storage* (never enumeration)
-    for the parallel runner; the result lands in ``crash_report``.
-    """
-    from repro.pmem import check_workload
-
-    sim = Simulator(seed=seed)
-    machine = Machine(sim, arch, latency_jitter=True)
-    os = SimOS(machine, default_cpu_node=0)
-    engine, monitor = _fault_setup(machine, os, seed, fault_plan, check_invariants)
-    quartz = _attach_emulator(os, quartz_config, calibration, engine, trace_sink)
-    report, result, elapsed = check_workload(
-        os,
-        workload_id,
-        workload_config,
-        crash_plan,
-        run_seed=seed,
-        shard=shard,
-        shards=shards,
-        mutant=mutant,
+    return run_testbed(
+        arch, drive_body(body_factory), quartz_config=quartz_config, **options
     )
-    outcome = RunOutcome(
-        workload_result=result,
-        elapsed_ns=elapsed,
-        machine=machine,
-        crash_report=report.to_dict(),
-    )
-    outcome.quartz_stats = quartz.stats
-    return _fault_finish(outcome, engine, monitor)
+
+
+def run_conf2(arch: ArchSpec, body_factory: BodyFactory, **options) -> RunOutcome:
+    """Conf_2: memory physically on the remote socket, no emulator."""
+    return run_testbed(arch, drive_body(body_factory), mem_node=1, **options)
+
+
+def run_native(arch: ArchSpec, body_factory: BodyFactory, **options) -> RunOutcome:
+    """Local memory, no emulator (the unmodified baseline)."""
+    return run_testbed(arch, drive_body(body_factory), **options)
 
 
 def run_explore(
@@ -251,29 +237,22 @@ def run_explore(
     workload_id: str,
     workload_config: Any,
     explore_plan: "ExplorePlan",
-    seed: int = 0,
     shard: int = 0,
     shards: int = 1,
     mutant: Optional[str] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    check_invariants: bool = False,
 ) -> RunOutcome:
     """Model-checking mode: enumerate interleavings x crash points.
 
-    Unlike the other configurations this is not one run but a whole
-    exploration: the :class:`~repro.explore.Explorer` re-executes the
+    The one mode that builds no testbed: it is not one run but a whole
+    exploration.  The :class:`~repro.explore.Explorer` re-executes the
     workload once per schedule on private simulators (no Quartz, no
     latency jitter — scheduling nondeterminism is the subject under
-    test, timing emulation is not).  ``shard``/``shards`` partition the
-    schedule tree at its first decision point, so shard outcomes merge
-    to the identical whole for any job fan-out.
-
-    ``fault_plan``/``check_invariants`` are accepted for runner-protocol
-    compatibility and ignored: fault injection perturbs timing inside a
-    single simulation, while exploration owns its internal simulators
-    end to end.
+    test, timing emulation is not), so fault plans and invariant
+    monitors, which act inside a single simulation, do not apply.
+    ``shard``/``shards`` partition the schedule tree at its first
+    decision point, so shard outcomes merge to the identical whole for
+    any job fan-out.
     """
-    del fault_plan, check_invariants  # exploration owns its simulators
     from repro.explore import Explorer
 
     explorer = Explorer(
@@ -289,95 +268,5 @@ def run_explore(
     return RunOutcome(
         workload_result=report.result,
         elapsed_ns=report.elapsed_ns,
-        machine=None,
-        explore_report=report.to_dict(),
+        reports={"explore": report.to_dict()},
     )
-
-
-def run_conf2(
-    arch: ArchSpec,
-    body_factory: BodyFactory,
-    seed: int = 0,
-    fault_plan: Optional[FaultPlan] = None,
-    check_invariants: bool = False,
-) -> RunOutcome:
-    """Conf_2: memory physically on the remote socket, no emulator."""
-    sim = Simulator(seed=seed)
-    machine = Machine(sim, arch, latency_jitter=True)
-    os = SimOS(machine, default_cpu_node=0, default_mem_node=1)
-    engine, monitor = _fault_setup(machine, os, seed, fault_plan, check_invariants)
-    return _fault_finish(_drive(os, body_factory), engine, monitor)
-
-
-def run_native(
-    arch: ArchSpec,
-    body_factory: BodyFactory,
-    seed: int = 0,
-    fault_plan: Optional[FaultPlan] = None,
-    check_invariants: bool = False,
-) -> RunOutcome:
-    """Local memory, no emulator (the unmodified baseline)."""
-    sim = Simulator(seed=seed)
-    machine = Machine(sim, arch, latency_jitter=True)
-    os = SimOS(machine, default_cpu_node=0)
-    engine, monitor = _fault_setup(machine, os, seed, fault_plan, check_invariants)
-    return _fault_finish(_drive(os, body_factory), engine, monitor)
-
-
-def _drive_default_thread(os: SimOS, body_factory: BodyFactory) -> RunOutcome:
-    """Like :func:`_drive` but with the OS-assigned thread name.
-
-    The Table 2 / Figure 8 measurement loops predate the Conf_1/Conf_2
-    helpers and create their thread unnamed; thread names key the random
-    streams, so the distinction is load-bearing for reproducibility.
-    """
-    out: dict = {}
-    start = os.sim.now
-    os.create_thread(body_factory(out))
-    os.run_to_completion()
-    return RunOutcome(
-        workload_result=out.get("result"),
-        elapsed_ns=os.sim.now - start,
-        machine=os.machine,
-    )
-
-
-def run_chase(
-    arch: ArchSpec,
-    body_factory: BodyFactory,
-    seed: int = 0,
-    mem_node: int = 0,
-    fault_plan: Optional[FaultPlan] = None,
-    check_invariants: bool = False,
-) -> RunOutcome:
-    """Raw latency measurement: memory bound to *mem_node*, no emulator.
-
-    The Table 2 configuration — node 0 gives the local-DRAM row, node 1
-    the remote one.
-    """
-    sim = Simulator(seed=seed)
-    machine = Machine(sim, arch, latency_jitter=True)
-    os = SimOS(machine, default_cpu_node=0, default_mem_node=mem_node)
-    engine, monitor = _fault_setup(machine, os, seed, fault_plan, check_invariants)
-    return _fault_finish(_drive_default_thread(os, body_factory), engine, monitor)
-
-
-def run_throttled(
-    arch: ArchSpec,
-    body_factory: BodyFactory,
-    seed: int = 0,
-    register: int = 0,
-    fault_plan: Optional[FaultPlan] = None,
-    check_invariants: bool = False,
-) -> RunOutcome:
-    """Bandwidth measurement under one thermal-throttle register setting.
-
-    The Figure 8 configuration: no latency jitter, no emulator, the
-    node-0 controller programmed before the workload starts.
-    """
-    sim = Simulator(seed=seed)
-    machine = Machine(sim, arch)
-    machine.controller(0).program_throttle_register(register, privileged=True)
-    os = SimOS(machine, default_cpu_node=0)
-    engine, monitor = _fault_setup(machine, os, seed, fault_plan, check_invariants)
-    return _fault_finish(_drive_default_thread(os, body_factory), engine, monitor)

@@ -7,6 +7,8 @@ keyword arguments with defaults small enough for CI, and EXPERIMENTS.md
 records the scaled-vs-paper parameter mapping.
 """
 
+from typing import Optional
+
 from repro.validation.experiments.micro import (
     run_epoch_size_study,
     run_figure8,
@@ -36,8 +38,11 @@ from repro.validation.experiments.extensions import (
     run_parallel_pagerank,
     run_technology_comparison,
 )
-from repro.validation.experiments.crash import run_crash_check
-from repro.validation.experiments.explore import run_explore_check
+from repro.validation.experiments.crash import DEFAULT_CRASH_PLAN, run_crash_check
+from repro.validation.experiments.explore import (
+    DEFAULT_EXPLORE_PLAN,
+    run_explore_check,
+)
 from repro.validation.experiments.tiers import (
     run_migration_policy,
     run_tier_sweep,
@@ -46,6 +51,7 @@ from repro.validation.experiments.service import (
     SERVICE_PRESETS,
     run_cache_policy,
     run_service_latency,
+    service_scenario,
 )
 from repro.validation.experiments.sweeps import (
     SWEEP_PRESETS,
@@ -94,6 +100,28 @@ REGISTRY = {
     "sweep-service-grid": run_service_grid,
 }
 
-__all__ = ["REGISTRY", "SERVICE_PRESETS", "SWEEP_PRESETS"] + sorted(
+
+def manifest_sections(
+    experiment_id: str, kwargs: dict, preset: Optional[str] = None
+) -> dict:
+    """The export manifest's plan sections for one driver invocation.
+
+    Derived from the experiment id and the keyword arguments its driver
+    ran with (``preset``: the CLI service preset, if any), so every
+    command that runs an experiment records the same plan.  Returns
+    :func:`~repro.validation.export.build_manifest` keywords.
+    """
+    if experiment_id == "crash-check":
+        plan = kwargs.get("crash_plan") or DEFAULT_CRASH_PLAN
+        return {"crash": plan.to_dict()}
+    if experiment_id == "explore-check":
+        plan = kwargs.get("explore_plan") or DEFAULT_EXPLORE_PLAN
+        return {"explore": plan.to_dict()}
+    if experiment_id in ("service-latency", "cache-policy"):
+        return {"service": service_scenario(experiment_id, kwargs, preset)}
+    return {}
+
+
+__all__ = ["REGISTRY", "SERVICE_PRESETS", "SWEEP_PRESETS", "manifest_sections"] + sorted(
     name for name in dir() if name.startswith("run_")
 )

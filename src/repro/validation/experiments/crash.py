@@ -23,7 +23,7 @@ from repro.pmem.crash import CrashPlan
 from repro.quartz.config import QuartzConfig, WriteModel
 from repro.units import MICROSECOND
 from repro.validation.reporting import ExperimentResult
-from repro.validation.runner import RunSpec, run_specs
+from repro.validation.runner import run_mutant_shards
 from repro.workloads.graph500 import Graph500Config
 from repro.workloads.kvstore import KvStoreConfig
 
@@ -102,26 +102,10 @@ def run_crash_check(
         nvm_write_latency_ns=500.0,
         write_model=WriteModel.PCOMMIT,
     )
-    specs = []
-    for mutant in mutants:
-        for shard in range(shards):
-            specs.append(
-                RunSpec(
-                    workload=workload,
-                    config=config,
-                    arch_name=arch.name,
-                    mode="crash",
-                    seed=seed,
-                    quartz=quartz,
-                    extras={
-                        "crash_plan": plan,
-                        "shard": shard,
-                        "shards": shards,
-                        "mutant": None if mutant == "none" else mutant,
-                    },
-                )
-            )
-    results = iter(run_specs(specs, jobs=jobs))
+    grid = run_mutant_shards(
+        "crash", plan, mutants, shards, jobs, workload=workload,
+        config=config, arch_name=arch.name, seed=seed, quartz=quartz,
+    )
 
     result = ExperimentResult(
         experiment_id="crash-check",
@@ -137,10 +121,8 @@ def run_crash_check(
             "ok",
         ],
     )
-    for mutant in mutants:
-        merged = _merge_shards(
-            [next(results).crash_report for _ in range(shards)]
-        )
+    for mutant, reports in zip(mutants, grid):
+        merged = _merge_shards(reports)
         clean = mutant == "none"
         violations = merged["violation_total"]
         first = merged["violations"][0]["invariant"] if merged["violations"] else ""

@@ -21,7 +21,7 @@ from repro.errors import ValidationError
 from repro.explore import ExplorePlan, LitmusConfig, merge_shard_reports
 from repro.hw.arch import IVY_BRIDGE, ArchSpec
 from repro.validation.reporting import ExperimentResult
-from repro.validation.runner import RunSpec, run_specs
+from repro.validation.runner import run_mutant_shards
 from repro.workloads.graph500 import Graph500Config
 from repro.workloads.kvstore import KvStoreConfig
 
@@ -68,25 +68,10 @@ def run_explore_check(
     """Interleaving x crash-point exploration, per mutant mode."""
     plan = explore_plan or DEFAULT_EXPLORE_PLAN
     config = config if config is not None else default_explore_config(workload)
-    specs = []
-    for mutant in mutants:
-        for shard in range(shards):
-            specs.append(
-                RunSpec(
-                    workload=workload,
-                    config=config,
-                    arch_name=arch.name,
-                    mode="explore",
-                    seed=seed,
-                    extras={
-                        "explore_plan": plan,
-                        "shard": shard,
-                        "shards": shards,
-                        "mutant": None if mutant == "none" else mutant,
-                    },
-                )
-            )
-    results = iter(run_specs(specs, jobs=jobs))
+    grid = run_mutant_shards(
+        "explore", plan, mutants, shards, jobs, workload=workload,
+        config=config, arch_name=arch.name, seed=seed,
+    )
 
     result = ExperimentResult(
         experiment_id="explore-check",
@@ -106,10 +91,8 @@ def run_explore_check(
             "ok",
         ],
     )
-    for mutant in mutants:
-        merged = merge_shard_reports(
-            [next(results).explore_report for _ in range(shards)]
-        )
+    for mutant, reports in zip(mutants, grid):
+        merged = merge_shard_reports(reports)
         clean = mutant == "none"
         violations = merged["violation_total"]
         first = (

@@ -33,6 +33,9 @@ from repro.validation.runner import RunResult, RunSpec, run_specs
 #: Seed base for the service experiments (distinct from figures/sweeps).
 _SERVICE_SEED = 1200
 
+#: Default DRAM-cache capacity (entries) per service experiment.
+_CACHE_CAPACITY = {"service-latency": 2_048, "cache-policy": 1_024}
+
 #: Default NVM (read, write) latency ladder, ns.
 DEFAULT_LATENCY_PAIRS = ((300.0, 600.0), (500.0, 1000.0), (800.0, 1600.0))
 
@@ -90,7 +93,7 @@ def run_service_latency(
 ) -> ExperimentResult:
     """Service tails under an NVM read/write latency ladder."""
     trace = trace or _default_trace()
-    cache = cache or CacheConfig(capacity=2_048)
+    cache = cache or CacheConfig(capacity=_CACHE_CAPACITY["service-latency"])
     result = ExperimentResult(
         experiment_id="service-latency",
         title="KV service tail latency vs emulated NVM latency",
@@ -114,7 +117,7 @@ def run_service_latency(
         for read_ns, write_ns in latency_pairs
     ]
     for spec, run in zip(specs, run_specs(specs, jobs=jobs)):
-        report = run.service_report
+        report = run.reports["service"]
         for tenant, summary in _tenant_rows(report):
             result.add_row(
                 arch=spec.arch_name,
@@ -146,7 +149,7 @@ def run_cache_policy(
     evictions: Sequence[str] = ("lru", "lfu", "segmented"),
     admissions: Sequence[str] = ("always", "probabilistic"),
     trace: Optional[TraceConfig] = None,
-    capacity: int = 1_024,
+    capacity: int = _CACHE_CAPACITY["cache-policy"],
     read_ns: float = 500.0,
     write_ns: float = 1_000.0,
     clients_per_tenant: int = 2,
@@ -187,7 +190,7 @@ def run_cache_policy(
         for eviction, admission in cells
     ]
     for (eviction, admission), run in zip(cells, run_specs(specs, jobs=jobs)):
-        report = run.service_report
+        report = run.reports["service"]
         totals = report["cache"]["totals"]
         overall = report["overall"]
         result.add_row(
@@ -245,19 +248,20 @@ SERVICE_PRESETS: dict[str, tuple] = {
 }
 
 
-def service_scenario(preset: str) -> dict:
-    """The manifest ``service`` section for one CLI preset invocation.
+def service_scenario(
+    experiment_id: str, kwargs: dict, preset: Optional[str] = None
+) -> dict:
+    """The manifest ``service`` section of one service-experiment run.
 
-    Describes the offered load and cache tier the preset ran — the
-    digest-covered context that makes two service exports comparable.
+    Describes the offered load and cache tier the driver ran with its
+    keyword arguments *kwargs* (``preset``: the CLI preset, if any) —
+    the digest-covered context that makes two service exports
+    comparable.
     """
-    experiment_id, build = SERVICE_PRESETS[preset]
-    kwargs = build()
     trace = kwargs.get("trace") or _default_trace()
-    cache = kwargs.get("cache")
-    if cache is None and "capacity" in kwargs:
-        cache = CacheConfig(capacity=kwargs["capacity"])
-    cache = cache or CacheConfig(capacity=2_048)
+    cache = kwargs.get("cache") or CacheConfig(
+        capacity=kwargs.get("capacity", _CACHE_CAPACITY[experiment_id])
+    )
     return {
         "preset": preset,
         "experiment": experiment_id,

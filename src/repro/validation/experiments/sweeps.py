@@ -367,7 +367,7 @@ def _service_grid_row(spec: RunSpec, result: RunResult) -> dict:
         tiers = 2
         read_ns = quartz.nvm_read_latency_ns
         bandwidth = quartz.nvm_bandwidth_gbps or 0.0
-    report = result.service_report
+    report = result.reports["service"]
     return {
         "arch": spec.arch_name,
         "cell": cell,

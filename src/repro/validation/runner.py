@@ -22,6 +22,7 @@ identical results.
 
 from __future__ import annotations
 
+import copy
 import os
 import pickle
 import sys
@@ -47,15 +48,12 @@ from repro.pmem.domain import PersistenceDomain
 from repro.service.kvservice import kvservice_main_body
 from repro.stats_util import percentile
 from repro.validation.configs import (
+    Drive,
     RunOutcome,
-    run_chase,
-    run_conf1,
-    run_conf2,
-    run_crash,
+    drive_body,
+    drive_crash_check,
     run_explore,
-    run_native,
-    run_service,
-    run_throttled,
+    run_testbed,
 )
 from repro.workloads.graph500 import graph500_body
 from repro.workloads.kvstore import kvstore_main_body
@@ -107,18 +105,68 @@ WORKLOADS: dict[str, Callable[[Any, dict], Callable]] = {
     ),
 }
 
-#: Mode -> testbed configuration (see ``repro.validation.configs``).
-#: ``crash`` is Conf_1 plus the crash-consistency checker
-#: (``repro.pmem``); its extras carry ``crash_plan`` (required) and
-#: optionally ``shard``/``shards``/``mutant``.  ``explore`` is the
-#: model-checking mode (``repro.explore``); its extras carry
-#: ``explore_plan`` (required) plus the same optional keys.  ``service``
-#: is Conf_1 driving the multi-tenant KV service (``repro.service``);
-#: the result's ``service_report`` carries the tail-latency summary.
-MODES = (
-    "conf1", "conf2", "native", "chase", "throttled", "crash", "explore",
-    "service",
-)
+
+@dataclass(frozen=True)
+class Mode:
+    """One run mode: the only place its testbed wiring is spelled out."""
+
+    #: Conf_1-style: Quartz attached (the spec needs a QuartzConfig), the
+    #: testbed calibrated at the spec's ``calibration_seed``, and the run
+    #: streamed to the ``--trace-out`` sink.
+    emulated: bool = False
+    #: Extras key -> what it must hold (checked when the spec is built).
+    requires: dict = field(default_factory=dict)
+    #: Spec -> the attachment that drives the run.  ``None`` for explore,
+    #: the one mode that builds no testbed (:func:`run_explore`).
+    drive: Optional[Callable[["RunSpec"], Drive]] = None
+    #: Extras -> :func:`run_testbed` keywords: where memory lives, latency
+    #: jitter, the throttle register.
+    testbed: Callable[[dict], dict] = lambda extras: {}
+
+
+def _body(name: str = "main", report: Optional[str] = None):
+    """Drive the spec's workload body on one thread called *name*."""
+    return lambda spec: drive_body(
+        WORKLOADS[spec.workload](spec.config, spec.extras), name, report
+    )
+
+
+#: Mode name -> :class:`Mode` (testbeds: ``repro.validation.configs``).
+#: ``chase`` is the Table 2 latency loop (memory on ``mem_node``) and
+#: ``throttled`` the Figure 8 bandwidth loop (no jitter, ``register``
+#: programmed); both predate the named configurations and keep an
+#: unnamed main thread.  ``crash`` is Conf_1 plus the crash-consistency
+#: checker (``repro.pmem``), ``service`` is Conf_1 driving the
+#: multi-tenant KV service (``repro.service``), and ``explore`` is the
+#: model-checking mode (``repro.explore``).  A ``crash`` or ``explore``
+#: spec's extras are the keyword arguments of its attachment
+#: (:func:`drive_crash_check`, :func:`run_explore`): the plan plus
+#: optional ``shard``/``shards``/``mutant``.
+MODES: dict[str, Mode] = {
+    "conf1": Mode(emulated=True, drive=_body()),
+    "conf2": Mode(drive=_body(), testbed=lambda extras: {"mem_node": 1}),
+    "native": Mode(drive=_body()),
+    "chase": Mode(
+        drive=_body(name=""),
+        testbed=lambda extras: {"mem_node": extras.get("mem_node", 0)},
+    ),
+    "throttled": Mode(
+        drive=_body(name=""),
+        testbed=lambda extras: {
+            "latency_jitter": False,
+            "throttle_register": extras.get("register", 0),
+        },
+    ),
+    "crash": Mode(
+        emulated=True,
+        requires={"crash_plan": "a CrashPlan"},
+        drive=lambda spec: drive_crash_check(
+            spec.workload, spec.config, spec.seed, **spec.extras
+        ),
+    ),
+    "explore": Mode(requires={"explore_plan": "an ExplorePlan"}),
+    "service": Mode(emulated=True, drive=_body(report="service")),
+}
 
 
 @dataclass(frozen=True)
@@ -145,14 +193,14 @@ class RunSpec:
     def __post_init__(self) -> None:
         if self.workload not in WORKLOADS:
             raise ValidationError(f"unknown workload id: {self.workload!r}")
-        if self.mode not in MODES:
+        mode = MODES.get(self.mode)
+        if mode is None:
             raise ValidationError(f"unknown run mode: {self.mode!r}")
-        if self.mode in ("conf1", "crash", "service") and self.quartz is None:
+        if mode.emulated and self.quartz is None:
             raise ValidationError(f"{self.mode} runs need a QuartzConfig")
-        if self.mode == "crash" and "crash_plan" not in self.extras:
-            raise ValidationError("crash runs need a CrashPlan in extras")
-        if self.mode == "explore" and "explore_plan" not in self.extras:
-            raise ValidationError("explore runs need an ExplorePlan in extras")
+        for key, what in mode.requires.items():
+            if key not in self.extras:
+                raise ValidationError(f"{self.mode} runs need {what} in extras")
 
 
 @dataclass
@@ -173,20 +221,9 @@ class RunResult:
     calib_memory_hits: int = 0
     calib_disk_hits: int = 0
     calib_measurements: int = 0
-    #: Fault injections that actually fired (kind -> count; empty when
-    #: the run was clean).
-    fault_injections: dict = field(default_factory=dict)
-    #: Invariant-monitor counters (all zero when checking was off).
-    invariant_epoch_checks: int = 0
-    invariant_sim_checks: int = 0
-    invariant_violations: int = 0
-    max_epoch_length_ns: float = 0.0
-    #: Crash-check report dict of a ``crash``-mode run (None otherwise).
-    crash_report: Optional[dict] = None
-    #: Explore report dict of an ``explore``-mode run (None otherwise).
-    explore_report: Optional[dict] = None
-    #: Service report dict of a ``service``-mode run (None otherwise).
-    service_report: Optional[dict] = None
+    #: The outcome's attachment reports (name -> report dict), folded
+    #: into :class:`RunnerStats` by :data:`REDUCERS`.
+    reports: dict = field(default_factory=dict)
 
 
 # ----------------------------------------------------------------------
@@ -201,76 +238,37 @@ def _execute(
     check_invariants: bool = False,
 ) -> RunOutcome:
     arch = arch_by_name(spec.arch_name)
-    factory = WORKLOADS[spec.workload](spec.config, spec.extras)
-    faults = {"fault_plan": fault_plan, "check_invariants": check_invariants}
-    if spec.mode == "explore":
-        return run_explore(
-            arch,
-            spec.workload,
-            spec.config,
-            spec.extras["explore_plan"],
+    mode = MODES[spec.mode]
+    if mode.drive is None:
+        return run_explore(arch, spec.workload, spec.config, **spec.extras)
+    sink = _trace_writer if mode.emulated else None
+    if sink is not None:
+        sink.begin_run(
+            index=index,
+            workload=spec.workload,
+            arch=spec.arch_name,
+            mode=spec.mode,
             seed=spec.seed,
-            shard=spec.extras.get("shard", 0),
-            shards=spec.extras.get("shards", 1),
-            mutant=spec.extras.get("mutant"),
-            **faults,
         )
-    if spec.mode in ("conf1", "crash", "service"):
-        sink = _trace_writer
-        if sink is not None:
-            sink.begin_run(
-                index=index,
-                workload=spec.workload,
-                arch=spec.arch_name,
-                mode=spec.mode,
-                seed=spec.seed,
-            )
-        emulated = {
-            "seed": spec.seed,
+    emulation = {}
+    if mode.emulated:
+        emulation = {
+            "quartz_config": spec.quartz,
             "calibration": calibrate_arch(arch, seed=spec.calibration_seed),
             "trace_sink": sink,
-            **faults,
         }
-        if spec.mode == "crash":
-            outcome = run_crash(
-                arch,
-                spec.workload,
-                spec.config,
-                spec.quartz,
-                spec.extras["crash_plan"],
-                shard=spec.extras.get("shard", 0),
-                shards=spec.extras.get("shards", 1),
-                mutant=spec.extras.get("mutant"),
-                **emulated,
-            )
-        elif spec.mode == "service":
-            outcome = run_service(arch, factory, spec.quartz, **emulated)
-        else:
-            outcome = run_conf1(arch, factory, spec.quartz, **emulated)
-        if sink is not None and outcome.quartz_stats is not None:
-            sink.write_stats(outcome.quartz_stats)
-        return outcome
-    if spec.mode == "conf2":
-        return run_conf2(arch, factory, seed=spec.seed, **faults)
-    if spec.mode == "native":
-        return run_native(arch, factory, seed=spec.seed, **faults)
-    if spec.mode == "chase":
-        return run_chase(
-            arch,
-            factory,
-            seed=spec.seed,
-            mem_node=spec.extras.get("mem_node", 0),
-            **faults,
-        )
-    if spec.mode == "throttled":
-        return run_throttled(
-            arch,
-            factory,
-            seed=spec.seed,
-            register=spec.extras.get("register", 0),
-            **faults,
-        )
-    raise ValidationError(f"unknown run mode: {spec.mode!r}")
+    outcome = run_testbed(
+        arch,
+        mode.drive(spec),
+        seed=spec.seed,
+        fault_plan=fault_plan,
+        check_invariants=check_invariants,
+        **emulation,
+        **mode.testbed(spec.extras),
+    )
+    if sink is not None:
+        sink.write_stats(outcome.quartz_stats)
+    return outcome
 
 
 def _run_one(payload: tuple) -> RunResult:
@@ -295,7 +293,6 @@ def _run_one(payload: tuple) -> RunResult:
     events = (
         outcome.machine.sim.events_dispatched if outcome.machine is not None else 0
     )
-    invariants = outcome.invariant_report or {}
     return RunResult(
         index=index,
         workload_result=outcome.workload_result,
@@ -306,16 +303,7 @@ def _run_one(payload: tuple) -> RunResult:
         calib_memory_hits=mem1 - mem0,
         calib_disk_hits=disk1 - disk0,
         calib_measurements=meas1 - meas0,
-        fault_injections=dict(
-            (outcome.fault_report or {}).get("injections", {})
-        ),
-        invariant_epoch_checks=invariants.get("epoch_checks", 0),
-        invariant_sim_checks=invariants.get("sim_checks", 0),
-        invariant_violations=invariants.get("violations", 0),
-        max_epoch_length_ns=invariants.get("max_epoch_length_ns", 0.0),
-        crash_report=outcome.crash_report,
-        explore_report=outcome.explore_report,
-        service_report=outcome.service_report,
+        reports=outcome.reports,
     )
 
 
@@ -352,7 +340,7 @@ def _prewarm_calibrations(specs: Sequence[RunSpec]) -> int:
     fingerprints: dict[str, str] = {}
     needed: dict[tuple[str, int], tuple[str, int]] = {}
     for spec in specs:
-        if spec.mode not in ("conf1", "crash", "service"):
+        if not MODES[spec.mode].emulated:
             continue
         fingerprint = fingerprints.get(spec.arch_name)
         if fingerprint is None:
@@ -381,57 +369,111 @@ def _completed_results(futures: Sequence) -> list[RunResult]:
     return results
 
 
-def _run_parallel(
-    payloads: list[tuple[int, RunSpec]], jobs: int
-) -> Optional[list[RunResult]]:
-    """Fan out over a process pool; ``None`` means "pool unavailable".
+def _in_process_note(error: BaseException) -> None:
+    print(
+        f"note: process pool unavailable ({error!r}); running in-process",
+        file=sys.stderr,
+    )
 
-    Each payload is submitted as its own future (work-queue scheduling:
-    an idle worker always pulls the next pending spec, so one straggler
-    never idles a chunk's worth of workers).  A ``KeyboardInterrupt`` or
-    a pool breaking *mid-sweep* cancels every pending future and raises
-    :class:`~repro.errors.RunInterrupted` carrying the results that did
-    finish — the caller records partial stats instead of losing them.
+
+def _run_parallel(
+    payloads: list[tuple], jobs: int, deliver: Callable[[RunResult], None]
+) -> bool:
+    """Fan out over a process pool, *deliver*-ing results as they finish.
+
+    Returns ``False`` when no pool is available; the caller then runs
+    in-process.  Each payload is submitted as its own future (work-queue
+    scheduling: an idle worker always pulls the next pending spec, so
+    one straggler never idles a chunk's worth of workers).  A
+    ``KeyboardInterrupt`` (also one raised by *deliver*) or a pool
+    breaking *mid-grid* cancels every pending future and raises
+    :class:`~repro.errors.RunInterrupted` carrying every result that did
+    finish — the caller records partial stats (and checkpoints) instead
+    of losing them.
     """
     try:
         pool = ProcessPoolExecutor(max_workers=min(jobs, len(payloads)))
     except (NotImplementedError, OSError, PermissionError) as error:
-        print(
-            f"note: process pool unavailable ({error!r}); "
-            "running in-process",
-            file=sys.stderr,
-        )
-        return None
+        _in_process_note(error)
+        return False
     futures: list = []
     try:
         futures = [pool.submit(_run_one, payload) for payload in payloads]
-        results = []
         for future in as_completed(futures):
-            results.append(future.result())
+            deliver(future.result())
     except (KeyboardInterrupt, BrokenProcessPool) as error:
         for future in futures:
             future.cancel()
         pool.shutdown(wait=False, cancel_futures=True)
         completed = _completed_results(futures)
-        interrupt = RunInterrupted(
-            f"run grid interrupted ({type(error).__name__}) after "
-            f"{len(completed)} of {len(payloads)} run(s)",
-            completed=len(completed),
-            total=len(payloads),
-        )
-        interrupt.results = completed
-        raise interrupt from error
+        raise _interrupted(error, completed, len(payloads), jobs) from error
     except pickle.PicklingError as error:
         pool.shutdown(wait=True, cancel_futures=True)
-        print(
-            f"note: process pool unavailable ({error!r}); "
-            "running in-process",
-            file=sys.stderr,
-        )
-        return None
-    else:
-        pool.shutdown()
-        return results
+        _in_process_note(error)
+        return False
+    pool.shutdown()
+    return True
+
+
+def _interrupted(
+    error: BaseException, completed: list, total: int, jobs: int
+) -> RunInterrupted:
+    """The interrupt of a grid cut short after *completed* results."""
+    interrupt = RunInterrupted(
+        f"run grid interrupted ({type(error).__name__}) after "
+        f"{len(completed)} of {total} run(s)",
+        completed=len(completed),
+        total=total,
+    )
+    interrupt.results = list(completed)
+    interrupt.jobs = jobs
+    return interrupt
+
+
+def _run_grid(
+    payloads: list[tuple], jobs: int, deliver: Callable[[RunResult], None]
+) -> int:
+    """Run every payload, *deliver*-ing each result as it finishes.
+
+    Fans out over a process pool when ``jobs > 1`` and the grid holds
+    more than one payload (its calibrations warmed first); otherwise —
+    or when no pool is available — runs in-process, skipping what the
+    pool already delivered.  Returns the job count used.  Ctrl-C (also
+    a ``KeyboardInterrupt`` raised by *deliver*) or a pool breaking
+    mid-grid raises :class:`~repro.errors.RunInterrupted` carrying every
+    finished result.
+    """
+    finished: list[RunResult] = []
+
+    def take(result: RunResult) -> None:
+        finished.append(result)
+        deliver(result)
+
+    if jobs > 1 and len(payloads) > 1:
+        _prewarm_calibrations([payload[1] for payload in payloads])
+        if _run_parallel(payloads, jobs, take):
+            return jobs
+    delivered = {result.index for result in finished}
+    try:
+        for payload in payloads:
+            if payload[0] not in delivered:
+                take(_run_one(payload))
+    except KeyboardInterrupt as error:
+        raise _interrupted(error, finished, len(payloads), 1) from error
+    return 1
+
+
+def _fault_payload() -> tuple:
+    """The active fault context as a run-payload suffix (empty if clean).
+
+    The context rides in every payload so pool workers see it regardless
+    of start method; per-run seeding keeps any fan-out byte-identical to
+    the in-process order.
+    """
+    context = get_active_faults()
+    if context is None or not context.active:
+        return ()
+    return ((context.plan, context.check_invariants),)
 
 
 # ----------------------------------------------------------------------
@@ -444,8 +486,8 @@ _trace_writer = None  # Optional[JsonlTraceWriter]
 def set_trace_out(path: Optional[str]):
     """Open (or, with ``None``, close) the streaming epoch-trace sink.
 
-    While a sink is active every emulated run the runner executes
-    (``conf1``, ``service`` and ``crash`` modes) streams its epoch closes
+    While a sink is active every emulated run the runner executes (the
+    :data:`MODES` marked ``emulated``) streams its epoch closes
     and final emulator statistics to the JSONL file
     (see :mod:`repro.quartz.trace`), and :func:`run_specs` pins itself
     to in-process execution so the stream stays ordered and race-free.
@@ -474,6 +516,124 @@ def close_trace_out() -> Optional[tuple[str, int, int]]:
 # ----------------------------------------------------------------------
 # Observability
 # ----------------------------------------------------------------------
+
+
+def _summing(**fields: str) -> Callable[[dict, dict], None]:
+    """A fold that adds each report key into its total key."""
+
+    def fold(total: dict, report: dict) -> None:
+        for key, source in fields.items():
+            total[key] = total.get(key, 0) + report.get(source, 0)
+
+    return fold
+
+
+def _fold_faults(total: dict, report: dict) -> None:
+    injections = total.setdefault("injections", {})
+    for kind, count in report.get("injections", {}).items():
+        injections[kind] = injections.get(kind, 0) + count
+    total["total"] = sum(injections.values())
+
+
+_sum_invariant_checks = _summing(
+    epoch_checks="epoch_checks", sim_checks="sim_checks",
+    violations="violations",
+)
+
+
+def _fold_invariants(total: dict, report: dict) -> None:
+    _sum_invariant_checks(total, report)
+    total["max_epoch_length_ns"] = max(
+        total.get("max_epoch_length_ns", 0.0),
+        report.get("max_epoch_length_ns", 0.0),
+    )
+
+
+def _fold_service(total: dict, report: dict) -> None:
+    total["runs"] = total.get("runs", 0) + 1
+    total["ops"] = total.get("ops", 0) + report.get("overall", {}).get("ops", 0)
+    worst = total.get("p99_ns_max", 0.0)
+    tenants = total.setdefault("tenants", {})
+    for tenant, summary in report.get("tenants", {}).items():
+        p99 = summary.get("p99_ns") or 0.0
+        worst = max(worst, p99)
+        rollup = tenants.setdefault(
+            tenant,
+            {"runs": 0, "ops": 0, "p99_ns_max": 0.0,
+             "throughput_ops_s_sum": 0.0},
+        )
+        rollup["runs"] += 1
+        rollup["ops"] += summary.get("ops", 0)
+        rollup["p99_ns_max"] = max(rollup["p99_ns_max"], p99)
+        rollup["throughput_ops_s_sum"] += summary.get("throughput_ops_s", 0.0)
+    total["p99_ns_max"] = worst
+
+
+@dataclass(frozen=True)
+class Reducer:
+    """How one attachment's per-run reports aggregate over a window."""
+
+    #: ``fold(total, report)`` adds one run's report into the running total.
+    fold: Callable[[dict, dict], None]
+    #: Whether the total is worth reporting (summary and telemetry).
+    shown: Callable[[dict], bool]
+    #: The total's clause of the CLI summary line.
+    summary: Callable[[dict], str]
+
+
+#: Report name -> reducer, in summary-line order.  A shown total becomes
+#: the telemetry section of the same name.  Crash points are summed over
+#: runs: every shard of a sharded run enumerates the full point sequence,
+#: so they count enumeration work, not unique points.
+REDUCERS: dict[str, Reducer] = {
+    "faults": Reducer(
+        _fold_faults,
+        lambda total: bool(total["injections"]),
+        lambda total: f"faults: {total['total']} injection(s)",
+    ),
+    "invariants": Reducer(
+        _fold_invariants,
+        lambda total: bool(total["epoch_checks"] or total["sim_checks"]),
+        lambda total: (
+            f"invariants: {total['epoch_checks']} epoch + "
+            f"{total['sim_checks']} sim checks, "
+            f"{total['violations']} violation(s)"
+        ),
+    ),
+    "crash": Reducer(
+        _summing(
+            points="points", images_checked="checked",
+            violations="violation_total",
+        ),
+        lambda total: bool(total["images_checked"]),
+        lambda total: (
+            f"crash: {total['images_checked']} image(s) checked, "
+            f"{total['violations']} violation(s)"
+        ),
+    ),
+    "explore": Reducer(
+        _summing(
+            schedules="schedules", executions="executions", pruned="pruned",
+            images_checked="images_checked", violations="violation_total",
+        ),
+        lambda total: bool(total["schedules"]),
+        lambda total: (
+            f"explore: {total['schedules']} schedule(s) "
+            f"({total['pruned']} pruned), "
+            f"{total['images_checked']} image(s) checked, "
+            f"{total['violations']} violation(s)"
+        ),
+    ),
+    "service": Reducer(
+        _fold_service,
+        lambda total: bool(total["runs"]),
+        lambda total: (
+            f"service: {total['ops']:,} op(s) over "
+            f"{len(total['tenants'])} tenant(s), "
+            f"worst p99 {total['p99_ns_max'] / 1e3:.1f}us"
+        ),
+    ),
+}
 
 
 @dataclass
@@ -511,44 +671,30 @@ class RunnerStats:
     modes: set = field(default_factory=set)
     seeds: set = field(default_factory=set)
     calibration_seeds: set = field(default_factory=set)
-    #: Aggregated fault injections (kind -> count) across all runs.
-    fault_injections: dict = field(default_factory=dict)
-    invariant_epoch_checks: int = 0
-    invariant_sim_checks: int = 0
-    invariant_violations: int = 0
-    max_epoch_length_ns: float = 0.0
-    #: Crash-checker aggregates (``crash``-mode runs only).  Points are
-    #: summed over runs: every shard of a sharded run enumerates the full
-    #: point sequence, so this counts enumeration work, not unique points.
-    crash_points: int = 0
-    crash_images_checked: int = 0
-    crash_violations: int = 0
-    #: Explorer aggregates (``explore``-mode runs only): schedules whose
-    #: full behaviour was oracle-checked, controlled executions spent
-    #: getting there, branches pruned as redundant, crash images checked
-    #: across the whole cross product, and distinct violations found.
-    explore_schedules: int = 0
-    explore_executions: int = 0
-    explore_pruned: int = 0
-    explore_images_checked: int = 0
-    explore_violations: int = 0
-    #: KV-service aggregates (``service``-mode runs only): runs, total
-    #: operations, the worst p99 seen, and per-tenant rollups
-    #: (tenant -> {runs, ops, p99_ns_max, throughput_ops_s_sum}).
-    service_runs: int = 0
-    service_ops: int = 0
-    service_p99_ns_max: float = 0.0
-    service_tenants: dict = field(default_factory=dict)
+    #: Report name -> its :data:`REDUCERS` total across all runs.
+    totals: dict = field(default_factory=dict)
+
+    def count(self, name: str, key: str):
+        """One aggregated counter (zero when no run filed *name*)."""
+        return self.totals.get(name, {}).get(key, 0)
+
+    # The counters the end-to-end benchmark reads by attribute.
+    service_ops = property(lambda self: self.count("service", "ops"))
+    invariant_epoch_checks = property(
+        lambda self: self.count("invariants", "epoch_checks")
+    )
+    invariant_sim_checks = property(
+        lambda self: self.count("invariants", "sim_checks")
+    )
+    explore_schedules = property(lambda self: self.count("explore", "schedules"))
+    crash_images_checked = property(
+        lambda self: self.count("crash", "images_checked")
+    )
 
     @property
     def calib_hits(self) -> int:
         """Calibration requests served from either cache layer."""
         return self.calib_memory_hits + self.calib_disk_hits
-
-    @property
-    def faults_injected(self) -> int:
-        """Total fault injections across every run and kind."""
-        return sum(self.fault_injections.values())
 
     @property
     def events_per_sec(self) -> Optional[float]:
@@ -570,6 +716,14 @@ class RunnerStats:
     def wall_p99_s(self) -> Optional[float]:
         """99th-percentile per-run wall time."""
         return self.wall_percentile(0.99)
+
+    def _shown_totals(self) -> dict:
+        """The report totals worth reporting, in :data:`REDUCERS` order."""
+        return {
+            name: self.totals[name]
+            for name, reducer in REDUCERS.items()
+            if name in self.totals and reducer.shown(self.totals[name])
+        }
 
     def summary(self) -> str:
         """The CLI summary line."""
@@ -594,32 +748,8 @@ class RunnerStats:
             )
         if self.stop_reason != "completed":
             line += f"; stopped: {self.stop_reason}"
-        if self.fault_injections:
-            line += f"; faults: {self.faults_injected} injection(s)"
-        if self.invariant_epoch_checks or self.invariant_sim_checks:
-            line += (
-                f"; invariants: {self.invariant_epoch_checks} epoch + "
-                f"{self.invariant_sim_checks} sim checks, "
-                f"{self.invariant_violations} violation(s)"
-            )
-        if self.crash_images_checked:
-            line += (
-                f"; crash: {self.crash_images_checked} image(s) checked, "
-                f"{self.crash_violations} violation(s)"
-            )
-        if self.explore_schedules:
-            line += (
-                f"; explore: {self.explore_schedules} schedule(s) "
-                f"({self.explore_pruned} pruned), "
-                f"{self.explore_images_checked} image(s) checked, "
-                f"{self.explore_violations} violation(s)"
-            )
-        if self.service_runs:
-            line += (
-                f"; service: {self.service_ops:,} op(s) over "
-                f"{len(self.service_tenants)} tenant(s), "
-                f"worst p99 {self.service_p99_ns_max / 1e3:.1f}us"
-            )
+        for name, total in self._shown_totals().items():
+            line += "; " + REDUCERS[name].summary(total)
         return line
 
     def telemetry(self) -> dict:
@@ -653,42 +783,7 @@ class RunnerStats:
                 "specs_skipped": self.specs_skipped,
                 "stream_merge_peak_rows": self.stream_merge_peak_rows,
             }
-        if self.fault_injections:
-            payload["faults"] = {
-                "injections": dict(sorted(self.fault_injections.items())),
-                "total": self.faults_injected,
-            }
-        if self.invariant_epoch_checks or self.invariant_sim_checks:
-            payload["invariants"] = {
-                "epoch_checks": self.invariant_epoch_checks,
-                "sim_checks": self.invariant_sim_checks,
-                "violations": self.invariant_violations,
-                "max_epoch_length_ns": self.max_epoch_length_ns,
-            }
-        if self.crash_images_checked:
-            payload["crash"] = {
-                "points": self.crash_points,
-                "images_checked": self.crash_images_checked,
-                "violations": self.crash_violations,
-            }
-        if self.explore_schedules:
-            payload["explore"] = {
-                "schedules": self.explore_schedules,
-                "executions": self.explore_executions,
-                "pruned": self.explore_pruned,
-                "images_checked": self.explore_images_checked,
-                "violations": self.explore_violations,
-            }
-        if self.service_runs:
-            payload["service"] = {
-                "runs": self.service_runs,
-                "ops": self.service_ops,
-                "p99_ns_max": self.service_p99_ns_max,
-                "tenants": {
-                    tenant: dict(rollup)
-                    for tenant, rollup in sorted(self.service_tenants.items())
-                },
-            }
+        payload.update(copy.deepcopy(self._shown_totals()))
         return payload
 
 
@@ -728,7 +823,7 @@ def _record_spec(stats: RunnerStats, spec: RunSpec) -> None:
     stats.workloads.add(spec.workload)
     stats.modes.add(spec.mode)
     stats.seeds.add(spec.seed)
-    if spec.mode in ("conf1", "service"):
+    if MODES[spec.mode].emulated:
         stats.calibration_seeds.add(spec.calibration_seed)
 
 
@@ -742,50 +837,8 @@ def _record_result(stats: RunnerStats, result: RunResult) -> None:
     stats.calib_memory_hits += result.calib_memory_hits
     stats.calib_disk_hits += result.calib_disk_hits
     stats.calib_measurements += result.calib_measurements
-    for kind, count in result.fault_injections.items():
-        stats.fault_injections[kind] = (
-            stats.fault_injections.get(kind, 0) + count
-        )
-    stats.invariant_epoch_checks += result.invariant_epoch_checks
-    stats.invariant_sim_checks += result.invariant_sim_checks
-    stats.invariant_violations += result.invariant_violations
-    stats.max_epoch_length_ns = max(
-        stats.max_epoch_length_ns, result.max_epoch_length_ns
-    )
-    if result.crash_report is not None:
-        stats.crash_points += result.crash_report.get("points", 0)
-        stats.crash_images_checked += result.crash_report.get("checked", 0)
-        stats.crash_violations += result.crash_report.get(
-            "violation_total", 0
-        )
-    if result.service_report is not None:
-        stats.service_runs += 1
-        overall = result.service_report.get("overall", {})
-        stats.service_ops += overall.get("ops", 0)
-        for tenant, report in result.service_report.get("tenants", {}).items():
-            p99 = report.get("p99_ns") or 0.0
-            stats.service_p99_ns_max = max(stats.service_p99_ns_max, p99)
-            rollup = stats.service_tenants.setdefault(
-                tenant,
-                {"runs": 0, "ops": 0, "p99_ns_max": 0.0,
-                 "throughput_ops_s_sum": 0.0},
-            )
-            rollup["runs"] += 1
-            rollup["ops"] += report.get("ops", 0)
-            rollup["p99_ns_max"] = max(rollup["p99_ns_max"], p99)
-            rollup["throughput_ops_s_sum"] += report.get(
-                "throughput_ops_s", 0.0
-            )
-    if result.explore_report is not None:
-        stats.explore_schedules += result.explore_report.get("schedules", 0)
-        stats.explore_executions += result.explore_report.get("executions", 0)
-        stats.explore_pruned += result.explore_report.get("pruned", 0)
-        stats.explore_images_checked += result.explore_report.get(
-            "images_checked", 0
-        )
-        stats.explore_violations += result.explore_report.get(
-            "violation_total", 0
-        )
+    for name, report in result.reports.items():
+        REDUCERS[name].fold(stats.totals.setdefault(name, {}), report)
 
 
 def _record_stats(
@@ -824,54 +877,50 @@ def run_specs(
         # Streaming a trace: stay in-process so the JSONL stream is
         # ordered and single-writer (results are identical either way).
         jobs = 1
-    context = get_active_faults()
-    if context is not None and context.active:
-        # The fault context rides in every payload so pool workers see it
-        # regardless of start method; per-run seeding keeps any fan-out
-        # byte-identical to the in-process order.
-        fault_context = (context.plan, context.check_invariants)
-        payloads: list[tuple] = [
-            (index, spec, fault_context) for index, spec in enumerate(specs)
-        ]
-    else:
-        payloads = list(enumerate(specs))
+    faults = _fault_payload()
+    payloads = [(index, spec, *faults) for index, spec in enumerate(specs)]
     started = time.perf_counter()
-    results: Optional[list[RunResult]] = None
+    results: list[RunResult] = []
     try:
-        if jobs > 1 and len(payloads) > 1:
-            _prewarm_calibrations(specs)
-            results = _run_parallel(payloads, jobs)
-        if results is None:
-            jobs = 1
-            results = []
-            for payload in payloads:
-                results.append(_run_one(payload))
+        jobs = _run_grid(payloads, jobs, results.append)
     except RunInterrupted as interrupt:
         # Completed work is not lost: record the partial window (the CLI
         # prints its summary) before letting the interrupt propagate.
-        partial = sorted(
-            getattr(interrupt, "results", []), key=lambda r: r.index
-        )
+        partial = sorted(interrupt.results, key=lambda r: r.index)
         _record_stats(
-            specs, partial, jobs, time.perf_counter() - started,
+            specs, partial, interrupt.jobs, time.perf_counter() - started,
             stop_reason="interrupted",
         )
         raise
-    except KeyboardInterrupt as error:
-        # Ctrl-C during the in-process loop: everything before the
-        # current payload finished cleanly.
-        _record_stats(
-            specs, results or [], jobs, time.perf_counter() - started,
-            stop_reason="interrupted",
-        )
-        interrupt = RunInterrupted(
-            f"run grid interrupted (KeyboardInterrupt) after "
-            f"{len(results or [])} of {len(payloads)} run(s)",
-            completed=len(results or []),
-            total=len(payloads),
-        )
-        interrupt.results = list(results or [])
-        raise interrupt from error
     results.sort(key=lambda result: result.index)
     _record_stats(specs, results, jobs, time.perf_counter() - started)
     return results
+
+
+def run_mutant_shards(
+    mode: str, plan, mutants: Sequence[str], shards: int,
+    jobs: Optional[int] = None, **spec,
+) -> list[list[dict]]:
+    """Each mutant's shard reports, from one *mode* run per (mutant, shard).
+
+    The oracle grid of the ``crash`` and ``explore`` modes: *plan* rides
+    in the ``<mode>_plan`` extra, *spec* holds the :class:`RunSpec`
+    fields every run shares, and each run's report is the one filed
+    under the mode's name.
+    """
+    specs = [
+        RunSpec(
+            mode=mode,
+            extras={
+                f"{mode}_plan": plan,
+                "shard": shard,
+                "shards": shards,
+                "mutant": None if mutant == "none" else mutant,
+            },
+            **spec,
+        )
+        for mutant in mutants
+        for shard in range(shards)
+    ]
+    results = iter(run_specs(specs, jobs=jobs))
+    return [[next(results).reports[mode] for _ in range(shards)] for _ in mutants]

@@ -43,30 +43,27 @@ import json
 import pickle
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields as dataclass_fields, is_dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
 from repro.errors import RunInterrupted, ValidationError
-from repro.faults.context import get_active_faults
 from repro.validation import runner as runner_module
 from repro.validation.runner import (
     RunResult,
     RunSpec,
     _ensure_stats,
-    _prewarm_calibrations,
+    _fault_payload,
     _record_result,
     _record_spec,
-    _run_one,
+    _run_grid,
     resolve_jobs,
 )
 
 #: Schema identity of the sweep journal.
 SWEEP_SCHEMA = "quartz-repro/sweep-journal"
 #: Bump when the journal layout changes incompatibly.
-SWEEP_SCHEMA_VERSION = 1
+SWEEP_SCHEMA_VERSION = 2
 
 #: Pinned pickle protocol: shard records must verify across interpreter
 #: invocations, so the encoding cannot float with the default.
@@ -502,17 +499,10 @@ def run_sweep(
     stats.specs_skipped += report.skipped
     stats.queue_depth = max(stats.queue_depth, len(todo))
 
-    context = get_active_faults()
-    fault_context = (
-        (context.plan, context.check_invariants)
-        if context is not None and context.active
-        else None
-    )
+    faults = _fault_payload()
 
-    def payload(index: int):
-        if fault_context is not None:
-            return (index, specs[index], fault_context)
-        return (index, specs[index])
+    def payload(index: int) -> tuple:
+        return (index, specs[index], *faults)
 
     # Streaming in-order merge state.
     next_index = 0
@@ -568,63 +558,20 @@ def run_sweep(
         return interrupt
 
     try:
-        remaining = list(todo)
-        if jobs > 1 and len(remaining) > 1:
-            _prewarm_calibrations([specs[index] for index in remaining])
-            try:
-                pool = ProcessPoolExecutor(
-                    max_workers=min(jobs, len(remaining))
-                )
-            except (NotImplementedError, OSError, PermissionError) as error:
-                print(
-                    f"note: process pool unavailable ({error!r}); "
-                    "running in-process",
-                    file=sys.stderr,
-                )
-            else:
-                future_index: dict = {}
-                try:
-                    future_index = {
-                        pool.submit(_run_one, payload(index)): index
-                        for index in remaining
-                    }
-                    for future in as_completed(future_index):
-                        finish_one(future_index[future], future.result())
-                except (KeyboardInterrupt, BrokenProcessPool) as error:
-                    for future in future_index:
-                        future.cancel()
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    # Checkpoint runs that finished but were not yet
-                    # merged — an interrupt wastes nothing journaled.
-                    for future, index in future_index.items():
-                        if index in done_indices or not future.done():
-                            continue
-                        if future.cancelled():
-                            continue
-                        try:
-                            if future.exception() is None:
-                                finish_one(
-                                    index, future.result(),
-                                    check_interrupt=False,
-                                )
-                        except Exception:
-                            pass
-                    raise record_interrupt(error) from error
-                except pickle.PicklingError as error:
-                    pool.shutdown(wait=True, cancel_futures=True)
-                    print(
-                        f"note: process pool unavailable ({error!r}); "
-                        "running in-process",
-                        file=sys.stderr,
-                    )
-                else:
-                    pool.shutdown()
-        remaining = [index for index in todo if index not in done_indices]
         try:
-            for index in remaining:
-                finish_one(index, _run_one(payload(index)))
-        except KeyboardInterrupt as error:
-            raise record_interrupt(error) from error
+            _run_grid(
+                [payload(index) for index in todo],
+                jobs,
+                lambda result: finish_one(result.index, result),
+            )
+        except RunInterrupted as interrupt:
+            # Checkpoint runs that finished but were not yet merged — an
+            # interrupt wastes nothing journaled.
+            for result in interrupt.results:
+                if result.index not in done_indices:
+                    finish_one(result.index, result, check_interrupt=False)
+            cause = interrupt.__cause__
+            raise record_interrupt(cause) from cause
         drain()
     finally:
         if journal is not None:

@@ -47,7 +47,7 @@ def test_explore_spec_requires_a_plan():
 def test_runner_carries_the_explore_report_and_stats():
     reset_run_stats()
     (result,) = run_specs([_spec(mutant="missing-flush")], jobs=1)
-    report = result.explore_report
+    report = result.reports.get("explore")
     assert report is not None
     assert report["schedules"] >= 1
     assert report["violation_total"] >= 1
@@ -105,7 +105,7 @@ def test_cli_explore_json_export(capsys, tmp_path):
 
 def test_cli_explore_exits_4_when_an_expectation_fails(capsys, monkeypatch):
     from repro.cli import main
-    from repro.validation.experiments import explore as explore_module
+    from repro.validation.experiments import REGISTRY
     from repro.validation.reporting import ExperimentResult
 
     def broken_check(**kwargs):
@@ -126,7 +126,7 @@ def test_cli_explore_exits_4_when_an_expectation_fails(capsys, monkeypatch):
         )
         return result
 
-    monkeypatch.setattr(explore_module, "run_explore_check", broken_check)
+    monkeypatch.setitem(REGISTRY, "explore-check", broken_check)
     code = main(
         ["explore", "mutex-log", "--mutant", "missing-flush", "--jobs", "1"]
     )

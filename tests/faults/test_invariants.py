@@ -167,12 +167,12 @@ def test_clean_conf1_run_reports_zero_violations():
         IVY_BRIDGE, factory, QUARTZ_CONFIG, seed=3,
         calibration=calibrate_arch(IVY_BRIDGE), check_invariants=True,
     )
-    report = outcome.invariant_report
+    report = outcome.reports.get("invariants")
     assert report is not None
     assert report["violations"] == 0
     assert report["epoch_checks"] > 0
     assert report["sim_checks"] > 0
-    assert outcome.fault_report is None  # no plan: clean run
+    assert "faults" not in outcome.reports  # no plan: clean run
 
 
 # ----------------------------------------------------------------------
@@ -192,14 +192,14 @@ def test_delayed_monitor_signals_grow_epochs_but_conserve_delay():
     faulted = run(FaultPlan(
         seed=1, signal_delay_ns=400_000.0, signal_delay_p=1.0,
     ))
-    assert faulted.fault_report["injections"]["signal_delayed"] > 0
+    assert faulted.reports["faults"]["injections"]["signal_delayed"] > 0
     # Epochs grow: the monitor's close signal lands well after the
     # max-epoch threshold...
     assert (
-        faulted.invariant_report["max_epoch_length_ns"]
-        > baseline.invariant_report["max_epoch_length_ns"]
+        faulted.reports["invariants"]["max_epoch_length_ns"]
+        > baseline.reports["invariants"]["max_epoch_length_ns"]
     )
     # ...but every close still conserved delay (a violation would have
     # raised InvariantViolation mid-run).
-    assert faulted.invariant_report["violations"] == 0
-    assert baseline.invariant_report["violations"] == 0
+    assert faulted.reports["invariants"]["violations"] == 0
+    assert baseline.reports["invariants"]["violations"] == 0

@@ -1,7 +1,7 @@
 """Composition matrix: every pair of run attachments composes.
 
-The attachments are the ones :mod:`repro.validation.configs` can express
-on one Conf_1 run: fault injection plus invariant checking, multi-tier
+The attachments are the ones :func:`repro.validation.configs.run_testbed`
+can put on one Conf_1 run: fault injection plus invariant checking, multi-tier
 emulation, crash checking, an epoch-trace sink, and the KV service.  All
 of them observe the run through the simulator's one ordered hook
 registry, so each pair must either run with every subscriber seeing its
@@ -28,7 +28,7 @@ from repro.service.cache import CacheConfig
 from repro.service.kvservice import ServiceConfig
 from repro.service.traces import TraceConfig
 from repro.units import MIB, MICROSECOND
-from repro.validation.configs import run_conf1, run_crash, run_service
+from repro.validation.configs import drive_body, drive_crash_check, run_testbed
 from repro.validation.experiments.crash import DEFAULT_CRASH_PLAN, default_pm_config
 from repro.validation.runner import WORKLOADS
 from repro.workloads.kvstore import KvStoreConfig
@@ -84,23 +84,22 @@ def _run(pair, tmp_path):
     faulted = "faults+invariants" in pair
     config = _quartz_config("multi-tier" in pair)
     sink = JsonlTraceWriter(tmp_path / "trace.jsonl") if "trace" in pair else None
-    options = {
-        "seed": 3,
-        "trace_sink": sink,
-        "fault_plan": FAULTS if faulted else None,
-        "check_invariants": faulted,
-    }
+    if "crash" in pair:
+        drive = drive_crash_check("kvstore", KVSTORE, 3, CRASH_PLAN)
+    elif "service" in pair:
+        drive = drive_body(WORKLOADS["kvservice"](SERVICE, {}), report="service")
+    else:
+        drive = drive_body(WORKLOADS["memlat"](MEMLAT, {}))
     try:
-        if "crash" in pair:
-            outcome = run_crash(
-                IVY_BRIDGE, "kvstore", KVSTORE, config, CRASH_PLAN, **options
-            )
-        elif "service" in pair:
-            body = WORKLOADS["kvservice"](SERVICE, {})
-            outcome = run_service(IVY_BRIDGE, body, config, **options)
-        else:
-            body = WORKLOADS["memlat"](MEMLAT, {})
-            outcome = run_conf1(IVY_BRIDGE, body, config, **options)
+        outcome = run_testbed(
+            IVY_BRIDGE,
+            drive,
+            seed=3,
+            quartz_config=config,
+            trace_sink=sink,
+            fault_plan=FAULTS if faulted else None,
+            check_invariants=faulted,
+        )
     finally:
         if sink is not None:
             sink.close()
@@ -133,19 +132,19 @@ def test_pair_runs_and_every_subscriber_sees_events(pair, tmp_path):
     outcome, sink = _run(pair, tmp_path)
     assert outcome.quartz_stats.epochs_total > 0
     if "faults+invariants" in pair:
-        assert sum(outcome.fault_report["injections"].values()) > 0
-        assert outcome.invariant_report["sim_checks"] > 0
-        assert outcome.invariant_report["epoch_checks"] > 0
-        assert outcome.invariant_report["violations"] == 0
+        assert sum(outcome.reports["faults"]["injections"].values()) > 0
+        assert outcome.reports["invariants"]["sim_checks"] > 0
+        assert outcome.reports["invariants"]["epoch_checks"] > 0
+        assert outcome.reports["invariants"]["violations"] == 0
     if "multi-tier" in pair:
         assert _tier_accesses(outcome) > 0
     if "crash" in pair:
-        assert outcome.crash_report["points"] > 0
-        assert outcome.crash_report["violation_total"] == 0
+        assert outcome.reports["crash"]["points"] > 0
+        assert outcome.reports["crash"]["violation_total"] == 0
     if "trace" in pair:
         assert sink.records_written > 0
     if "service" in pair:
-        assert outcome.service_report["overall"]["ops"] > 0
+        assert outcome.reports["service"]["overall"]["ops"] > 0
 
 
 def test_crash_check_of_the_service_is_rejected_before_the_first_event():
@@ -153,8 +152,10 @@ def test_crash_check_of_the_service_is_rejected_before_the_first_event():
     # routine or durable-image invariants), so the crash checker refuses
     # it by name while building the workload, before any thread exists.
     with pytest.raises(WorkloadError, match="no recoverable implementation") as error:
-        run_crash(
-            IVY_BRIDGE, "kvservice", SERVICE, _quartz_config(False), CRASH_PLAN
+        run_testbed(
+            IVY_BRIDGE,
+            drive_crash_check("kvservice", SERVICE, 0, CRASH_PLAN),
+            quartz_config=_quartz_config(False),
         )
     assert error.traceback[-1].name == "build_recoverable"
 
@@ -162,14 +163,14 @@ def test_crash_check_of_the_service_is_rejected_before_the_first_event():
 def test_multi_tier_crash_check_at_the_default_plan():
     # Tier accounting and persistence shadowing both subscribe to ``op``
     # on one run, at the crash-check experiment's own plan and seed.
-    outcome = run_crash(
+    outcome = run_testbed(
         IVY_BRIDGE,
-        "kvstore",
-        default_pm_config("kvstore"),
-        _quartz_config(True),
-        DEFAULT_CRASH_PLAN,
+        drive_crash_check(
+            "kvstore", default_pm_config("kvstore"), 411, DEFAULT_CRASH_PLAN
+        ),
         seed=411,
+        quartz_config=_quartz_config(True),
     )
-    assert outcome.crash_report["points"] > 0
-    assert outcome.crash_report["violation_total"] == 0
+    assert outcome.reports["crash"]["points"] > 0
+    assert outcome.reports["crash"]["violation_total"] == 0
     assert _tier_accesses(outcome) > 0

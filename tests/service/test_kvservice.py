@@ -97,7 +97,7 @@ def test_service_config_validation():
 def test_service_run_reports_per_tenant_tails():
     reset_run_stats()
     [run] = run_specs([_spec()], jobs=1)
-    report = run.service_report
+    report = run.reports["service"]
     assert set(report) == {"duration_ns", "tenants", "overall", "cache"}
     assert sorted(report["tenants"]) == ["t0", "t1"]
     for summary in report["tenants"].values():
@@ -119,8 +119,8 @@ def test_service_report_is_byte_identical_across_worker_counts():
     sequential = run_specs(specs, jobs=1)
     parallel = run_specs(specs, jobs=3)
     for seq, par in zip(sequential, parallel):
-        assert json.dumps(seq.service_report, sort_keys=True) == json.dumps(
-            par.service_report, sort_keys=True
+        assert json.dumps(seq.reports["service"], sort_keys=True) == json.dumps(
+            par.reports["service"], sort_keys=True
         )
 
 
@@ -140,8 +140,8 @@ def test_service_accounting_holds_under_faults():
     reset_run_stats()
     with active_faults(plan, check_invariants=True):
         [run] = run_specs([_spec()], jobs=1)
-    assert run.invariant_violations == 0
-    totals = run.service_report["cache"]["totals"]
+    assert run.reports["invariants"]["violations"] == 0
+    totals = run.reports["service"]["cache"]["totals"]
     assert totals["hits"] + totals["misses"] == totals["lookups"]
 
 
@@ -154,7 +154,7 @@ def test_reads_verify_against_authoritative_store():
     [run] = run_specs([_spec()], jobs=1)
     verified = sum(
         summary["verified_reads"]
-        for summary in run.service_report["tenants"].values()
+        for summary in run.reports["service"]["tenants"].values()
     )
     assert verified > 0
 
@@ -176,10 +176,10 @@ def test_higher_nvm_latency_slows_the_service():
     )
     fast_run, slow_run = run_specs([fast_spec, slow_spec], jobs=1)
     assert (
-        slow_run.service_report["overall"]["p99_ns"]
-        > fast_run.service_report["overall"]["p99_ns"]
+        slow_run.reports["service"]["overall"]["p99_ns"]
+        > fast_run.reports["service"]["overall"]["p99_ns"]
     )
     assert (
-        slow_run.service_report["overall"]["throughput_ops_s"]
-        < fast_run.service_report["overall"]["throughput_ops_s"]
+        slow_run.reports["service"]["overall"]["throughput_ops_s"]
+        < fast_run.reports["service"]["overall"]["throughput_ops_s"]
     )

@@ -328,3 +328,131 @@ def test_sweep_status_missing_directory_exits_two(tmp_path, capsys):
 def test_sweep_unknown_preset_rejected(tmp_path):
     with pytest.raises(SystemExit):
         main(["sweep", "run", "no-such-grid", "--dir", str(tmp_path / "x")])
+
+
+# ----------------------------------------------------------------------
+# One emit path: every experiment command shares plan sections, exit
+# codes and interrupt handling
+# ----------------------------------------------------------------------
+
+
+def test_run_crash_check_exports_the_crash_check_command_manifest(capsys):
+    import json
+
+    assert main(["run", "crash-check", "--jobs", "1", "--format", "json"]) == 0
+    via_run = json.loads(capsys.readouterr().out)
+    assert main(["crash-check", "kvstore", "--jobs", "1", "--format", "json"]) == 0
+    via_command = json.loads(capsys.readouterr().out)
+    assert via_run["experiment"] == via_command["experiment"]
+    # The content digest covers the knobs, which name the command.
+    volatile = ("knobs", "content_digest")
+    assert {
+        key: value for key, value in via_run["manifest"].items()
+        if key not in volatile
+    } == {
+        key: value for key, value in via_command["manifest"].items()
+        if key not in volatile
+    }
+    assert via_run["manifest"]["crash"]["max_points"] > 0
+    # Crash runs calibrate, so their calibration seed is provenance.
+    assert via_run["manifest"]["calibration_seeds"] == [0]
+
+
+def _memlat_run():
+    from repro.hw import IVY_BRIDGE
+    from repro.validation.runner import RunSpec, run_specs
+    from repro.workloads.memlat import MemLatConfig
+
+    run_specs(
+        [RunSpec(
+            workload="memlat", config=MemLatConfig(iterations=2_000),
+            arch_name=IVY_BRIDGE.name,
+        )],
+        jobs=1,
+    )
+
+
+ORACLE_COMMANDS = [
+    (["crash-check", "kvstore"], "crash-check"),
+    (["explore", "mutex-log"], "explore-check"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, experiment_id", ORACLE_COMMANDS, ids=["crash-check", "explore"]
+)
+def test_oracle_command_interrupt_exits_130_with_partial_summary(
+    monkeypatch, capsys, argv, experiment_id
+):
+    from repro.errors import RunInterrupted
+
+    def interrupted(**kwargs):
+        _memlat_run()
+        raise RunInterrupted(
+            "run grid interrupted (KeyboardInterrupt) after 1 of 2 run(s)",
+            completed=1, total=2,
+        )
+
+    monkeypatch.setitem(REGISTRY, experiment_id, interrupted)
+    assert main([*argv, "--jobs", "1"]) == 130
+    captured = capsys.readouterr()
+    assert "interrupted: run grid interrupted" in captured.err
+    assert "runner: 1 runs" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, experiment_id", ORACLE_COMMANDS, ids=["crash-check", "explore"]
+)
+def test_oracle_command_invariant_violation_exits_3(
+    monkeypatch, capsys, argv, experiment_id
+):
+    from repro.errors import InvariantViolation
+
+    def violated(**kwargs):
+        raise InvariantViolation("delay-conservation", "stub violation")
+
+    monkeypatch.setitem(REGISTRY, experiment_id, violated)
+    assert main([*argv, "--jobs", "1"]) == 3
+    captured = capsys.readouterr()
+    assert "invariant 'delay-conservation' violated" in captured.err
+    assert "aborted at the first violated invariant" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_run_exits_4_when_a_row_fails_its_oracle(monkeypatch, capsys):
+    def failing(**kwargs):
+        result = ExperimentResult(
+            experiment_id="crash-check", title="stub",
+            columns=["workload", "mutant", "violations", "expected", "ok"],
+        )
+        result.add_row(
+            workload="kvstore", mutant="none", violations=2, expected="0",
+            ok=False,
+        )
+        return result
+
+    monkeypatch.setitem(REGISTRY, "crash-check", failing)
+    assert main(["run", "crash-check", "--jobs", "1"]) == 4
+    assert "kvstore/none: expected 0 violation(s), got 2" in (
+        capsys.readouterr().err
+    )
+
+
+def test_sweep_resume_refuses_an_old_journal_version(tmp_path, capsys):
+    import json
+
+    sweep_dir = tmp_path / "grid"
+    assert main([
+        "sweep", "run", "latency-grid", "--scale", "smoke",
+        "--dir", str(sweep_dir), "--jobs", "1", "--interrupt-after", "1",
+    ]) == 130
+    capsys.readouterr()
+    journal = sweep_dir / "journal.jsonl"
+    header, *records = journal.read_text().splitlines()
+    old = dict(json.loads(header), schema_version=1)
+    journal.write_text("\n".join([json.dumps(old), *records]) + "\n")
+    assert main(["sweep", "resume", "--dir", str(sweep_dir), "--jobs", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "unsupported journal version 1 (supported: 2)" in captured.err
+    assert "Traceback" not in captured.err

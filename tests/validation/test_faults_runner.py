@@ -84,12 +84,13 @@ def test_faulted_runs_are_job_count_invariant():
         assert seq.elapsed_ns == par.elapsed_ns
         assert seq.events == par.events
         # The *same* faults fired, not just equally many.
-        assert seq.fault_injections == par.fault_injections
-        assert seq.invariant_epoch_checks == par.invariant_epoch_checks
-        assert seq.invariant_sim_checks == par.invariant_sim_checks
-        assert seq.max_epoch_length_ns == par.max_epoch_length_ns
-    assert any(seq.fault_injections for seq in sequential)
-    assert all(r.invariant_violations == 0 for r in sequential + parallel)
+        assert seq.reports["faults"] == par.reports["faults"]
+        assert seq.reports["invariants"] == par.reports["invariants"]
+    assert any(seq.reports["faults"]["injections"] for seq in sequential)
+    assert all(
+        r.reports["invariants"]["violations"] == 0
+        for r in sequential + parallel
+    )
 
 
 def test_fault_context_reaches_workers_and_stats():
@@ -97,12 +98,12 @@ def test_fault_context_reaches_workers_and_stats():
     with active_faults(LIGHT_PLAN, check_invariants=True):
         results = run_specs([_memlat_spec(5), _memlat_spec(6)], jobs=2)
     stats = consume_run_stats()
-    assert stats.faults_injected == sum(
-        sum(r.fault_injections.values()) for r in results
+    assert stats.count("faults", "total") == sum(
+        sum(r.reports["faults"]["injections"].values()) for r in results
     )
-    assert stats.faults_injected > 0
+    assert stats.count("faults", "total") > 0
     assert stats.invariant_epoch_checks > 0
-    assert stats.invariant_violations == 0
+    assert stats.count("invariants", "violations") == 0
     assert "faults" in stats.summary()
     assert "invariants" in stats.summary()
 
@@ -111,8 +112,8 @@ def test_runs_outside_the_context_stay_clean():
     with active_faults(LIGHT_PLAN, check_invariants=True):
         pass  # context opened and closed: nothing may leak out
     results = run_specs([_memlat_spec(7)], jobs=1)
-    assert results[0].fault_injections == {}
-    assert results[0].invariant_epoch_checks == 0
+    assert "faults" not in results[0].reports
+    assert "invariants" not in results[0].reports
 
 
 def test_per_run_seeding_differs_between_runs():
@@ -121,8 +122,10 @@ def test_per_run_seeding_differs_between_runs():
     # could reorder).
     with active_faults(LIGHT_PLAN, check_invariants=False):
         a, b = run_specs([_memlat_spec(1), _memlat_spec(2)], jobs=1)
-    assert a.fault_injections or b.fault_injections
-    assert (a.fault_injections, a.elapsed_ns) != (b.fault_injections, b.elapsed_ns)
+    a_fired = a.reports["faults"]["injections"]
+    b_fired = b.reports["faults"]["injections"]
+    assert a_fired or b_fired
+    assert (a_fired, a.elapsed_ns) != (b_fired, b.elapsed_ns)
 
 
 # ----------------------------------------------------------------------
@@ -138,6 +141,6 @@ def test_registry_experiment_runs_faulted_without_violations(experiment_id):
     assert result.rows, f"{experiment_id}: no rows produced under faults"
     stats = consume_run_stats()
     if stats is not None:
-        assert stats.invariant_violations == 0, (
+        assert stats.count("invariants", "violations") == 0, (
             f"{experiment_id}: invariant violation(s) under light faults"
         )

@@ -294,3 +294,22 @@ def test_trace_out_records_epochs_of_every_emulated_mode(tmp_path, experiment_id
     document = read_trace_jsonl(path)
     assert len(document.trace) >= 1
     assert len(document.runs) == len(document.stats) >= 1
+
+
+def test_every_emulated_mode_records_its_calibration_seed():
+    from repro.pmem.crash import CrashPlan
+
+    stats = runner_module.RunnerStats()
+    quartz = QuartzConfig(nvm_read_latency_ns=400.0)
+    for seed, mode, extras in (
+        (1, "conf1", {}),
+        (2, "crash", {"crash_plan": CrashPlan()}),
+        (3, "service", {}),
+        (4, "native", {}),
+    ):
+        runner_module._record_spec(stats, RunSpec(
+            workload="memlat", config=None, arch_name="ivy-bridge",
+            mode=mode, quartz=quartz, calibration_seed=seed, extras=extras,
+        ))
+    # Only the runs that attach Quartz calibrate.
+    assert stats.calibration_seeds == {1, 2, 3}
