@@ -33,7 +33,7 @@ from repro.errors import (
     ValidationError,
 )
 from repro.faults import FaultPlan, clear_active_faults, set_active_faults
-from repro.hw.arch import arch_by_name
+from repro.hw.arch import ArchSpec, arch_by_name
 from repro.quartz.calibration import calibrate_arch
 from repro.validation import export
 from repro.validation.experiments import (
@@ -52,12 +52,31 @@ from repro.validation.runner import (
 )
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of ``--jobs``, ``--trials`` and ``--shards``."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _arch(name: str) -> ArchSpec:
+    """argparse type of ``--arch``: a processor family name or alias."""
+    try:
+        return arch_by_name(name)
+    except KeyError as error:
+        raise argparse.ArgumentTypeError(error.args[0]) from None
+
+
 def _output_flags() -> argparse.ArgumentParser:
     """``--jobs``/``--format``/``--out``: every result-emitting command's."""
     flags = argparse.ArgumentParser(add_help=False)
     flags.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         help=(
             "worker processes for the run grid (default: QUARTZ_REPRO_JOBS "
             "or all cores; results are identical for any job count)"
@@ -118,7 +137,7 @@ def _oracle_flags(parser, shards: int, shards_help: str, seed: int) -> None:
     )
     parser.add_argument(
         "--shards",
-        type=int,
+        type=_positive_int,
         default=shards,
         help=(
             f"ways to {shards_help} (fixed per invocation, so results are "
@@ -127,7 +146,7 @@ def _oracle_flags(parser, shards: int, shards_help: str, seed: int) -> None:
     )
     parser.add_argument("--seed", type=int, default=seed, help="run seed")
     parser.add_argument(
-        "--arch", help="processor family of the simulated testbed"
+        "--arch", type=_arch, help="processor family of the simulated testbed"
     )
 
 
@@ -150,10 +169,11 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("experiment", choices=sorted(REGISTRY), metavar="experiment")
     run.add_argument(
         "--arch",
+        type=_arch,
         help="restrict to one processor family (where the experiment allows)",
     )
     run.add_argument(
-        "--trials", type=int, help="trial count (where the experiment allows)"
+        "--trials", type=_positive_int, help="trial count (where the experiment allows)"
     )
     run.add_argument(
         "--trace-out",
@@ -176,7 +196,7 @@ def _build_parser() -> argparse.ArgumentParser:
     calibrate = subparsers.add_parser(
         "calibrate", help="print the calibration data for a testbed"
     )
-    calibrate.add_argument("--arch", default="ivy-bridge")
+    calibrate.add_argument("--arch", type=_arch, default="ivy-bridge")
     calibrate.add_argument(
         "--refresh",
         action="store_true",
@@ -352,12 +372,11 @@ def _driver_kwargs(
                 file=sys.stderr,
             )
     if args.arch:
-        arch = arch_by_name(args.arch)
         # Drivers take either a single arch or a sequence of them.
         if "arch" in parameters:
-            kwargs["arch"] = arch
+            kwargs["arch"] = args.arch
         elif "archs" in parameters:
-            kwargs["archs"] = [arch]
+            kwargs["archs"] = [args.arch]
         else:
             print(
                 f"note: {experiment} does not take an architecture",
@@ -372,7 +391,7 @@ def _driver_kwargs(
                 file=sys.stderr,
             )
     if "jobs" in parameters:
-        kwargs["jobs"] = args.jobs if args.jobs else default_cli_jobs()
+        kwargs["jobs"] = args.run_jobs
         if getattr(args, "trace_out", None):
             if kwargs["jobs"] != 1:
                 print(
@@ -395,7 +414,7 @@ def _run_kwargs(args: argparse.Namespace) -> tuple[str, dict, dict]:
     knobs = {
         "command": "run",
         "experiment": args.experiment,
-        "arch": args.arch,
+        "arch": args.arch and args.arch.name,
         "trials": args.trials,
         "check_invariants": bool(args.check_invariants),
     }
@@ -421,10 +440,10 @@ def _oracle_kwargs(args: argparse.Namespace) -> tuple[str, dict, dict]:
         "mutants": mutants,
         "shards": args.shards,
         "seed": args.seed,
-        "jobs": args.jobs if args.jobs else default_cli_jobs(),
+        "jobs": args.run_jobs,
     }
     if args.arch:
-        kwargs["arch"] = arch_by_name(args.arch)
+        kwargs["arch"] = args.arch
     experiment_id = "crash-check"
     if args.command == "explore":
         experiment_id = "explore-check"
@@ -437,7 +456,7 @@ def _oracle_kwargs(args: argparse.Namespace) -> tuple[str, dict, dict]:
         "mutant": args.mutant,
         "shards": args.shards,
         "seed": args.seed,
-        "arch": args.arch,
+        "arch": args.arch and args.arch.name,
     }
     return experiment_id, kwargs, knobs
 
@@ -446,7 +465,7 @@ def _service_kwargs(args: argparse.Namespace) -> tuple[str, dict, dict]:
     """``service <preset>``: a service experiment at a named scale."""
     experiment_id, build_kwargs = SERVICE_PRESETS[args.preset]
     kwargs = build_kwargs()
-    kwargs["jobs"] = args.jobs if args.jobs else default_cli_jobs()
+    kwargs["jobs"] = args.run_jobs
     knobs = {
         "command": "service",
         "preset": args.preset,
@@ -600,7 +619,6 @@ def _sweep(args: argparse.Namespace) -> int:
         print(f"journal: {status['journal']}")
         return 0
 
-    jobs = args.jobs if args.jobs else default_cli_jobs()
     reset_run_stats()
     started = time.perf_counter()
     try:
@@ -609,13 +627,13 @@ def _sweep(args: argparse.Namespace) -> int:
                 args.preset,
                 args.scale,
                 args.sweep_dir,
-                jobs=jobs,
+                jobs=args.run_jobs,
                 interrupt_after=args.interrupt_after,
             )
         else:
             sweep_run = resume_sweep(
                 args.sweep_dir,
-                jobs=jobs,
+                jobs=args.run_jobs,
                 interrupt_after=args.interrupt_after,
             )
     except RunInterrupted as interrupt:
@@ -663,9 +681,8 @@ def _list_experiments() -> int:
 
 
 def _calibrate(args: argparse.Namespace) -> int:
-    arch = arch_by_name(args.arch)
-    data = calibrate_arch(arch, refresh=args.refresh)
-    print(f"calibration for {arch.model} ({arch.family}):")
+    data = calibrate_arch(args.arch, refresh=args.refresh)
+    print(f"calibration for {args.arch.model} ({args.arch.family}):")
     print(f"  local DRAM latency : {data.dram_local_ns:8.2f} ns")
     print(f"  remote DRAM latency: {data.dram_remote_ns:8.2f} ns")
     print(f"  L3 latency         : {data.l3_ns:8.2f} ns")
@@ -691,7 +708,15 @@ def _trace_summarize(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point."""
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if "jobs" in args:
+        # --jobs stays as given, for the drivers that note it; the count
+        # every run uses is resolved once, here.
+        try:
+            args.run_jobs = args.jobs or default_cli_jobs()
+        except ValidationError as error:
+            parser.error(str(error))
     if args.command in EXPERIMENT_COMMANDS:
         return _emit(args, *EXPERIMENT_COMMANDS[args.command](args))
     if args.command == "list":

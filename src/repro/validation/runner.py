@@ -307,6 +307,17 @@ def _run_one(payload: tuple) -> RunResult:
     )
 
 
+def _env_jobs() -> Optional[int]:
+    """``QUARTZ_REPRO_JOBS`` as an int, or ``None`` when unset or blank."""
+    env = os.environ.get("QUARTZ_REPRO_JOBS", "").strip()
+    if not env:
+        return None
+    try:
+        return int(env)
+    except ValueError:
+        raise ValidationError(f"QUARTZ_REPRO_JOBS must be an integer, got {env!r}") from None
+
+
 def resolve_jobs(jobs: Optional[int] = None) -> int:
     """Normalise a job count: explicit > ``QUARTZ_REPRO_JOBS`` > 1.
 
@@ -314,17 +325,14 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     own default (``os.cpu_count()``) before calling a driver.
     """
     if jobs is None:
-        env = os.environ.get("QUARTZ_REPRO_JOBS", "").strip()
-        jobs = int(env) if env else 1
+        jobs = _env_jobs() or 1
     return max(1, int(jobs))
 
 
 def default_cli_jobs() -> int:
     """The CLI default: the environment override, else every core."""
-    env = os.environ.get("QUARTZ_REPRO_JOBS", "").strip()
-    if env:
-        return max(1, int(env))
-    return max(1, os.cpu_count() or 1)
+    env = _env_jobs()
+    return max(1, env if env is not None else os.cpu_count() or 1)
 
 
 def _prewarm_calibrations(specs: Sequence[RunSpec]) -> int:

@@ -41,9 +41,66 @@ def test_unknown_experiment_rejected():
         main(["run", "figure99"])
 
 
-def test_unknown_arch_rejected():
-    with pytest.raises(KeyError):
-        main(["run", "table2", "--arch", "skylake"])
+def _usage_error(argv, capsys) -> str:
+    """Run *argv*, require argparse's exit 2, and return its stderr."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "Traceback" not in err
+    return err
+
+
+def test_unknown_arch_rejected(capsys):
+    err = _usage_error(["run", "table2", "--arch", "skylake"], capsys)
+    assert "unknown architecture 'skylake'" in err
+
+
+@pytest.mark.parametrize("argv", (
+    ["crash-check", "kvstore"],
+    ["explore", "mutex-log"],
+    ["calibrate"],
+))
+def test_unknown_arch_exits_2_on_every_command(argv, capsys):
+    assert "unknown architecture" in _usage_error([*argv, "--arch", "nope"], capsys)
+
+
+def test_arch_alias_reaches_the_driver_as_its_spec(monkeypatch, capsys):
+    from repro.hw.arch import IVY_BRIDGE
+
+    seen = {}
+
+    def driver(arch=None):
+        seen["arch"] = arch
+        return _stub_driver()
+
+    monkeypatch.setitem(REGISTRY, "stub-exp", driver)
+    assert main(["run", "stub-exp", "--arch", "ivy"]) == 0
+    assert seen["arch"] is IVY_BRIDGE
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("value", ("0", "-3", "two"))
+def test_jobs_must_be_a_positive_int(value, capsys):
+    err = _usage_error(["run", "table2", "--jobs", value], capsys)
+    assert "argument --jobs" in err
+
+
+@pytest.mark.parametrize("value", ("0", "-2"))
+def test_trials_must_be_a_positive_int(value, capsys):
+    err = _usage_error(["run", "table2", "--trials", value], capsys)
+    assert "argument --trials" in err
+
+
+def test_shards_must_be_a_positive_int(capsys):
+    err = _usage_error(["crash-check", "kvstore", "--shards", "0"], capsys)
+    assert "argument --shards" in err
+
+
+def test_malformed_jobs_environment_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("QUARTZ_REPRO_JOBS", "abc")
+    err = _usage_error(["run", "table2", "--arch", "ivy-bridge"], capsys)
+    assert "QUARTZ_REPRO_JOBS must be an integer, got 'abc'" in err
 
 
 def _stub_driver():

@@ -281,6 +281,15 @@ def test_default_cli_jobs_uses_every_core(monkeypatch):
     assert default_cli_jobs() >= 1
 
 
+@pytest.mark.parametrize("resolve", (resolve_jobs, default_cli_jobs))
+def test_malformed_jobs_environment_is_a_named_validation_error(
+    monkeypatch, resolve
+):
+    monkeypatch.setenv("QUARTZ_REPRO_JOBS", "abc")
+    with pytest.raises(ValidationError, match="QUARTZ_REPRO_JOBS"):
+        resolve()
+
+
 @pytest.mark.parametrize("experiment_id", ("service-latency", "crash-check"))
 def test_trace_out_records_epochs_of_every_emulated_mode(tmp_path, experiment_id):
     # Service and crash runs attach Quartz like Conf_1 runs do, so the
