@@ -29,8 +29,10 @@ from typing import Optional, Sequence
 from repro.errors import (
     FaultPlanError,
     InvariantViolation,
+    QuartzError,
     RunInterrupted,
     ValidationError,
+    WorkloadError,
 )
 from repro.faults import FaultPlan, clear_active_faults, set_active_faults
 from repro.hw.arch import ArchSpec, arch_by_name
@@ -53,7 +55,7 @@ from repro.validation.runner import (
 
 
 def _positive_int(text: str) -> int:
-    """argparse type of ``--jobs``, ``--trials`` and ``--shards``."""
+    """argparse type of every count flag (``--jobs``, ``--trials``, ...)."""
     try:
         value = int(text)
     except ValueError:
@@ -295,7 +297,7 @@ def _build_parser() -> argparse.ArgumentParser:
         )
     for sub in (sweep_run, sweep_resume):
         sub.add_argument(
-            "--interrupt-after", type=int, default=None,
+            "--interrupt-after", type=_positive_int, default=None,
             help=(
                 "deterministic crash point: interrupt the sweep after N "
                 "fresh completions are checkpointed (exit 130; used by "
@@ -314,7 +316,7 @@ def _build_parser() -> argparse.ArgumentParser:
     summarize.add_argument("path", help="JSONL trace file")
     summarize.add_argument(
         "--max-records",
-        type=int,
+        type=_positive_int,
         default=None,
         help=(
             "apply an in-memory record cap while reloading (matches a "
@@ -524,9 +526,11 @@ def _emit(
     Reset stats → run the driver → build the manifest (its plan sections
     derived from the experiment id and kwargs) → render → summary →
     ``--out`` → verdict.  Exit codes: 0 success; 2 a malformed
-    ``--faults`` plan; 3 an invariant violated (the run aborts at the
-    first one); 4 a result row failed its oracle (``ok`` false); 130
-    interrupted, after the partial runner summary.
+    ``--faults`` plan or a configuration the run rejects
+    (``ValidationError``, ``QuartzError``, ``WorkloadError``); 3 an
+    invariant violated (the run aborts at the first one); 4 a result row
+    failed its oracle (``ok`` false); 130 interrupted, after the partial
+    runner summary.
     """
     fault_plan = None
     if getattr(args, "faults", None):
@@ -559,6 +563,9 @@ def _emit(
             file=sys.stderr,
         )
         return 3
+    except (ValidationError, QuartzError, WorkloadError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     except RunInterrupted as interrupt:
         print(f"interrupted: {interrupt}", file=sys.stderr)
         for line in _summary(consume_run_stats()):
@@ -695,7 +702,6 @@ def _calibrate(args: argparse.Namespace) -> int:
 
 
 def _trace_summarize(args: argparse.Namespace) -> int:
-    from repro.errors import QuartzError
     from repro.quartz.trace import summarize_trace_jsonl
 
     try:

@@ -77,13 +77,14 @@ class InvariantViolation(ReproError):
 class RunInterrupted(ReproError):
     """A run grid or sweep stopped before every spec finished.
 
-    Raised by the runner when a fan-out is cut short (Ctrl-C, a worker
-    pool breaking mid-sweep, or a deterministic ``interrupt_after`` test
-    crash point).  Completed work is never lost: the partial
-    :class:`~repro.validation.runner.RunnerStats` (stop reason
-    ``"interrupted"``) is already recorded when this propagates, and a
-    checkpointed sweep has journaled every finished spec.  ``completed``
-    and ``total`` let callers print progress without parsing the message.
+    Raised by the runner's one grid executor when a grid is cut short
+    (Ctrl-C, a worker pool breaking mid-grid, or a sweep's deterministic
+    ``interrupt_after`` crash point).  Completed work is never lost: the
+    partial :class:`~repro.validation.runner.RunnerStats` (stop reason
+    ``"interrupted"``) already folds every finished run when this
+    propagates, and a checkpointed sweep has journaled each of them.
+    ``completed`` (finished or reused runs) and ``total`` let callers
+    print progress without parsing the message.
     """
 
     def __init__(self, message: str, completed: int = 0, total: int = 0):

@@ -13,8 +13,8 @@ declarative grids of runs (:class:`RunSpec`), optionally across worker
 processes, with byte-identical results for any job count; its mode
 table ``MODES`` maps each run mode onto the builder, and each run's
 attachment reports come back in ``RunResult.reports``.
-``repro.validation.sweep`` layers a streaming, checkpointed work queue
-on top (journaled resume-after-crash, same digest guarantee).
+``repro.validation.sweep`` runs the same grid executor with a journal
+(resume-after-crash, same digest guarantee).
 """
 
 from repro.validation.configs import RunOutcome, run_conf1, run_conf2, run_native

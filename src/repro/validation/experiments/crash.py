@@ -27,7 +27,8 @@ from repro.validation.runner import run_mutant_shards
 from repro.workloads.graph500 import Graph500Config
 from repro.workloads.kvstore import KvStoreConfig
 
-#: Mutant axis of the experiment ("none" = the correct protocol).
+#: Mutant axis of the crash and explore experiments ("none" = the
+#: correct protocol).
 MUTANT_AXIS = ("none", "missing-flush", "misordered-barrier")
 
 #: The plan the CLI and CI use (also exported into the run manifest).

@@ -20,13 +20,11 @@ from typing import Optional, Sequence
 from repro.errors import ValidationError
 from repro.explore import ExplorePlan, LitmusConfig, merge_shard_reports
 from repro.hw.arch import IVY_BRIDGE, ArchSpec
+from repro.validation.experiments.crash import MUTANT_AXIS
 from repro.validation.reporting import ExperimentResult
 from repro.validation.runner import run_mutant_shards
 from repro.workloads.graph500 import Graph500Config
 from repro.workloads.kvstore import KvStoreConfig
-
-#: Mutant axis of the experiment ("none" = the correct protocol).
-MUTANT_AXIS = ("none", "missing-flush", "misordered-barrier")
 
 #: The plan the CLI and CI use (also exported into the run manifest).
 DEFAULT_EXPLORE_PLAN = ExplorePlan()

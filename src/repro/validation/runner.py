@@ -6,7 +6,9 @@ seed.  :class:`RunSpec` captures that description; :func:`run_specs`
 executes a grid of them, optionally across a ``ProcessPoolExecutor``
 (``jobs`` argument / ``QUARTZ_REPRO_JOBS``), and returns results in
 exactly the submitted order — so a driver's output table is byte-for-byte
-identical whatever the job count.
+identical whatever the job count.  It and the checkpointed sweep engine
+(:mod:`repro.validation.sweep`) are two front ends to one grid executor,
+``_run_grid``.
 
 Workers share calibration through the persistent on-disk cache (see
 ``repro.quartz.calibration``): the parent pre-warms every calibration a
@@ -364,19 +366,6 @@ def _prewarm_calibrations(specs: Sequence[RunSpec]) -> int:
     return len(needed)
 
 
-def _completed_results(futures: Sequence) -> list[RunResult]:
-    """Harvest every future that finished cleanly (post-interrupt)."""
-    results = []
-    for future in futures:
-        if future.done() and not future.cancelled():
-            try:
-                if future.exception() is None:
-                    results.append(future.result())
-            except Exception:  # racing cancellation; nothing to keep
-                pass
-    return results
-
-
 def _in_process_note(error: BaseException) -> None:
     print(
         f"note: process pool unavailable ({error!r}); running in-process",
@@ -392,12 +381,11 @@ def _run_parallel(
     Returns ``False`` when no pool is available; the caller then runs
     in-process.  Each payload is submitted as its own future (work-queue
     scheduling: an idle worker always pulls the next pending spec, so
-    one straggler never idles a chunk's worth of workers).  A
-    ``KeyboardInterrupt`` (also one raised by *deliver*) or a pool
-    breaking *mid-grid* cancels every pending future and raises
-    :class:`~repro.errors.RunInterrupted` carrying every result that did
-    finish — the caller records partial stats (and checkpoints) instead
-    of losing them.
+    one straggler never idles a chunk's worth of workers).  Whatever
+    stops the loop — a run raising, ``KeyboardInterrupt`` (also one
+    raised by *deliver*), a pool breaking mid-grid — cancels every
+    pending future; on an interrupt every run that did finish is
+    delivered first.
     """
     try:
         pool = ProcessPoolExecutor(max_workers=min(jobs, len(payloads)))
@@ -405,70 +393,24 @@ def _run_parallel(
         _in_process_note(error)
         return False
     futures: list = []
+    finished = False
     try:
         futures = [pool.submit(_run_one, payload) for payload in payloads]
         for future in as_completed(futures):
             deliver(future.result())
-    except (KeyboardInterrupt, BrokenProcessPool) as error:
-        for future in futures:
-            future.cancel()
+        finished = True
+    except (KeyboardInterrupt, BrokenProcessPool):
         pool.shutdown(wait=False, cancel_futures=True)
-        completed = _completed_results(futures)
-        raise _interrupted(error, completed, len(payloads), jobs) from error
+        for future in futures:
+            if future.done() and not future.cancelled() and future.exception() is None:
+                deliver(future.result())
+        raise
     except pickle.PicklingError as error:
-        pool.shutdown(wait=True, cancel_futures=True)
         _in_process_note(error)
         return False
-    pool.shutdown()
+    finally:
+        pool.shutdown(wait=finished, cancel_futures=True)
     return True
-
-
-def _interrupted(
-    error: BaseException, completed: list, total: int, jobs: int
-) -> RunInterrupted:
-    """The interrupt of a grid cut short after *completed* results."""
-    interrupt = RunInterrupted(
-        f"run grid interrupted ({type(error).__name__}) after "
-        f"{len(completed)} of {total} run(s)",
-        completed=len(completed),
-        total=total,
-    )
-    interrupt.results = list(completed)
-    interrupt.jobs = jobs
-    return interrupt
-
-
-def _run_grid(
-    payloads: list[tuple], jobs: int, deliver: Callable[[RunResult], None]
-) -> int:
-    """Run every payload, *deliver*-ing each result as it finishes.
-
-    Fans out over a process pool when ``jobs > 1`` and the grid holds
-    more than one payload (its calibrations warmed first); otherwise —
-    or when no pool is available — runs in-process, skipping what the
-    pool already delivered.  Returns the job count used.  Ctrl-C (also
-    a ``KeyboardInterrupt`` raised by *deliver*) or a pool breaking
-    mid-grid raises :class:`~repro.errors.RunInterrupted` carrying every
-    finished result.
-    """
-    finished: list[RunResult] = []
-
-    def take(result: RunResult) -> None:
-        finished.append(result)
-        deliver(result)
-
-    if jobs > 1 and len(payloads) > 1:
-        _prewarm_calibrations([payload[1] for payload in payloads])
-        if _run_parallel(payloads, jobs, take):
-            return jobs
-    delivered = {result.index for result in finished}
-    try:
-        for payload in payloads:
-            if payload[0] not in delivered:
-                take(_run_one(payload))
-    except KeyboardInterrupt as error:
-        raise _interrupted(error, finished, len(payloads), 1) from error
-    return 1
 
 
 def _fault_payload() -> tuple:
@@ -484,6 +426,108 @@ def _fault_payload() -> tuple:
     return ((context.plan, context.check_invariants),)
 
 
+def _run_grid(
+    specs: Sequence[RunSpec],
+    jobs: Optional[int],
+    consume: Callable[[RunSpec, RunResult], None],
+    reuse: Optional[dict[int, Callable[[], RunResult]]] = None,
+    record: Optional[Callable[[RunResult], None]] = None,
+    interrupt_after: Optional[int] = None,
+) -> int:
+    """The one grid executor, behind :func:`run_specs` and ``run_sweep``.
+
+    Runs every spec not in *reuse* (index -> loader of an earlier
+    result): over a process pool when ``jobs`` resolves above one, no
+    ``--trace-out`` sink is open and two or more specs need to run;
+    otherwise, or when no pool is available, in-process.
+    ``record(result)`` sees each fresh result as it finishes;
+    ``consume(spec, result)`` sees every result in submission order, as
+    soon as those before it are in (only out-of-order completions are
+    buffered; the peak count is returned).  The :class:`RunnerStats`
+    window gets the specs' provenance, the fresh results in submission
+    order, the job count used and the wall time.  Ctrl-C, a broken pool
+    or ``interrupt_after`` fresh results fold every finished run into
+    the window, mark it ``"interrupted"`` and raise
+    :class:`~repro.errors.RunInterrupted`.
+    """
+    specs = list(specs)
+    reuse = reuse or {}
+    total = len(specs)
+    faults = _fault_payload()
+    todo = [
+        (index, spec, *faults)
+        for index, spec in enumerate(specs)
+        if index not in reuse
+    ]
+    jobs = resolve_jobs(jobs)
+    if _trace_writer is not None or len(todo) < 2:
+        # Streaming a trace: stay in-process so the JSONL stream is
+        # ordered and single-writer (results are identical either way).
+        jobs = 1
+    stats = current_run_stats()
+    for spec in specs:
+        _record_spec(stats, spec)
+    ran: set[int] = set()
+    pending: dict[int, RunResult] = {}
+    merged = peak = 0
+
+    def drain() -> None:
+        nonlocal merged
+        while merged < total:
+            if merged in pending:
+                result = pending.pop(merged)
+                _record_result(stats, result)
+            elif merged in reuse:
+                result = reuse[merged]()
+                result.index = merged
+            else:
+                break
+            consume(specs[merged], result)
+            merged += 1
+
+    def take(result: RunResult) -> None:
+        nonlocal peak
+        if result.index in ran:
+            return
+        ran.add(result.index)
+        if record is not None:
+            record(result)
+        pending[result.index] = result
+        peak = max(peak, len(pending))
+        drain()
+        if len(ran) == interrupt_after:
+            raise KeyboardInterrupt
+
+    started = time.perf_counter()
+    try:
+        drain()
+        if jobs > 1:
+            _prewarm_calibrations([payload[1] for payload in todo])
+            if not _run_parallel(todo, jobs, take):
+                jobs = 1
+        for payload in todo:
+            if payload[0] not in ran:
+                take(_run_one(payload))
+    except (KeyboardInterrupt, BrokenProcessPool) as error:
+        # Completed work is not lost: fold the runs the merge still
+        # buffers, so the partial window (the CLI prints its summary)
+        # covers every finished run.
+        for index in sorted(pending):
+            _record_result(stats, pending[index])
+        stats.stop_reason = "interrupted"
+        raise RunInterrupted(
+            f"run grid interrupted ({type(error).__name__}) after "
+            f"{len(ran) + len(reuse)} of {total} run(s)",
+            completed=len(ran) + len(reuse),
+            total=total,
+        ) from error
+    finally:
+        stats.wall_s += time.perf_counter() - started
+        stats.jobs = max(stats.jobs, jobs)
+        stats.stream_merge_peak_rows = max(stats.stream_merge_peak_rows, peak)
+    return peak
+
+
 # ----------------------------------------------------------------------
 # Streaming epoch traces (CLI --trace-out)
 # ----------------------------------------------------------------------
@@ -497,7 +541,7 @@ def set_trace_out(path: Optional[str]):
     While a sink is active every emulated run the runner executes (the
     :data:`MODES` marked ``emulated``) streams its epoch closes
     and final emulator statistics to the JSONL file
-    (see :mod:`repro.quartz.trace`), and :func:`run_specs` pins itself
+    (see :mod:`repro.quartz.trace`), and the grid executor pins itself
     to in-process execution so the stream stays ordered and race-free.
     Returns the live writer (``None`` when closing).
     """
@@ -664,10 +708,10 @@ class RunnerStats:
     #: Per-run wall times (seconds), one entry per executed run — the
     #: raw series behind the p50/p99 tail summary.
     run_wall_times: list = field(default_factory=list)
-    #: Sweep-orchestration counters (zero outside ``run_sweep``): the
-    #: work queue's high-water mark of submitted-but-unfinished specs,
-    #: specs satisfied from a checkpoint journal without re-execution,
-    #: and the streaming merge's peak count of buffered result rows.
+    #: Sweep counters (zero outside ``run_sweep``): the work queue's
+    #: high-water mark of specs to execute and the specs satisfied from
+    #: a checkpoint journal without re-execution; then the grid
+    #: executor's peak count of buffered out-of-order result rows.
     queue_depth: int = 0
     specs_skipped: int = 0
     stream_merge_peak_rows: int = 0
@@ -811,17 +855,15 @@ def consume_run_stats() -> Optional[RunnerStats]:
     return stats
 
 
-def _ensure_stats(jobs: int) -> RunnerStats:
+def current_run_stats() -> RunnerStats:
     """The live accumulation window, created on first use.
 
-    Shared by :func:`run_specs` and the sweep engine
-    (:mod:`repro.validation.sweep`), which accumulates result-by-result
-    while streaming instead of holding a result list.
+    The grid executor folds every run into it; the sweep engine adds its
+    checkpoint counters.
     """
     global _run_stats
     if _run_stats is None:
-        _run_stats = RunnerStats(jobs=jobs)
-    _run_stats.jobs = max(_run_stats.jobs, jobs)
+        _run_stats = RunnerStats()
     return _run_stats
 
 
@@ -849,23 +891,6 @@ def _record_result(stats: RunnerStats, result: RunResult) -> None:
         REDUCERS[name].fold(stats.totals.setdefault(name, {}), report)
 
 
-def _record_stats(
-    specs: Sequence[RunSpec],
-    results: Sequence[RunResult],
-    jobs: int,
-    wall_s: float,
-    stop_reason: str = "completed",
-) -> None:
-    stats = _ensure_stats(jobs)
-    stats.wall_s += wall_s
-    if stop_reason != "completed":
-        stats.stop_reason = stop_reason
-    for spec in specs:
-        _record_spec(stats, spec)
-    for result in results:
-        _record_result(stats, result)
-
-
 # ----------------------------------------------------------------------
 # The entry point
 # ----------------------------------------------------------------------
@@ -880,28 +905,8 @@ def run_specs(
     order and placement cannot change any result: the returned tables are
     byte-identical for any ``jobs`` value.
     """
-    jobs = resolve_jobs(jobs)
-    if _trace_writer is not None:
-        # Streaming a trace: stay in-process so the JSONL stream is
-        # ordered and single-writer (results are identical either way).
-        jobs = 1
-    faults = _fault_payload()
-    payloads = [(index, spec, *faults) for index, spec in enumerate(specs)]
-    started = time.perf_counter()
     results: list[RunResult] = []
-    try:
-        jobs = _run_grid(payloads, jobs, results.append)
-    except RunInterrupted as interrupt:
-        # Completed work is not lost: record the partial window (the CLI
-        # prints its summary) before letting the interrupt propagate.
-        partial = sorted(interrupt.results, key=lambda r: r.index)
-        _record_stats(
-            specs, partial, interrupt.jobs, time.perf_counter() - started,
-            stop_reason="interrupted",
-        )
-        raise
-    results.sort(key=lambda result: result.index)
-    _record_stats(specs, results, jobs, time.perf_counter() - started)
+    _run_grid(specs, jobs, lambda spec, result: results.append(result))
     return results
 
 

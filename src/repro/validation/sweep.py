@@ -1,30 +1,23 @@
-"""Streaming, checkpointed sweep orchestration for thousand-config grids.
+"""Checkpointed sweeps: journal a grid's results so a cut run resumes.
 
-:func:`~repro.validation.runner.run_specs` fans a grid out and hands the
-caller one in-memory result list — fine for a figure's dozen runs, wrong
-for the tier×policy×throttle grids the N-tier experiments generate.
-This module is the scale-out path:
+A sweep runs its grid through the same executor as
+:func:`~repro.validation.runner.run_specs` (``runner._run_grid``: one
+future per spec, rows merged in submission order through a bounded
+out-of-order buffer, ``--jobs``-invariant output).  What this module
+adds is the journal:
 
-* **Fingerprinted work queue.**  Every :class:`RunSpec` digests to a
+* **Fingerprinted specs.**  Every :class:`RunSpec` digests to a
   canonical-form fingerprint (:func:`spec_fingerprint` — the export
   machinery's sorted-key minified-JSON convention applied to the spec
-  itself), and a sweep is a queue of fingerprints journaled to disk.
-* **Per-spec futures.**  Specs are submitted individually, so an idle
-  worker always pulls the next pending spec — a straggler (a crash-check
-  shard, a hot-promote migration run) never idles a chunk's worth of
-  workers the way a chunked ``pool.map`` does.
-* **Streaming results.**  Each finished run is pickled, digested, and
-  appended to a JSONL shard file the moment it completes; the in-order
-  merge buffers only out-of-order completions (its peak is reported as
-  ``stream_merge_peak_rows``), so a 1000-spec sweep never materializes
-  the full result list.  Rows reach the caller through a ``consume``
-  callback in strict submission order, preserving the byte-identical
-  ``--jobs 1`` vs ``--jobs N`` digest guarantee.
-* **Checkpoint/resume.**  An interrupted sweep restarts by loading the
-  journal's completed-spec records, re-verifying each shard record's
-  digest (a tampered or torn record is re-executed, never trusted), and
-  running only the remainder.  The merged output — and therefore the
-  export digest — is byte-identical to an uninterrupted run.
+  itself), and the ordered fingerprints name the grid
+  (:func:`grid_digest`).
+* **Checkpoint/resume.**  Each finished run is pickled, digested and
+  appended to the journal the moment it completes.  An interrupted
+  sweep restarts by loading the journal's completed-spec records,
+  re-verifying each shard record's digest (a tampered or torn record is
+  re-executed, never trusted), and running only the remainder.  The
+  merged output — and therefore the export digest — is byte-identical
+  to an uninterrupted run.
 
 The journal is two append-only JSONL files in a sweep directory:
 ``journal.jsonl`` (a header record naming the grid, then one ``done``
@@ -42,22 +35,17 @@ import hashlib
 import json
 import pickle
 import sys
-import time
 from dataclasses import dataclass, fields as dataclass_fields, is_dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
-from repro.errors import RunInterrupted, ValidationError
-from repro.validation import runner as runner_module
+from repro.errors import ValidationError
 from repro.validation.runner import (
     RunResult,
     RunSpec,
-    _ensure_stats,
-    _fault_payload,
-    _record_result,
-    _record_spec,
     _run_grid,
-    resolve_jobs,
+    current_run_stats,
 )
 
 #: Schema identity of the sweep journal.
@@ -446,20 +434,16 @@ def run_sweep(
     ``interrupt_after`` is the deterministic crash point the resume
     tests and the CI smoke ride on: after that many fresh completions
     are journaled the sweep raises
-    :class:`~repro.errors.RunInterrupted`, exactly as Ctrl-C would.
-
-    Raises :class:`~repro.errors.RunInterrupted` on interruption; the
-    partial :class:`~repro.validation.runner.RunnerStats` window (stop
-    reason ``"interrupted"``) is recorded first, and every completed
-    spec is already journaled.
+    :class:`~repro.errors.RunInterrupted`, exactly as Ctrl-C would —
+    with the partial runner stats recorded and every completed spec
+    journaled.
     """
-    jobs = resolve_jobs(jobs)
-    if runner_module._trace_writer is not None:
-        jobs = 1  # single-writer JSONL trace stream (same results)
     specs = list(specs)
-    total = len(specs)
-    fingerprints = [spec_fingerprint(spec) for spec in specs]
+    report = SweepReport(total=len(specs))
+    reuse: dict = {}
+    record = None
     if journal is not None:
+        fingerprints = [spec_fingerprint(spec) for spec in specs]
         expected = journal.header.get("grid_digest")
         if expected != grid_digest(fingerprints):
             raise ValidationError(
@@ -468,21 +452,13 @@ def run_sweep(
                 f"{str(expected)[:12]}); was the journal created for a "
                 "different preset/scale?"
             )
-    stats = _ensure_stats(jobs)
-    for spec in specs:
-        _record_spec(stats, spec)
-    started = time.perf_counter()
-
-    # Which checkpointed records are trustworthy?
-    reusable: dict = {}
-    report = SweepReport(total=total)
-    if journal is not None:
+        verified: dict = {}
         for fingerprint in dict.fromkeys(fingerprints):
-            record = journal.completed.get(fingerprint)
-            if record is None:
+            shard = journal.completed.get(fingerprint)
+            if shard is None:
                 continue
-            if journal.verify(record):
-                reusable[fingerprint] = record
+            if journal.verify(shard):
+                verified[fingerprint] = shard
             else:
                 report.tampered += 1
                 print(
@@ -490,96 +466,28 @@ def run_sweep(
                     "its digest check; re-executing that spec",
                     file=sys.stderr,
                 )
-    todo = [
-        index
-        for index, fingerprint in enumerate(fingerprints)
-        if fingerprint not in reusable
-    ]
-    report.skipped = total - len(todo)
-    stats.specs_skipped += report.skipped
-    stats.queue_depth = max(stats.queue_depth, len(todo))
+        reuse = {
+            index: partial(journal.load_result, verified[fingerprint])
+            for index, fingerprint in enumerate(fingerprints)
+            if fingerprint in verified
+        }
 
-    faults = _fault_payload()
-
-    def payload(index: int) -> tuple:
-        return (index, specs[index], *faults)
-
-    # Streaming in-order merge state.
-    next_index = 0
-    pending: dict = {}
-    done_indices: set = set()
-
-    def drain() -> None:
-        nonlocal next_index
-        while next_index < total:
-            fingerprint = fingerprints[next_index]
-            if next_index in pending:
-                result = pending.pop(next_index)
-            elif fingerprint in reusable:
-                result = journal.load_result(reusable[fingerprint])
-                result.index = next_index
-            else:
-                break
-            if consume is not None:
-                consume(specs[next_index], result)
-            next_index += 1
-
-    def finish_one(
-        index: int, result: RunResult, check_interrupt: bool = True
-    ) -> None:
-        report.executed += 1
-        done_indices.add(index)
-        if journal is not None:
-            journal.record_result(index, fingerprints[index], result)
-        _record_result(stats, result)
-        pending[index] = result
-        report.peak_buffered = max(report.peak_buffered, len(pending))
-        stats.stream_merge_peak_rows = max(
-            stats.stream_merge_peak_rows, len(pending)
-        )
-        drain()
-        if (
-            check_interrupt
-            and interrupt_after is not None
-            and report.executed >= interrupt_after
-        ):
-            raise KeyboardInterrupt
-
-    def record_interrupt(error: BaseException) -> RunInterrupted:
-        stats.wall_s += time.perf_counter() - started
-        stats.stop_reason = "interrupted"
-        progress = report.executed + report.skipped
-        interrupt = RunInterrupted(
-            f"sweep interrupted ({type(error).__name__}): {progress} of "
-            f"{total} spec(s) checkpointed; resume skips them",
-            completed=progress,
-            total=total,
-        )
-        return interrupt
-
-    try:
-        try:
-            _run_grid(
-                [payload(index) for index in todo],
-                jobs,
-                lambda result: finish_one(result.index, result),
+        def record(result: RunResult) -> None:
+            journal.record_result(
+                result.index, fingerprints[result.index], result
             )
-        except RunInterrupted as interrupt:
-            # Checkpoint runs that finished but were not yet merged — an
-            # interrupt wastes nothing journaled.
-            for result in interrupt.results:
-                if result.index not in done_indices:
-                    finish_one(result.index, result, check_interrupt=False)
-            cause = interrupt.__cause__
-            raise record_interrupt(cause) from cause
-        drain()
+
+    report.skipped = len(reuse)
+    report.executed = report.total - report.skipped
+    stats = current_run_stats()
+    stats.specs_skipped += report.skipped
+    stats.queue_depth = max(stats.queue_depth, report.executed)
+    try:
+        report.peak_buffered = _run_grid(
+            specs, jobs, consume or (lambda spec, result: None),
+            reuse, record, interrupt_after,
+        )
     finally:
         if journal is not None:
             journal.close()
-    if next_index != total:
-        raise ValidationError(
-            f"sweep merge incomplete: consumed {next_index} of {total} "
-            "spec(s) (internal error)"
-        )
-    stats.wall_s += time.perf_counter() - started
     return report

@@ -97,6 +97,29 @@ def test_shards_must_be_a_positive_int(capsys):
     assert "argument --shards" in err
 
 
+@pytest.mark.parametrize("command", ("run latency-grid", "resume"))
+@pytest.mark.parametrize("value", ("0", "-3"))
+def test_interrupt_after_must_be_a_positive_int(command, value, tmp_path, capsys):
+    argv = ["sweep", *command.split(), "--dir", str(tmp_path / "grid")]
+    err = _usage_error([*argv, "--interrupt-after", value], capsys)
+    assert "argument --interrupt-after" in err
+    assert not (tmp_path / "grid").exists()
+
+
+@pytest.mark.parametrize("value", ("0", "-1"))
+def test_max_records_must_be_a_positive_int(value, tmp_path, capsys):
+    argv = ["trace", "summarize", str(tmp_path / "trace.jsonl")]
+    err = _usage_error([*argv, "--max-records", value], capsys)
+    assert "argument --max-records" in err
+
+
+def test_configuration_the_run_rejects_exits_2(capsys):
+    assert main(["run", "tier-sweep", "--tiers", "50/60", "--jobs", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "error: " in err and "below the backing DRAM latency" in err
+    assert "Traceback" not in err
+
+
 def test_malformed_jobs_environment_exits_2(monkeypatch, capsys):
     monkeypatch.setenv("QUARTZ_REPRO_JOBS", "abc")
     err = _usage_error(["run", "table2", "--arch", "ivy-bridge"], capsys)

@@ -183,7 +183,6 @@ def test_sequential_interrupt_reports_partial_stats(monkeypatch):
         run_specs(specs, jobs=1)
     assert excinfo.value.completed == 2
     assert excinfo.value.total == 4
-    assert [r.index for r in excinfo.value.results] == [0, 1]
     stats = consume_run_stats()
     assert stats.stop_reason == "interrupted"
     assert stats.runs == 2
@@ -217,6 +216,42 @@ def test_parallel_interrupt_cancels_and_reports(monkeypatch):
         run_specs(specs, jobs=3)
     assert excinfo.value.completed == 0
     assert consume_run_stats().stop_reason == "interrupted"
+
+
+def test_failing_run_cancels_the_rest_of_the_grid(monkeypatch):
+    """A run raising anything (not only Ctrl-C) stops the pool: every
+    pending future is cancelled and the error propagates unchanged."""
+    from concurrent.futures import Future
+
+    from repro.errors import QuartzError
+
+    futures, shutdowns = [], []
+
+    class FailingPool:
+        def __init__(self, *args, **kwargs):
+            pass
+
+        def submit(self, *args, **kwargs):
+            future = Future()
+            if not futures:
+                future.set_exception(QuartzError("bad target"))
+            futures.append(future)
+            return future
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            shutdowns.append(cancel_futures)
+            if cancel_futures:
+                for future in futures:
+                    future.cancel()
+
+    monkeypatch.setattr(runner_module, "ProcessPoolExecutor", FailingPool)
+    reset_run_stats()
+    specs = [_memlat_spec(seed) for seed in (1, 2, 3, 4)]
+    with pytest.raises(QuartzError, match="bad target"):
+        run_specs(specs, jobs=2)
+    consume_run_stats()
+    assert shutdowns and all(shutdowns)
+    assert all(future.cancelled() for future in futures[1:])
 
 
 # ----------------------------------------------------------------------

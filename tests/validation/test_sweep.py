@@ -184,6 +184,23 @@ def test_report_counts_and_peak_buffer():
     assert stats.telemetry()["sweep"]["stream_merge_peak_rows"] <= 1
 
 
+def test_stats_record_the_job_count_actually_used(tmp_path):
+    # One spec to run (and a resume with none left) never fans out, so
+    # the summary must say one job whatever was asked for.
+    reset_run_stats()
+    run_sweep([_memlat_spec(1)], jobs=8)
+    assert consume_run_stats().jobs == 1
+
+    specs = [_memlat_spec(seed) for seed in (1, 2)]
+    run_sweep(specs, journal=_fresh_journal(tmp_path, specs), jobs=1)
+    reset_run_stats()
+    report = run_sweep(
+        specs, journal=SweepJournal.open(tmp_path / "test"), jobs=8
+    )
+    assert report.skipped == 2
+    assert consume_run_stats().jobs == 1
+
+
 def test_large_grid_streams_through_bounded_buffer():
     """The >=500-spec acceptance criterion: the engine never holds the
     grid's results in memory — the out-of-order merge buffer stays far
