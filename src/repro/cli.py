@@ -73,6 +73,29 @@ def _arch(name: str) -> ArchSpec:
         raise argparse.ArgumentTypeError(error.args[0]) from None
 
 
+def _parse_tier_ladder(spec: str) -> tuple:
+    """argparse type of ``--tiers``: 'read/write,read/write,...' ns pairs.
+
+    A bare number is accepted per tier as symmetric read==write.
+    """
+    ladder = []
+    for index, chunk in enumerate(spec.split(",")):
+        chunk = chunk.strip()
+        try:
+            if "/" in chunk:
+                read_text, write_text = chunk.split("/", 1)
+                pair = (float(read_text), float(write_text))
+            else:
+                pair = (float(chunk), float(chunk))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"cannot parse tier {index + 1} from {chunk!r} "
+                "(expected 'read/write' latencies in ns, e.g. '400/600')"
+            ) from None
+        ladder.append(pair)
+    return tuple(ladder)
+
+
 def _output_flags() -> argparse.ArgumentParser:
     """``--jobs``/``--format``/``--out``: every result-emitting command's."""
     flags = argparse.ArgumentParser(add_help=False)
@@ -187,6 +210,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--tiers",
+        type=_parse_tier_ladder,
         help=(
             "emulated memory-tier ladder for the multi-tier experiments: "
             "comma-separated read/write latency pairs in ns, fastest "
@@ -326,31 +350,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_tier_ladder(spec: str) -> tuple:
-    """Parse ``--tiers``: 'read/write,read/write,...' ns pairs.
-
-    A bare number is accepted per tier as symmetric read==write.
-    """
-    ladder = []
-    for index, chunk in enumerate(spec.split(",")):
-        chunk = chunk.strip()
-        try:
-            if "/" in chunk:
-                read_text, write_text = chunk.split("/", 1)
-                pair = (float(read_text), float(write_text))
-            else:
-                pair = (float(chunk), float(chunk))
-        except ValueError:
-            raise SystemExit(
-                f"--tiers: cannot parse tier {index + 1} from {chunk!r} "
-                "(expected 'read/write' latencies in ns, e.g. '400/600')"
-            )
-        ladder.append(pair)
-    if not ladder:
-        raise SystemExit("--tiers: at least one tier is required")
-    return tuple(ladder)
-
-
 def _driver_kwargs(
     experiment: str, driver, args: argparse.Namespace
 ) -> dict:
@@ -361,8 +360,8 @@ def _driver_kwargs(
     """
     parameters = inspect.signature(driver).parameters
     kwargs: dict = {}
-    if getattr(args, "tiers", None):
-        ladder = _parse_tier_ladder(args.tiers)
+    ladder = getattr(args, "tiers", None)
+    if ladder:
         # The sweep takes named ladders; the policy study takes one.
         if "tier_sets" in parameters:
             kwargs["tier_sets"] = {"cli": ladder}

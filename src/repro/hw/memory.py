@@ -21,7 +21,6 @@ Two responsibilities, matching the paper:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Optional, TYPE_CHECKING
 
 from repro.errors import HardwareError
@@ -36,14 +35,6 @@ THROTTLE_REGISTER_BITS = 12
 THROTTLE_REGISTER_MAX = (1 << THROTTLE_REGISTER_BITS) - 1
 
 _flow_ids = itertools.count(1)
-
-
-@dataclass
-class FlowStats:
-    """Lifetime transfer statistics for one flow."""
-
-    submitted_bytes: float = 0.0
-    transferred_bytes: float = 0.0
 
 
 class MemoryFlow:

@@ -181,11 +181,6 @@ class Barrier:
         self._waiting: list[tuple["SimThread", Condition]] = []
         self.generation = 0
 
-    @property
-    def waiting_count(self) -> int:
-        """Threads currently blocked at the barrier."""
-        return len(self._waiting)
-
     def _wait(self, thread: "SimThread"):
         """Channel-B generator: block until all parties arrive."""
         if any(waiter is thread for waiter, _ in self._waiting):

@@ -11,6 +11,7 @@ model (pflush of Section 3.1 vs. the pcommit extension of Section 6).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -118,18 +119,17 @@ class QuartzConfig:
 
     def validate(self) -> None:
         """Raise :class:`QuartzError` on inconsistent settings."""
-        if self.nvm_read_latency_ns <= 0:
+        if not 0 < self.nvm_read_latency_ns < math.inf:
             raise QuartzError(
-                f"NVM read latency must be positive: {self.nvm_read_latency_ns}"
+                "NVM read latency must be finite and positive: "
+                f"{self.nvm_read_latency_ns}"
             )
-        if self.nvm_bandwidth_gbps is not None and self.nvm_bandwidth_gbps <= 0:
-            raise QuartzError(
-                f"NVM bandwidth must be positive: {self.nvm_bandwidth_gbps}"
-            )
-        for name in ("nvm_read_bandwidth_gbps", "nvm_write_bandwidth_gbps"):
+        for name in (
+            "nvm_bandwidth_gbps", "nvm_read_bandwidth_gbps", "nvm_write_bandwidth_gbps",
+        ):
             value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise QuartzError(f"{name} must be positive: {value}")
+            if value is not None and not 0 < value < math.inf:
+                raise QuartzError(f"{name} must be finite and positive: {value}")
         asymmetric = (
             self.nvm_read_bandwidth_gbps is not None
             or self.nvm_write_bandwidth_gbps is not None
@@ -141,21 +141,31 @@ class QuartzConfig:
             raise QuartzError(
                 "asymmetric throttling needs both read and write targets"
             )
-        if self.nvm_write_latency_ns is not None and self.nvm_write_latency_ns < 0:
+        if self.nvm_write_latency_ns is not None and not (
+            0 <= self.nvm_write_latency_ns < math.inf
+        ):
             raise QuartzError(
-                f"NVM write latency must be non-negative: {self.nvm_write_latency_ns}"
+                "NVM write latency must be finite and non-negative: "
+                f"{self.nvm_write_latency_ns}"
             )
-        if self.max_epoch_ns <= 0:
-            raise QuartzError(f"max epoch must be positive: {self.max_epoch_ns}")
-        if self.min_epoch_ns < 0:
-            raise QuartzError(f"min epoch must be non-negative: {self.min_epoch_ns}")
+        if not 0 < self.max_epoch_ns < math.inf:
+            raise QuartzError(
+                f"max epoch must be finite and positive: {self.max_epoch_ns}"
+            )
+        if not 0 <= self.min_epoch_ns < math.inf:
+            raise QuartzError(
+                f"min epoch must be finite and non-negative: {self.min_epoch_ns}"
+            )
         if self.min_epoch_ns > self.max_epoch_ns:
             raise QuartzError(
                 f"min epoch {self.min_epoch_ns} exceeds max epoch {self.max_epoch_ns}"
             )
-        if self.monitor_interval_ns is not None and self.monitor_interval_ns <= 0:
+        if self.monitor_interval_ns is not None and not (
+            0 < self.monitor_interval_ns < math.inf
+        ):
             raise QuartzError(
-                f"monitor interval must be positive: {self.monitor_interval_ns}"
+                "monitor interval must be finite and positive: "
+                f"{self.monitor_interval_ns}"
             )
         if self.counter_backend not in ("rdpmc", "papi"):
             raise QuartzError(

@@ -105,10 +105,6 @@ class PmWriteEmulator:
                 yield Spin(remaining, label="quartz-pcommit-delay")
         return result
 
-    def pending_flush_count(self, thread: "SimThread") -> int:
-        """Posted-but-uncommitted flushes of one thread."""
-        return len(self._pending_deadlines.get(thread.tid, ()))
-
     def total_pending_flushes(self) -> int:
         """Posted-but-uncommitted flushes across every live thread."""
         return sum(len(deadlines) for deadlines in self._pending_deadlines.values())

@@ -33,6 +33,7 @@ stay byte-identical across ``--jobs`` values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, TYPE_CHECKING
 
@@ -68,21 +69,16 @@ class MemoryTier:
     def __post_init__(self) -> None:
         if not self.name:
             raise QuartzError("memory tier needs a name")
-        if self.read_latency_ns <= 0:
-            raise QuartzError(
-                f"tier {self.name!r}: read latency must be positive: "
-                f"{self.read_latency_ns}"
-            )
-        if self.write_latency_ns <= 0:
-            raise QuartzError(
-                f"tier {self.name!r}: write latency must be positive: "
-                f"{self.write_latency_ns}"
-            )
-        if self.bandwidth_gbps is not None and self.bandwidth_gbps <= 0:
-            raise QuartzError(
-                f"tier {self.name!r}: bandwidth must be positive: "
-                f"{self.bandwidth_gbps}"
-            )
+        for what, value in (
+            ("read latency", self.read_latency_ns),
+            ("write latency", self.write_latency_ns),
+            ("bandwidth", self.bandwidth_gbps),
+        ):
+            if value is not None and not 0 < value < math.inf:
+                raise QuartzError(
+                    f"tier {self.name!r}: {what} must be finite and positive: "
+                    f"{value}"
+                )
         if self.capacity_bytes is not None and self.capacity_bytes <= 0:
             raise QuartzError(
                 f"tier {self.name!r}: capacity must be positive: "

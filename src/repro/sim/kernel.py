@@ -373,13 +373,6 @@ class Simulator:
                 )
             remaining -= 1
 
-    def _next_pending(self) -> Optional[ScheduledEvent]:
-        heap = self._heap
-        while heap and heap[0][2]._cancelled:
-            _heappop(heap)
-            self._cancelled_in_heap -= 1
-        return heap[0][2] if heap else None
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------

@@ -16,7 +16,7 @@ from repro.quartz.config import QuartzConfig
 from repro.units import ns_to_ms
 from repro.validation.metrics import relative_error
 from repro.validation.reporting import ExperimentResult
-from repro.validation.runner import RunSpec, run_specs
+from repro.validation.runner import RunSpec, emulated_runs, run_cells, run_specs
 from repro.workloads.graph500 import Graph500Config
 from repro.workloads.graphs import CsrGraph, synthetic_scale_free
 from repro.workloads.kvstore import KvStoreConfig
@@ -43,29 +43,23 @@ def run_figure15(
     )
     calibration = calibrate_arch(arch)
     config = QuartzConfig(nvm_read_latency_ns=calibration.dram_remote_ns)
-    specs = []
-    for threads in thread_counts:
-        workload = KvStoreConfig(
-            puts_per_thread=puts_per_thread,
-            gets_per_thread=gets_per_thread,
-            threads=threads,
-        )
-        specs.append(
+    cells = [
+        emulated_runs(
             RunSpec(
-                workload="kvstore", config=workload, arch_name=arch.name,
-                mode="conf1", seed=700, quartz=config,
-            )
+                workload="kvstore",
+                config=KvStoreConfig(
+                    puts_per_thread=puts_per_thread,
+                    gets_per_thread=gets_per_thread,
+                    threads=threads,
+                ),
+                arch_name=arch.name, mode="conf2", seed=700,
+            ),
+            config,
         )
-        specs.append(
-            RunSpec(
-                workload="kvstore", config=workload, arch_name=arch.name,
-                mode="conf2", seed=700,
-            )
-        )
-    results = iter(run_specs(specs, jobs=jobs))
-    for threads in thread_counts:
-        emulated = next(results).workload_result
-        physical = next(results).workload_result
+        for threads in thread_counts
+    ]
+    for threads, runs in zip(thread_counts, run_cells(cells, jobs=jobs)):
+        physical, emulated = (run.workload_result for run in runs)
         result.add_row(
             processor=arch.family,
             threads=threads,
@@ -98,17 +92,16 @@ def run_pagerank_validation(
         )
     calibration = calibrate_arch(arch)
     config = QuartzConfig(nvm_read_latency_ns=calibration.dram_remote_ns)
-    specs = [
-        RunSpec(
-            workload="pagerank", config=workload, arch_name=arch.name,
-            mode="conf1", seed=710, quartz=config, extras={"graph": graph},
+    physical, emulated = run_specs(
+        emulated_runs(
+            RunSpec(
+                workload="pagerank", config=workload, arch_name=arch.name,
+                mode="conf2", seed=710, extras={"graph": graph},
+            ),
+            config,
         ),
-        RunSpec(
-            workload="pagerank", config=workload, arch_name=arch.name,
-            mode="conf2", seed=710, extras={"graph": graph},
-        ),
-    ]
-    emulated, physical = run_specs(specs, jobs=jobs)
+        jobs=jobs,
+    )
     result = ExperimentResult(
         experiment_id="pagerank-validation",
         title="PageRank completion-time validation",
@@ -150,17 +143,16 @@ def run_graph500_validation(
         )
     calibration = calibrate_arch(arch)
     config = QuartzConfig(nvm_read_latency_ns=calibration.dram_remote_ns)
-    specs = [
-        RunSpec(
-            workload="graph500", config=workload, arch_name=arch.name,
-            mode="conf1", seed=720, quartz=config, extras={"graph": graph},
+    physical, emulated = run_specs(
+        emulated_runs(
+            RunSpec(
+                workload="graph500", config=workload, arch_name=arch.name,
+                mode="conf2", seed=720, extras={"graph": graph},
+            ),
+            config,
         ),
-        RunSpec(
-            workload="graph500", config=workload, arch_name=arch.name,
-            mode="conf2", seed=720, extras={"graph": graph},
-        ),
-    ]
-    emulated, physical = run_specs(specs, jobs=jobs)
+        jobs=jobs,
+    )
     result = ExperimentResult(
         experiment_id="graph500-validation",
         title="Graph500 BFS completion-time validation",
@@ -179,6 +171,53 @@ def run_graph500_validation(
     return result
 
 
+def _relative_to_native(
+    arch: ArchSpec,
+    seed: int,
+    configs: Sequence[QuartzConfig],
+    pagerank: Optional[PageRankConfig],
+    kv: Optional[KvStoreConfig],
+    jobs: Optional[int],
+) -> list[dict]:
+    """Figure 16's row values under each config, relative to native runs.
+
+    PageRank completion time and KV-store put/get throughput, each
+    emulated run divided by the same workload run natively.
+    """
+    pagerank = pagerank or PageRankConfig(max_iterations=12, tolerance=1e-15)
+    # The value heap must exceed the LLC or gets never reach (emulated)
+    # NVM: 60k x 1 KiB values = ~60 MB per thread.
+    kv = kv or KvStoreConfig(puts_per_thread=60_000, gets_per_thread=60_000)
+    graph = synthetic_scale_free(
+        pagerank.vertex_count, pagerank.edges_per_vertex, seed=pagerank.seed
+    )
+    references = (
+        RunSpec(
+            workload="pagerank", config=pagerank, arch_name=arch.name,
+            mode="native", seed=seed, extras={"graph": graph},
+        ),
+        RunSpec(
+            workload="kvstore", config=kv, arch_name=arch.name,
+            mode="native", seed=seed,
+        ),
+    )
+    (baseline_pr, *pr_runs), (baseline_kv, *kv_runs) = (
+        [run.workload_result for run in runs]
+        for runs in run_cells(
+            [emulated_runs(reference, *configs) for reference in references],
+            jobs=jobs,
+        )
+    )
+    return [
+        {
+            "pagerank_ct_rel": pr.elapsed_ns / baseline_pr.elapsed_ns,
+            "kv_puts_rel": kv_result.puts_per_second / baseline_kv.puts_per_second,
+            "kv_gets_rel": kv_result.gets_per_second / baseline_kv.gets_per_second,
+        }
+        for pr, kv_result in zip(pr_runs, kv_runs)
+    ]
+
+
 def run_figure16_latency(
     arch: ArchSpec = SANDY_BRIDGE,
     target_latencies_ns: Sequence[float] = (
@@ -190,49 +229,16 @@ def run_figure16_latency(
 ) -> ExperimentResult:
     """Figure 16(a)/(c): sensitivity to NVM read latency.
 
-    Values are normalised to the DRAM-latency baseline; the paper's
-    shape: MassTree throughput -15% at 200 ns and ~5x down at 2 us;
-    PageRank flat at 200 ns, >5x completion time at 2 us.
+    Values are normalised to the native (DRAM-latency) baseline; the
+    paper's shape: MassTree throughput -15% at 200 ns and ~5x down at
+    2 us; PageRank flat at 200 ns, >5x completion time at 2 us.
     """
-    pagerank = pagerank or PageRankConfig(max_iterations=12, tolerance=1e-15)
-    # The value heap must exceed the LLC or gets never reach (emulated)
-    # NVM: 60k x 1 KiB values = ~60 MB per thread.
-    kv = kv or KvStoreConfig(puts_per_thread=60_000, gets_per_thread=60_000)
-    graph = synthetic_scale_free(
-        pagerank.vertex_count, pagerank.edges_per_vertex, seed=pagerank.seed
+    dram_ns = calibrate_arch(arch).dram_local_ns
+    targets = [target for target in target_latencies_ns if target > dram_ns]
+    rows = _relative_to_native(
+        arch, 730, [QuartzConfig(nvm_read_latency_ns=target) for target in targets],
+        pagerank, kv, jobs,
     )
-    calibration = calibrate_arch(arch)
-    specs = [
-        RunSpec(
-            workload="pagerank", config=pagerank, arch_name=arch.name,
-            mode="native", seed=730, extras={"graph": graph},
-        ),
-        RunSpec(
-            workload="kvstore", config=kv, arch_name=arch.name,
-            mode="native", seed=730,
-        ),
-    ]
-    emulated_targets = [
-        target for target in target_latencies_ns
-        if target > calibration.dram_local_ns
-    ]
-    for target in emulated_targets:
-        config = QuartzConfig(nvm_read_latency_ns=target)
-        specs.append(
-            RunSpec(
-                workload="pagerank", config=pagerank, arch_name=arch.name,
-                mode="conf1", seed=730, quartz=config, extras={"graph": graph},
-            )
-        )
-        specs.append(
-            RunSpec(
-                workload="kvstore", config=kv, arch_name=arch.name,
-                mode="conf1", seed=730, quartz=config,
-            )
-        )
-    results = iter(run_specs(specs, jobs=jobs))
-    baseline_pr = next(results).workload_result
-    baseline_kv = next(results).workload_result
     result = ExperimentResult(
         experiment_id="figure16-latency",
         title="PageRank and KV-store sensitivity to NVM latency",
@@ -240,26 +246,19 @@ def run_figure16_latency(
             "nvm_latency_ns", "pagerank_ct_rel", "kv_puts_rel", "kv_gets_rel",
         ],
     )
-    for target in target_latencies_ns:
-        if target not in emulated_targets:
-            # The DRAM point itself: the baseline.
-            result.add_row(
-                nvm_latency_ns=target, pagerank_ct_rel=1.0,
-                kv_puts_rel=1.0, kv_gets_rel=1.0,
-            )
-            continue
-        pr = next(results).workload_result
-        kv_result = next(results).workload_result
-        result.add_row(
-            nvm_latency_ns=target,
-            pagerank_ct_rel=pr.elapsed_ns / baseline_pr.elapsed_ns,
-            kv_puts_rel=kv_result.puts_per_second / baseline_kv.puts_per_second,
-            kv_gets_rel=kv_result.gets_per_second / baseline_kv.gets_per_second,
-        )
+    for target, row in zip(targets, rows):
+        result.add_row(nvm_latency_ns=target, **row)
     result.note(
         "paper shape: KV throughput -15% at 200 ns and ~5x lower at 2 us; "
         "PageRank CT ~flat at 200 ns and >5x at 2 us"
     )
+    for target in target_latencies_ns:
+        if target <= dram_ns:
+            result.note(
+                f"skipped cell: {arch.family} @ target {target:g} ns — not "
+                f"above the local DRAM latency {dram_ns:g} ns (DRAM can only "
+                "be slowed down)"
+            )
     return result
 
 
@@ -275,45 +274,16 @@ def run_figure16_bandwidth(
     Latency held at the DRAM-feasible minimum; only bandwidth throttled.
     Paper: PageRank unaffected above ~3 GB/s, MassTree above ~1.5 GB/s.
     """
-    pagerank = pagerank or PageRankConfig(max_iterations=12, tolerance=1e-15)
-    # The value heap must exceed the LLC or gets never reach (emulated)
-    # NVM: 60k x 1 KiB values = ~60 MB per thread.
-    kv = kv or KvStoreConfig(puts_per_thread=60_000, gets_per_thread=60_000)
-    graph = synthetic_scale_free(
-        pagerank.vertex_count, pagerank.edges_per_vertex, seed=pagerank.seed
-    )
     calibration = calibrate_arch(arch)
     bandwidths = sorted(bandwidths_gbps)
-    specs = [
-        RunSpec(
-            workload="pagerank", config=pagerank, arch_name=arch.name,
-            mode="native", seed=740, extras={"graph": graph},
-        ),
-        RunSpec(
-            workload="kvstore", config=kv, arch_name=arch.name,
-            mode="native", seed=740,
-        ),
-    ]
-    for bandwidth in bandwidths:
-        config = QuartzConfig(
+    configs = [
+        QuartzConfig(
             nvm_read_latency_ns=calibration.dram_local_ns * 1.001,
             nvm_bandwidth_gbps=bandwidth,
         )
-        specs.append(
-            RunSpec(
-                workload="pagerank", config=pagerank, arch_name=arch.name,
-                mode="conf1", seed=740, quartz=config, extras={"graph": graph},
-            )
-        )
-        specs.append(
-            RunSpec(
-                workload="kvstore", config=kv, arch_name=arch.name,
-                mode="conf1", seed=740, quartz=config,
-            )
-        )
-    results = iter(run_specs(specs, jobs=jobs))
-    baseline_pr = next(results).workload_result
-    baseline_kv = next(results).workload_result
+        for bandwidth in bandwidths
+    ]
+    rows = _relative_to_native(arch, 740, configs, pagerank, kv, jobs)
     result = ExperimentResult(
         experiment_id="figure16-bandwidth",
         title="PageRank and KV-store sensitivity to NVM bandwidth",
@@ -321,15 +291,8 @@ def run_figure16_bandwidth(
             "nvm_bandwidth_gbps", "pagerank_ct_rel", "kv_puts_rel", "kv_gets_rel",
         ],
     )
-    for bandwidth in bandwidths:
-        pr = next(results).workload_result
-        kv_result = next(results).workload_result
-        result.add_row(
-            nvm_bandwidth_gbps=bandwidth,
-            pagerank_ct_rel=pr.elapsed_ns / baseline_pr.elapsed_ns,
-            kv_puts_rel=kv_result.puts_per_second / baseline_kv.puts_per_second,
-            kv_gets_rel=kv_result.gets_per_second / baseline_kv.gets_per_second,
-        )
+    for bandwidth, row in zip(bandwidths, rows):
+        result.add_row(nvm_bandwidth_gbps=bandwidth, **row)
     result.note(
         "paper shape: PageRank CT impacted only below ~3 GB/s; KV "
         "throughput only below ~1.5 GB/s"

@@ -26,7 +26,7 @@ from repro.sim import Simulator
 from repro.units import MIB, MILLISECOND, ns_to_ms
 from repro.validation.metrics import relative_error
 from repro.validation.reporting import ExperimentResult
-from repro.validation.runner import RunSpec, run_specs
+from repro.validation.runner import RunSpec, emulated_runs, run_cells, run_specs
 from repro.workloads.graphs import CsrGraph
 from repro.workloads.kvstore import KvStoreConfig
 from repro.workloads.pagerank import PageRankConfig, default_graph
@@ -57,28 +57,21 @@ def run_parallel_pagerank(
             "speedup_emulated",
         ],
     )
-    specs = []
-    for threads in thread_counts:
-        workload = ParallelPageRankConfig(base=base, threads=threads)
-        specs.append(
+    cells = [
+        emulated_runs(
             RunSpec(
-                workload="parallel-pagerank", config=workload,
-                arch_name=arch.name, mode="conf1", seed=900, quartz=config,
-                extras={"graph": graph},
-            )
-        )
-        specs.append(
-            RunSpec(
-                workload="parallel-pagerank", config=workload,
+                workload="parallel-pagerank",
+                config=ParallelPageRankConfig(base=base, threads=threads),
                 arch_name=arch.name, mode="conf2", seed=900,
                 extras={"graph": graph},
-            )
+            ),
+            config,
         )
-    results = iter(run_specs(specs, jobs=jobs))
+        for threads in thread_counts
+    ]
     single_emulated_ns = None
-    for threads in thread_counts:
-        emulated = next(results).workload_result
-        physical = next(results).workload_result
+    for threads, runs in zip(thread_counts, run_cells(cells, jobs=jobs)):
+        physical, emulated = (run.workload_result for run in runs)
         if single_emulated_ns is None:
             single_emulated_ns = emulated.elapsed_ns
         result.add_row(
@@ -310,20 +303,16 @@ def run_technology_comparison(
     """KV-store throughput across NVM technology presets."""
     kv = kv or KvStoreConfig(puts_per_thread=30_000, gets_per_thread=30_000)
     calibrate_arch(arch)
-    specs = [
+    specs = emulated_runs(
         RunSpec(
             workload="kvstore", config=kv, arch_name=arch.name,
             mode="native", seed=55,
-        )
-    ]
-    for technology in technologies:
-        specs.append(
-            RunSpec(
-                workload="kvstore", config=kv, arch_name=arch.name,
-                mode="conf1", seed=55,
-                quartz=technology.quartz_config(nvm_write_latency_ns=None),
-            )
-        )
+        ),
+        *(
+            technology.quartz_config(nvm_write_latency_ns=None)
+            for technology in technologies
+        ),
+    )
     runs = run_specs(specs, jobs=jobs)
     baseline = runs[0].workload_result
     result = ExperimentResult(

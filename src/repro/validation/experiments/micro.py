@@ -18,7 +18,7 @@ from repro.quartz.config import QuartzConfig
 from repro.units import MILLISECOND
 from repro.validation.metrics import relative_error, summarize
 from repro.validation.reporting import ExperimentResult
-from repro.validation.runner import RunSpec, run_specs
+from repro.validation.runner import RunSpec, emulated_runs, run_cells, run_specs
 from repro.workloads.memlat import MemLatConfig
 from repro.workloads.stream import StreamConfig
 
@@ -38,30 +38,25 @@ def run_table2(
             "min_remote", "avg_remote", "max_remote",
         ],
     )
-    specs = [
-        RunSpec(
-            workload="memlat",
-            config=MemLatConfig(iterations=iterations),
-            arch_name=arch.name,
-            mode="chase",
-            seed=100 + trial,
-            extras={"mem_node": node},
-        )
-        for arch in archs
-        for node in (0, 1)
-        for trial in range(trials)
-    ]
-    results = iter(run_specs(specs, jobs=jobs))
-    for arch in archs:
-        latencies = {
-            node: [
-                next(results).workload_result.measured_latency_ns
-                for _ in range(trials)
-            ]
+    cells = [
+        [
+            RunSpec(
+                workload="memlat",
+                config=MemLatConfig(iterations=iterations),
+                arch_name=arch.name,
+                mode="chase",
+                seed=100 + trial,
+                extras={"mem_node": node},
+            )
             for node in (0, 1)
-        }
-        local = summarize(latencies[0])
-        remote = summarize(latencies[1])
+            for trial in range(trials)
+        ]
+        for arch in archs
+    ]
+    for arch, runs in zip(archs, run_cells(cells, jobs=jobs)):
+        latencies = [run.workload_result.measured_latency_ns for run in runs]
+        local = summarize(latencies[:trials])
+        remote = summarize(latencies[trials:])
         result.add_row(
             processor=arch.family,
             min_local=local.minimum, avg_local=local.mean, max_local=local.maximum,
@@ -134,7 +129,7 @@ def run_figure11(
         title="MemLat emulation error vs concurrent pointer chains",
         columns=["processor", "chains", "error_pct"],
     )
-    specs = []
+    keys, cells = [], []
     for arch in archs:
         calibration = calibrate_arch(arch)
         # 1 ms epochs (footnote 4: as accurate as 10 ms) keep the
@@ -144,38 +139,32 @@ def run_figure11(
             max_epoch_ns=1.0 * MILLISECOND,
         )
         for chains in chain_counts:
-            for trial in range(trials):
-                memlat = MemLatConfig(iterations=iterations, chains=chains)
-                specs.append(
-                    RunSpec(
-                        workload="memlat", config=memlat, arch_name=arch.name,
-                        mode="conf1", seed=200 + trial, quartz=config,
-                    )
-                )
-                specs.append(
+            memlat = MemLatConfig(iterations=iterations, chains=chains)
+            keys.append((arch, chains))
+            cells.append([
+                spec
+                for trial in range(trials)
+                for spec in emulated_runs(
                     RunSpec(
                         workload="memlat", config=memlat, arch_name=arch.name,
                         mode="conf2", seed=200 + trial,
-                    )
+                    ),
+                    config,
                 )
-    results = iter(run_specs(specs, jobs=jobs))
-    for arch in archs:
-        for chains in chain_counts:
-            errors = []
-            for _ in range(trials):
-                emulated = next(results)
-                physical = next(results)
-                errors.append(
-                    relative_error(
-                        emulated.workload_result.elapsed_ns,
-                        physical.workload_result.elapsed_ns,
-                    )
-                )
-            result.add_row(
-                processor=arch.family,
-                chains=chains,
-                error_pct=100.0 * summarize(errors).mean,
+            ])
+    for (arch, chains), runs in zip(keys, run_cells(cells, jobs=jobs)):
+        errors = [
+            relative_error(
+                emulated.workload_result.elapsed_ns,
+                physical.workload_result.elapsed_ns,
             )
+            for physical, emulated in zip(runs[::2], runs[1::2])
+        ]
+        result.add_row(
+            processor=arch.family,
+            chains=chains,
+            error_pct=100.0 * summarize(errors).mean,
+        )
     result.note("paper reports 0.2%-4% across all chain counts and testbeds")
     return result
 
@@ -196,36 +185,32 @@ def run_figure12(
             "spread_ns", "error_pct",
         ],
     )
-    specs = [
-        RunSpec(
-            workload="memlat",
-            config=MemLatConfig(iterations=iterations),
-            arch_name=arch.name,
-            mode="conf1",
-            seed=300 + trial,
-            quartz=QuartzConfig(
-                nvm_read_latency_ns=target, max_epoch_ns=1.0 * MILLISECOND
-            ),
-        )
-        for arch in archs
-        for target in target_latencies_ns
-        for trial in range(trials)
-    ]
-    results = iter(run_specs(specs, jobs=jobs))
-    for arch in archs:
-        for target in target_latencies_ns:
-            measured = [
-                next(results).workload_result.measured_latency_ns
-                for _ in range(trials)
-            ]
-            stats = summarize(measured)
-            result.add_row(
-                processor=arch.family,
-                target_ns=target,
-                measured_ns=stats.mean,
-                spread_ns=stats.spread,
-                error_pct=100.0 * relative_error(stats.mean, target),
+    keys = [(arch, target) for arch in archs for target in target_latencies_ns]
+    cells = [
+        [
+            RunSpec(
+                workload="memlat",
+                config=MemLatConfig(iterations=iterations),
+                arch_name=arch.name,
+                mode="conf1",
+                seed=300 + trial,
+                quartz=QuartzConfig(
+                    nvm_read_latency_ns=target, max_epoch_ns=1.0 * MILLISECOND
+                ),
             )
+            for trial in range(trials)
+        ]
+        for arch, target in keys
+    ]
+    for (arch, target), runs in zip(keys, run_cells(cells, jobs=jobs)):
+        stats = summarize([run.workload_result.measured_latency_ns for run in runs])
+        result.add_row(
+            processor=arch.family,
+            target_ns=target,
+            measured_ns=stats.mean,
+            spread_ns=stats.spread,
+            error_pct=100.0 * relative_error(stats.mean, target),
+        )
     result.note(
         "paper error bands: <9% Sandy Bridge, <2% Ivy Bridge, <6% Haswell"
     )
@@ -250,28 +235,26 @@ def run_epoch_size_study(
         title="MemLat emulation error vs maximum epoch size",
         columns=["max_epoch_ms", "measured_ns", "error_pct"],
     )
-    specs = [
-        RunSpec(
-            workload="memlat",
-            config=MemLatConfig(iterations=iterations),
-            arch_name=arch.name,
-            mode="conf1",
-            seed=400 + trial,
-            quartz=QuartzConfig(
-                nvm_read_latency_ns=target_ns,
-                max_epoch_ns=max_epoch_ms * MILLISECOND,
-                min_epoch_ns=min(0.1 * MILLISECOND, max_epoch_ms * MILLISECOND),
-            ),
-        )
-        for max_epoch_ms in max_epochs_ms
-        for trial in range(trials)
-    ]
-    results = iter(run_specs(specs, jobs=jobs))
-    for max_epoch_ms in max_epochs_ms:
-        measured = [
-            next(results).workload_result.measured_latency_ns
-            for _ in range(trials)
+    cells = [
+        [
+            RunSpec(
+                workload="memlat",
+                config=MemLatConfig(iterations=iterations),
+                arch_name=arch.name,
+                mode="conf1",
+                seed=400 + trial,
+                quartz=QuartzConfig(
+                    nvm_read_latency_ns=target_ns,
+                    max_epoch_ns=max_epoch_ms * MILLISECOND,
+                    min_epoch_ns=min(0.1 * MILLISECOND, max_epoch_ms * MILLISECOND),
+                ),
+            )
+            for trial in range(trials)
         ]
+        for max_epoch_ms in max_epochs_ms
+    ]
+    for max_epoch_ms, runs in zip(max_epochs_ms, run_cells(cells, jobs=jobs)):
+        measured = [run.workload_result.measured_latency_ns for run in runs]
         mean = summarize(measured).mean
         result.add_row(
             max_epoch_ms=max_epoch_ms,

@@ -32,7 +32,7 @@ from repro.sim import Simulator
 from repro.units import MIB, MILLISECOND
 from repro.validation.metrics import relative_error
 from repro.validation.reporting import ExperimentResult
-from repro.validation.runner import RunSpec, run_specs
+from repro.validation.runner import RunSpec, emulated_runs, run_specs
 from repro.workloads.memlat import MemLatConfig, memlat_body
 
 
@@ -73,35 +73,24 @@ def run_overhead_study(
     # Switched-off injection: epoch machinery on, delays off.  These four
     # runs (native baseline, two switched-off backends, the amortisation
     # run) fan out through the runner.
-    memlat = MemLatConfig(iterations=iterations)
-    specs = [
+    specs = emulated_runs(
         RunSpec(
-            workload="memlat", config=memlat, arch_name=arch.name,
-            mode="native", seed=800,
-        )
-    ]
-    for backend in ("rdpmc", "papi"):
-        specs.append(
-            RunSpec(
-                workload="memlat", config=memlat, arch_name=arch.name,
-                mode="conf1", seed=800,
-                quartz=QuartzConfig(
-                    nvm_read_latency_ns=calibration.dram_remote_ns,
-                    injection_enabled=False,
-                    counter_backend=backend,
-                    max_epoch_ns=0.5 * MILLISECOND,
-                ),
-            )
-        )
-    specs.append(
-        RunSpec(
-            workload="memlat", config=memlat, arch_name=arch.name,
-            mode="conf1", seed=800,
-            quartz=QuartzConfig(
+            workload="memlat", config=MemLatConfig(iterations=iterations),
+            arch_name=arch.name, mode="native", seed=800,
+        ),
+        *(
+            QuartzConfig(
                 nvm_read_latency_ns=calibration.dram_remote_ns,
+                injection_enabled=False,
+                counter_backend=backend,
                 max_epoch_ns=0.5 * MILLISECOND,
-            ),
-        )
+            )
+            for backend in ("rdpmc", "papi")
+        ),
+        QuartzConfig(
+            nvm_read_latency_ns=calibration.dram_remote_ns,
+            max_epoch_ns=0.5 * MILLISECOND,
+        ),
     )
     runs = run_specs(specs, jobs=jobs)
     native = runs[0].workload_result

@@ -19,7 +19,7 @@ from repro.quartz.config import QuartzConfig
 from repro.units import MILLISECOND, ns_to_ms
 from repro.validation.metrics import relative_error
 from repro.validation.reporting import ExperimentResult
-from repro.validation.runner import RunSpec, run_specs
+from repro.validation.runner import RunSpec, emulated_runs, run_cells
 from repro.workloads.multithreaded import MultiThreadedConfig
 
 
@@ -47,10 +47,18 @@ def run_figure13(
         cases.append(("cs only", 0))
     if with_compute:
         cases.append(("with compute", cs_iterations))
-    specs = []
+    keys, cells = [], []
     for arch in archs:
         calibration = calibrate_arch(arch)
-        for _case_name, out_iterations in cases:
+        configs = [
+            QuartzConfig(
+                nvm_read_latency_ns=calibration.dram_remote_ns,
+                min_epoch_ns=min_epoch_ms * MILLISECOND,
+                max_epoch_ns=10.0 * MILLISECOND,
+            )
+            for min_epoch_ms in min_epochs_ms
+        ]
+        for case_name, out_iterations in cases:
             for threads in thread_counts:
                 workload = MultiThreadedConfig(
                     threads=threads,
@@ -58,41 +66,29 @@ def run_figure13(
                     cs_iterations=cs_iterations,
                     out_iterations=out_iterations,
                 )
-                specs.append(
+                keys.append((arch, case_name, threads))
+                cells.append(emulated_runs(
                     RunSpec(
                         workload="multithreaded", config=workload,
                         arch_name=arch.name, mode="conf2", seed=500,
-                    )
-                )
-                for min_epoch_ms in min_epochs_ms:
-                    config = QuartzConfig(
-                        nvm_read_latency_ns=calibration.dram_remote_ns,
-                        min_epoch_ns=min_epoch_ms * MILLISECOND,
-                        max_epoch_ns=10.0 * MILLISECOND,
-                    )
-                    specs.append(
-                        RunSpec(
-                            workload="multithreaded", config=workload,
-                            arch_name=arch.name, mode="conf1", seed=500,
-                            quartz=config,
-                        )
-                    )
-    results = iter(run_specs(specs, jobs=jobs))
-    for arch in archs:
-        for case_name, _out_iterations in cases:
-            for threads in thread_counts:
-                actual_ns = next(results).workload_result.elapsed_ns
-                for min_epoch_ms in min_epochs_ms:
-                    emulated_ns = next(results).workload_result.elapsed_ns
-                    result.add_row(
-                        processor=arch.family,
-                        case=case_name,
-                        threads=threads,
-                        min_epoch_ms=min_epoch_ms,
-                        ct_emulated_ms=ns_to_ms(emulated_ns),
-                        ct_actual_ms=ns_to_ms(actual_ns),
-                        error_pct=100.0 * relative_error(emulated_ns, actual_ns),
-                    )
+                    ),
+                    *configs,
+                ))
+    for (arch, case_name, threads), (actual, *emulated) in zip(
+        keys, run_cells(cells, jobs=jobs)
+    ):
+        actual_ns = actual.workload_result.elapsed_ns
+        for min_epoch_ms, run in zip(min_epochs_ms, emulated):
+            emulated_ns = run.workload_result.elapsed_ns
+            result.add_row(
+                processor=arch.family,
+                case=case_name,
+                threads=threads,
+                min_epoch_ms=min_epoch_ms,
+                ct_emulated_ms=ns_to_ms(emulated_ns),
+                ct_actual_ms=ns_to_ms(actual_ns),
+                error_pct=100.0 * relative_error(emulated_ns, actual_ns),
+            )
     result.note(
         "min epoch == max epoch (10 ms) disables sync-triggered delay "
         "propagation; the paper sees up to 34% error there and <3% for "

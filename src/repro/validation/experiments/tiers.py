@@ -63,7 +63,7 @@ def run_tier_sweep(
             "write_targets_ns", "error_pct",
         ],
     )
-    specs, cells = [], []
+    keys, specs = [], []
     for arch in archs:
         calibration = calibrate_arch(arch)
         for set_name, read_write_ns in sorted(tier_sets.items()):
@@ -87,10 +87,10 @@ def run_tier_sweep(
                     quartz=config,
                 )
             )
-            cells.append((arch, set_name, tiers, calibration.dram_local_ns))
-    results = iter(run_specs(specs, jobs=jobs))
-    for arch, set_name, tiers, dram_local_ns in cells:
-        run = next(results)
+            keys.append((arch, set_name, tiers, calibration.dram_local_ns))
+    for (arch, set_name, tiers, dram_local_ns), run in zip(
+        keys, run_specs(specs, jobs=jobs)
+    ):
         read_targets = tuple(tier.read_latency_ns for tier in tiers[1:])
         write_targets = tuple(tier.write_latency_ns for tier in tiers[1:])
         error = run.workload_result.tiered_emulation_error(
@@ -140,7 +140,7 @@ def run_migration_policy(
             {"promote_threshold_accesses": promote_threshold_accesses},
         ),
     )
-    specs, cells = [], []
+    keys, specs = [], []
     for arch in archs:
         calibration = calibrate_arch(arch)
         tiers = _build_tiers(read_write_ns, calibration.dram_local_ns)
@@ -164,10 +164,8 @@ def run_migration_policy(
                     quartz=config,
                 )
             )
-            cells.append((arch, policy_name))
-    results = iter(run_specs(specs, jobs=jobs))
-    for arch, policy_name in cells:
-        run = next(results)
+            keys.append((arch, policy_name))
+    for (arch, policy_name), run in zip(keys, run_specs(specs, jobs=jobs)):
         report = (run.quartz_stats.tier_report if run.quartz_stats else None) or {
             "placements": {}, "migrations": 0, "migrated_bytes": 0,
         }

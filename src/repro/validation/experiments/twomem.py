@@ -19,7 +19,7 @@ from repro.quartz.config import EmulationMode, QuartzConfig
 from repro.units import MILLISECOND
 from repro.validation.metrics import summarize
 from repro.validation.reporting import ExperimentResult
-from repro.validation.runner import RunSpec, run_specs
+from repro.validation.runner import RunSpec, run_cells
 from repro.workloads.multilat import MultiLatConfig
 
 #: The paper's four recursive access patterns (DRAM run : NVM run).
@@ -50,7 +50,7 @@ def run_figure14(
         title="MultiLat error under DRAM+NVM emulation",
         columns=["processor", "target_ns", "avg_error_pct", "max_error_pct"],
     )
-    specs, cells, skipped = [], [], []
+    keys, cells, skipped = [], [], []
     for arch in archs:
         calibration = calibrate_arch(arch)
         for target in target_latencies_ns:
@@ -65,28 +65,21 @@ def run_figure14(
                 mode=EmulationMode.TWO_MEMORY,
                 max_epoch_ns=1.0 * MILLISECOND,
             )
-            cell_runs = 0
-            for _config_name, (dram_n, nvm_n) in configurations.items():
-                for _pattern_name, pattern in patterns.items():
-                    workload = MultiLatConfig(
-                        dram_elements=dram_n,
-                        nvm_elements=nvm_n,
-                        pattern=pattern,
-                    )
-                    specs.append(
-                        RunSpec(
-                            workload="multilat", config=workload,
-                            arch_name=arch.name, mode="conf1", seed=600,
-                            quartz=config,
-                        )
-                    )
-                    cell_runs += 1
-            cells.append((arch, target, calibration.dram_local_ns, cell_runs))
-    results = iter(run_specs(specs, jobs=jobs))
-    for arch, target, dram_local_ns, cell_runs in cells:
+            keys.append((arch, target, calibration.dram_local_ns))
+            cells.append([
+                RunSpec(
+                    workload="multilat",
+                    config=MultiLatConfig(
+                        dram_elements=dram_n, nvm_elements=nvm_n, pattern=pattern,
+                    ),
+                    arch_name=arch.name, mode="conf1", seed=600, quartz=config,
+                )
+                for dram_n, nvm_n in configurations.values()
+                for pattern in patterns.values()
+            ])
+    for (arch, target, dram_local_ns), runs in zip(keys, run_cells(cells, jobs=jobs)):
         errors = [
-            next(results).workload_result.emulation_error(dram_local_ns, target)
-            for _ in range(cell_runs)
+            run.workload_result.emulation_error(dram_local_ns, target) for run in runs
         ]
         stats = summarize(errors)
         result.add_row(

@@ -8,7 +8,9 @@ executes a grid of them, optionally across a ``ProcessPoolExecutor``
 exactly the submitted order — so a driver's output table is byte-for-byte
 identical whatever the job count.  It and the checkpointed sweep engine
 (:mod:`repro.validation.sweep`) are two front ends to one grid executor,
-``_run_grid``.
+``_run_grid``.  Drivers derive each Conf_1 run from its reference with
+:func:`emulated_runs` and read results back per cell with
+:func:`run_cells`.
 
 Workers share calibration through the persistent on-disk cache (see
 ``repro.quartz.calibration``): the parent pre-warms every calibration a
@@ -31,7 +33,8 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import islice
 from typing import Any, Callable, Optional, Sequence
 
 from repro.errors import RunInterrupted, ValidationError
@@ -910,6 +913,25 @@ def run_specs(
     return results
 
 
+def emulated_runs(reference: RunSpec, *quartz: QuartzConfig) -> list[RunSpec]:
+    """*reference* followed by one Conf_1 run of it per Quartz config.
+
+    The emulated runs are the reference with only the mode and the
+    Quartz config swapped, so same workload, arch, seed and extras on
+    both sides: only the memory differs (Section 4.3).  The reference is
+    Conf_2 for a remote-latency target or a native run for a baseline.
+    """
+    return [reference] + [replace(reference, mode="conf1", quartz=q) for q in quartz]
+
+
+def run_cells(
+    cells: Sequence[Sequence[RunSpec]], jobs: Optional[int] = None
+) -> list[list[RunResult]]:
+    """Run every cell's specs as one grid; results come back per cell."""
+    results = iter(run_specs([spec for cell in cells for spec in cell], jobs=jobs))
+    return [list(islice(results, len(cell))) for cell in cells]
+
+
 def run_mutant_shards(
     mode: str, plan, mutants: Sequence[str], shards: int,
     jobs: Optional[int] = None, **spec,
@@ -921,19 +943,20 @@ def run_mutant_shards(
     fields every run shares, and each run's report is the one filed
     under the mode's name.
     """
-    specs = [
-        RunSpec(
-            mode=mode,
-            extras={
-                f"{mode}_plan": plan,
-                "shard": shard,
-                "shards": shards,
-                "mutant": None if mutant == "none" else mutant,
-            },
-            **spec,
-        )
+    cells = [
+        [
+            RunSpec(
+                mode=mode,
+                extras={
+                    f"{mode}_plan": plan,
+                    "shard": shard,
+                    "shards": shards,
+                    "mutant": None if mutant == "none" else mutant,
+                },
+                **spec,
+            )
+            for shard in range(shards)
+        ]
         for mutant in mutants
-        for shard in range(shards)
     ]
-    results = iter(run_specs(specs, jobs=jobs))
-    return [[next(results).reports[mode] for _ in range(shards)] for _ in mutants]
+    return [[run.reports[mode] for run in runs] for runs in run_cells(cells, jobs)]

@@ -72,13 +72,6 @@ class MemLatResult:
         """
         return self.elapsed_ns / self.config.iterations
 
-    @property
-    def accesses_per_second(self) -> float:
-        """Throughput in accesses per second."""
-        if self.elapsed_ns <= 0:
-            return 0.0
-        return self.total_accesses / self.elapsed_ns * 1e9
-
 
 def memlat_body(config: MemLatConfig, out: dict):
     """Workload body factory; the result lands in ``out['result']``."""

@@ -81,32 +81,28 @@ def test_digest_identical_with_dispatch_hooks_armed():
     )
 
 
-def test_digest_identical_across_worker_counts():
-    # Parallel sweep execution must not leak into results: the digest
-    # with --jobs 2 must equal the pinned single-worker digest.
+@pytest.mark.parametrize(
+    "experiment_id",
+    (
+        # Trials of one config per cell.
+        "figure12",
+        # One spec per (arch, tier set).
+        "tier-sweep",
+        # Service state (cache, ledgers) lives inside each run's simulator.
+        "service-latency",
+        # Conf_2 reference plus emulated run per trial.
+        "figure11",
+        # Native reference plus one emulated run per technology.
+        "technology-comparison",
+    ),
+)
+def test_digest_identical_across_worker_counts(experiment_id):
+    # Parallel execution must not leak into results: the digest with
+    # --jobs 2 must equal the pinned single-worker digest.
     reset_run_stats()
-    result = run_fast("figure12", jobs=2)
+    result = run_fast(experiment_id, jobs=2)
     digest = export.experiment_digest({"experiment": result.to_dict()})
-    assert digest == GOLDEN["figure12"]
-
-
-def test_tier_sweep_digest_identical_across_worker_counts():
-    # The N-tier sweep fans out one spec per (arch, tier set) through the
-    # same parallel runner: its export must also be worker-count blind.
-    reset_run_stats()
-    result = run_fast("tier-sweep", jobs=2)
-    digest = export.experiment_digest({"experiment": result.to_dict()})
-    assert digest == GOLDEN["tier-sweep"]
-
-
-def test_service_latency_digest_identical_across_worker_counts():
-    # The KV service fans out one spec per NVM latency pair; shared
-    # Python state (cache, ledgers) lives inside each run's simulator,
-    # so worker count must not be able to reach the rows.
-    reset_run_stats()
-    result = run_fast("service-latency", jobs=2)
-    digest = export.experiment_digest({"experiment": result.to_dict()})
-    assert digest == GOLDEN["service-latency"]
+    assert digest == GOLDEN[experiment_id]
 
 
 def test_golden_file_is_well_formed():

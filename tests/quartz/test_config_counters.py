@@ -1,5 +1,7 @@
 """Tests for Quartz configuration and counter backends."""
 
+import math
+
 import pytest
 
 from repro.errors import QuartzError
@@ -39,6 +41,17 @@ def test_monitor_interval_defaults_to_tenth_of_max_epoch():
         {"counter_backend": "perf"},
         {"epoch_signal": 0},
         {"epoch_signal": 99},
+        {"nvm_read_latency_ns": math.nan},
+        {"nvm_read_latency_ns": math.inf},
+        {"nvm_write_latency_ns": math.nan},
+        {"nvm_write_latency_ns": math.inf},
+        {"nvm_bandwidth_gbps": math.nan},
+        {"nvm_bandwidth_gbps": math.inf},
+        {"nvm_read_bandwidth_gbps": math.nan, "nvm_write_bandwidth_gbps": 1.0},
+        {"max_epoch_ns": math.nan},
+        {"max_epoch_ns": math.inf},
+        {"min_epoch_ns": math.nan},
+        {"monitor_interval_ns": math.nan},
     ],
 )
 def test_invalid_configs_rejected(kwargs):

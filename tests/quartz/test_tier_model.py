@@ -204,6 +204,13 @@ def test_memory_tier_validation():
         MemoryTier("x", 100.0, 100.0, bandwidth_gbps=0.0)
     with pytest.raises(QuartzError, match="capacity"):
         MemoryTier("x", 100.0, 100.0, capacity_bytes=0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(QuartzError, match="read latency must be finite"):
+            MemoryTier("x", bad, 100.0)
+        with pytest.raises(QuartzError, match="write latency must be finite"):
+            MemoryTier("x", 100.0, bad)
+        with pytest.raises(QuartzError, match="bandwidth must be finite"):
+            MemoryTier("x", 100.0, 100.0, bandwidth_gbps=bad)
 
 
 def test_tier_list_validation():

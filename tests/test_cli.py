@@ -113,10 +113,24 @@ def test_max_records_must_be_a_positive_int(value, tmp_path, capsys):
     assert "argument --max-records" in err
 
 
-def test_configuration_the_run_rejects_exits_2(capsys):
-    assert main(["run", "tier-sweep", "--tiers", "50/60", "--jobs", "1"]) == 2
+@pytest.mark.parametrize("value", ("abc", ",", "400/x"))
+def test_malformed_tiers_exit_2_with_usage(value, capsys):
+    err = _usage_error(["run", "tier-sweep", "--tiers", value], capsys)
+    assert "argument --tiers: cannot parse tier 1" in err
+
+
+@pytest.mark.parametrize(
+    "tiers, message",
+    (
+        ("50/60", "below the backing DRAM latency"),
+        ("nan/nan", "read latency must be finite and positive"),
+    ),
+    ids=("50/60", "nan/nan"),
+)
+def test_configuration_the_run_rejects_exits_2(tiers, message, capsys):
+    assert main(["run", "tier-sweep", "--tiers", tiers, "--jobs", "1"]) == 2
     err = capsys.readouterr().err
-    assert "error: " in err and "below the backing DRAM latency" in err
+    assert "error: " in err and message in err
     assert "Traceback" not in err
 
 

@@ -174,6 +174,23 @@ def test_figure16_fast():
     assert by_bw[1.0]["pagerank_ct_rel"] > by_bw[20.0]["pagerank_ct_rel"]
 
 
+def test_figure16_latency_skips_targets_at_or_below_local_dram():
+    # Haswell's local DRAM is 119.36 ns: a 100 ns target cannot be
+    # emulated, so it is a skipped-cell note, never a row of ratios 1.0.
+    latency = run_figure16_latency(
+        arch=HASWELL,
+        target_latencies_ns=(100.0, 500.0),
+        pagerank=PageRankConfig(
+            vertex_count=2_000, edges_per_vertex=4, max_iterations=1
+        ),
+        kv=KvStoreConfig(puts_per_thread=500, gets_per_thread=500),
+        jobs=1,
+    )
+    assert latency.column("nvm_latency_ns") == [500.0]
+    skipped = [note for note in latency.notes if note.startswith("skipped cell")]
+    assert len(skipped) == 1 and "target 100 ns" in skipped[0]
+
+
 def test_overhead_study_fast():
     result = run_overhead_study(iterations=120_000)
     quantities = result.column("quantity")

@@ -5,6 +5,8 @@ therefore every rendered table — must be byte-identical whatever the
 job count, because each run builds its own simulator from its own seed.
 """
 
+from dataclasses import fields
+
 import pytest
 
 from repro.errors import ValidationError
@@ -21,8 +23,10 @@ from repro.validation.runner import (
     close_trace_out,
     consume_run_stats,
     default_cli_jobs,
+    emulated_runs,
     reset_run_stats,
     resolve_jobs,
+    run_cells,
     run_specs,
     set_trace_out,
 )
@@ -66,6 +70,47 @@ def test_conf1_requires_quartz_config():
             workload="memlat", config=MemLatConfig(), arch_name=IVY_BRIDGE.name,
             mode="conf1",
         )
+
+
+# ----------------------------------------------------------------------
+# Reference-vs-emulated cells
+# ----------------------------------------------------------------------
+
+
+def test_emulated_runs_differ_from_their_reference_only_in_mode_and_quartz():
+    reference = RunSpec(
+        workload="memlat", config=MemLatConfig(iterations=50_000),
+        arch_name=IVY_BRIDGE.name, mode="conf2", seed=7, calibration_seed=3,
+        extras={"note": "kept"},
+    )
+    configs = [QuartzConfig(nvm_read_latency_ns=ns) for ns in (300.0, 600.0)]
+    specs = emulated_runs(reference, *configs)
+    assert specs[0] is reference
+    assert [spec.quartz for spec in specs[1:]] == configs
+    for spec in specs[1:]:
+        differing = {
+            f.name for f in fields(RunSpec)
+            if getattr(spec, f.name) != getattr(reference, f.name)
+        }
+        assert differing == {"mode", "quartz"}
+        assert spec.mode == "conf1"
+    assert emulated_runs(reference) == [reference]
+
+
+def test_run_cells_groups_results_in_flat_run_specs_order():
+    cells = [
+        [_memlat_spec(1)],
+        [_memlat_spec(2), _memlat_spec(3, target_ns=600.0)],
+        [],
+        [_memlat_spec(4)],
+    ]
+    flat = run_specs([spec for cell in cells for spec in cell], jobs=1)
+    grouped = run_cells(cells, jobs=1)
+    assert [len(runs) for runs in grouped] == [1, 2, 0, 1]
+    assert [run.index for runs in grouped for run in runs] == [0, 1, 2, 3]
+    assert [run.elapsed_ns for runs in grouped for run in runs] == [
+        run.elapsed_ns for run in flat
+    ]
 
 
 # ----------------------------------------------------------------------
