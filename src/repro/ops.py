@@ -18,6 +18,7 @@ landing between two loads.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterator, Optional, TYPE_CHECKING
 
@@ -55,8 +56,10 @@ class Compute(Op):
     label: str = ""
 
     def __post_init__(self) -> None:
-        if self.cycles < 0:
-            raise WorkloadError(f"negative compute cycles: {self.cycles}")
+        if not 0 <= self.cycles < math.inf:
+            raise WorkloadError(
+                f"compute cycles must be finite and non-negative: {self.cycles}"
+            )
 
 
 @dataclass(frozen=True)
@@ -73,8 +76,10 @@ class Spin(Op):
     label: str = "spin"
 
     def __post_init__(self) -> None:
-        if self.duration_ns < 0:
-            raise WorkloadError(f"negative spin: {self.duration_ns}")
+        if not 0 <= self.duration_ns < math.inf:
+            raise WorkloadError(
+                f"spin must be finite and non-negative: {self.duration_ns}"
+            )
 
 
 @dataclass(frozen=True)
@@ -128,9 +133,15 @@ class MemBatch(Op):
     def __post_init__(self) -> None:
         if self.accesses < 0:
             raise WorkloadError(f"negative access count: {self.accesses}")
-        if self.dram_bytes_multiplier <= 0:
+        if not 0 < self.dram_bytes_multiplier < math.inf:
             raise WorkloadError(
-                f"traffic multiplier must be positive: {self.dram_bytes_multiplier}"
+                "traffic multiplier must be finite and positive: "
+                f"{self.dram_bytes_multiplier}"
+            )
+        if not 0 <= self.compute_cycles_per_access < math.inf:
+            raise WorkloadError(
+                "per-access compute must be finite and non-negative: "
+                f"{self.compute_cycles_per_access}"
             )
         if self.parallelism < 1:
             raise WorkloadError(f"parallelism must be >= 1: {self.parallelism}")
@@ -282,8 +293,10 @@ class Sleep(Op):
     duration_ns: float
 
     def __post_init__(self) -> None:
-        if self.duration_ns < 0:
-            raise WorkloadError(f"negative sleep: {self.duration_ns}")
+        if not 0 <= self.duration_ns < math.inf:
+            raise WorkloadError(
+                f"sleep must be finite and non-negative: {self.duration_ns}"
+            )
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,9 @@ reproducible — byte-identical across ``--jobs`` values.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import WorkloadError
@@ -140,10 +141,16 @@ class ServiceConfig:
             raise WorkloadError(
                 f"need at least one client per tenant: {self.clients_per_tenant}"
             )
-        if self.compute_cycles_per_op < 0:
-            raise WorkloadError("per-op compute cannot be negative")
-        if self.compute_cycles_per_level < 0:
-            raise WorkloadError("per-level compute cannot be negative")
+        if not 0 <= self.compute_cycles_per_op < math.inf:
+            raise WorkloadError(
+                "per-op compute must be finite and non-negative: "
+                f"{self.compute_cycles_per_op}"
+            )
+        if not 0 <= self.compute_cycles_per_level < math.inf:
+            raise WorkloadError(
+                "per-level compute must be finite and non-negative: "
+                f"{self.compute_cycles_per_level}"
+            )
 
     def to_dict(self) -> dict:
         return {
@@ -212,9 +219,13 @@ class _ServiceRuntime:
         self.lines_per_value = max(1, layout.value_bytes // CACHE_LINE_BYTES)
         self.arenas: dict = {}
         self.cache_arena = None
+        self.dispatch = Compute(config.compute_cycles_per_op, label="svc-dispatch")
 
     # -- placement ------------------------------------------------------
     def allocate(self, ctx) -> None:
+        """Place the arenas, then build the ops every point operation
+        yields: they depend only on the config and the arenas, so each
+        is built once and re-yielded (ops are immutable values)."""
         layout = self.config.layout
         keys = self.config.trace.keys_per_tenant
         for tenant in range(self.config.trace.tenants):
@@ -228,6 +239,50 @@ class _ServiceRuntime:
             page_size=PageSize.HUGE_2M,
             label="svc-cache",
         )
+        #: tenant -> one dependent node fetch per index level.
+        self.index_walks: dict = {}
+        #: tenant -> the value-heap load / store of one record.
+        self.value_reads: dict = {}
+        self.value_writes: dict = {}
+        for tenant, arena in self.arenas.items():
+            self.index_walks[tenant] = tuple(
+                MemBatch(
+                    arena,
+                    accesses=1,
+                    pattern=PatternKind.RANDOM,
+                    footprint_bytes=min(footprint, arena.size_bytes),
+                    compute_cycles_per_access=self.config.compute_cycles_per_level,
+                    label="svc-level",
+                )
+                for footprint in self.level_footprints
+            )
+            value_footprint = min(self.value_footprint, arena.size_bytes)
+            self.value_reads[tenant] = MemBatch(
+                arena,
+                accesses=1,
+                pattern=PatternKind.RANDOM,
+                footprint_bytes=value_footprint,
+                label="svc-value-read",
+            )
+            self.value_writes[tenant] = MemBatch(
+                arena,
+                accesses=1,
+                pattern=PatternKind.RANDOM,
+                footprint_bytes=value_footprint,
+                is_store=True,
+                label="svc-value-write",
+            )
+        self.load_probe, self.store_probe = (
+            MemBatch(
+                self.cache_arena,
+                accesses=1,
+                pattern=PatternKind.RANDOM,
+                footprint_bytes=self.cache_arena.size_bytes,
+                is_store=store,
+                label="svc-cache-probe",
+            )
+            for store in (False, True)
+        )
 
     # -- authoritative values -------------------------------------------
     def current_value(self, tenant: int, key: int) -> tuple:
@@ -239,50 +294,16 @@ class _ServiceRuntime:
         return (key, version)
 
     # -- priced store paths (generators yielding ops) --------------------
+    # A plain ``for`` re-yields each prebuilt op: ``yield from`` a tuple
+    # fails, as a tuple iterator cannot take the OpResult sent back.
     def _index_walk(self, tenant: int):
-        arena = self.arenas[tenant]
-        for footprint in self.level_footprints:
-            yield MemBatch(
-                arena,
-                accesses=1,
-                pattern=PatternKind.RANDOM,
-                footprint_bytes=min(footprint, arena.size_bytes),
-                compute_cycles_per_access=self.config.compute_cycles_per_level,
-                label="svc-level",
-            )
-
-    def _cache_probe(self, store: bool = False):
-        yield MemBatch(
-            self.cache_arena,
-            accesses=1,
-            pattern=PatternKind.RANDOM,
-            footprint_bytes=self.cache_arena.size_bytes,
-            is_store=store,
-            label="svc-cache-probe",
-        )
-
-    def _value_read(self, tenant: int):
-        arena = self.arenas[tenant]
-        yield MemBatch(
-            arena,
-            accesses=1,
-            pattern=PatternKind.RANDOM,
-            footprint_bytes=min(self.value_footprint, arena.size_bytes),
-            label="svc-value-read",
-        )
+        for batch in self.index_walks[tenant]:
+            yield batch
 
     def _value_write(self, ctx, tenant: int):
-        arena = self.arenas[tenant]
-        yield MemBatch(
-            arena,
-            accesses=1,
-            pattern=PatternKind.RANDOM,
-            footprint_bytes=min(self.value_footprint, arena.size_bytes),
-            is_store=True,
-            label="svc-value-write",
-        )
+        yield self.value_writes[tenant]
         if self.config.flush_writes:
-            yield from ctx.pflush(arena, lines=self.lines_per_value)
+            yield from ctx.pflush(self.arenas[tenant], lines=self.lines_per_value)
             yield Commit()
 
     def writeback_traffic(self, ctx, evicted):
@@ -301,7 +322,7 @@ class _ServiceRuntime:
         config = self.config
         tenant = op.tenant
         ledger = self.ledgers[tenant]
-        yield Compute(config.compute_cycles_per_op, label="svc-dispatch")
+        yield self.dispatch
         if op.kind == "scan":
             # Range scans bypass the point cache: walk the index to the
             # start key, then stream scan_len records sequentially.
@@ -322,12 +343,12 @@ class _ServiceRuntime:
         if op.kind in ("read", "rmw"):
             hit, cached = self.cache.lookup(tenant, op.key)
             if hit:
-                yield from self._cache_probe()
+                yield self.load_probe
                 if cached == self.current_value(tenant, op.key):
                     ledger.verified_reads += 1
             else:
                 yield from self._index_walk(tenant)
-                yield from self._value_read(tenant)
+                yield self.value_reads[tenant]
                 value = self.current_value(tenant, op.key)
                 ledger.verified_reads += 1
                 evicted = self.cache.insert(tenant, op.key, value, dirty=False)
@@ -338,7 +359,7 @@ class _ServiceRuntime:
             value = self.bump_value(tenant, op.key)
             if self.cache.write(tenant, op.key, value):
                 # Write-back: only the DRAM copy changes now.
-                yield from self._cache_probe(store=True)
+                yield self.store_probe
             else:
                 # Miss: write through to PM, then admit the clean copy.
                 yield from self._index_walk(tenant)

@@ -16,6 +16,7 @@ yields byte-identical operations in every worker of a parallel run.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
@@ -96,8 +97,12 @@ class TraceConfig:
             )
         if self.max_scan_len < 1:
             raise WorkloadError("max_scan_len must be positive")
-        if self.arrival_rate_ops_s is not None and self.arrival_rate_ops_s <= 0:
-            raise WorkloadError("arrival rate must be positive")
+        if self.arrival_rate_ops_s is not None and not (
+            0 < self.arrival_rate_ops_s < math.inf
+        ):
+            raise WorkloadError(
+                f"arrival rate must be finite and positive: {self.arrival_rate_ops_s}"
+            )
 
     def to_dict(self) -> dict:
         return {

@@ -114,7 +114,7 @@ class Simulator:
         if perturbers:
             for perturb in perturbers:
                 delay_ns = perturb(delay_ns)
-        if delay_ns < 0:
+        if not delay_ns >= 0:  # also rejects NaN, which would fire out of order
             raise SimulationError(f"cannot schedule in the past (delay={delay_ns})")
         seq = self._seq
         self._seq = seq + 1
@@ -135,7 +135,7 @@ class Simulator:
 
     def schedule_at(self, time_ns: float, callback: Callable[[], None]) -> ScheduledEvent:
         """Schedule *callback* at absolute simulated time ``time_ns``."""
-        if time_ns < self.now:
+        if not time_ns >= self.now:  # also rejects NaN
             raise SimulationError(
                 f"cannot schedule at t={time_ns} before now={self.now}"
             )

@@ -42,7 +42,7 @@ class Timeout:
     __slots__ = ("delay_ns",)
 
     def __init__(self, delay_ns: float):
-        if delay_ns < 0:
+        if not delay_ns >= 0:  # also rejects NaN
             raise SimulationError(f"negative timeout: {delay_ns}")
         self.delay_ns = delay_ns
 

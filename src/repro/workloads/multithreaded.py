@@ -77,22 +77,29 @@ def _worker_body(ctx, config: MultiThreadedConfig, mutex: Mutex):
     region = ctx.malloc(
         config.array_bytes, page_size=PageSize.HUGE_2M, label="mt-chase"
     )
-    for _ in range(config.sections):
-        yield MutexLock(mutex)
-        yield MemBatch(
+    # Every section yields the same ops: build them once.
+    lock = MutexLock(mutex)
+    unlock = MutexUnlock(mutex)
+    inside = MemBatch(
+        region,
+        accesses=config.cs_iterations,
+        pattern=PatternKind.CHASE,
+        label="mt-cs",
+    )
+    outside = None
+    if config.out_iterations:
+        outside = MemBatch(
             region,
-            accesses=config.cs_iterations,
+            accesses=config.out_iterations,
             pattern=PatternKind.CHASE,
-            label="mt-cs",
+            label="mt-out",
         )
-        yield MutexUnlock(mutex)
-        if config.out_iterations:
-            yield MemBatch(
-                region,
-                accesses=config.out_iterations,
-                pattern=PatternKind.CHASE,
-                label="mt-out",
-            )
+    for _ in range(config.sections):
+        yield lock
+        yield inside
+        yield unlock
+        if outside is not None:
+            yield outside
 
 
 def multithreaded_main_body(config: MultiThreadedConfig, out: dict):

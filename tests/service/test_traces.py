@@ -1,5 +1,6 @@
 """Determinism and distribution properties of the trace generator."""
 
+import math
 import os
 import subprocess
 import sys
@@ -203,6 +204,11 @@ def test_config_validation():
         TraceConfig(mix="ycsb-z")
     with pytest.raises(WorkloadError):
         TraceConfig(arrival_rate_ops_s=0.0)
+    # NaN makes every gap NaN and inf makes it 0: either way ``gap_ns > 0``
+    # is false and an open-loop run would silently run closed-loop.
+    for rate in (math.nan, math.inf):
+        with pytest.raises(WorkloadError):
+            TraceConfig(arrival_rate_ops_s=rate)
     with pytest.raises(WorkloadError):
         next(operation_stream(TraceConfig(tenants=2), tenant=2))
     with pytest.raises(WorkloadError):

@@ -1,9 +1,11 @@
 """Unit tests for the discrete-event kernel."""
 
+import math
+
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Simulator
+from repro.sim import Simulator, Timeout
 
 
 def test_time_starts_at_zero():
@@ -43,6 +45,31 @@ def test_schedule_in_past_rejected():
     sim.run()
     with pytest.raises(SimulationError):
         sim.schedule_at(5.0, lambda: None)
+
+
+def test_nan_times_rejected():
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        sim.schedule(math.nan, lambda: None)
+    with pytest.raises(SimulationError):
+        sim.schedule_at(math.nan, lambda: None)
+    with pytest.raises(SimulationError):
+        Timeout(math.nan)
+
+
+def test_rejected_nan_event_leaves_the_order_intact():
+    # A NaN in the heap compares false both ways, so it would fire out of
+    # order and set the clock to NaN while it ran.
+    sim = Simulator()
+    fired = []
+    for delay in (5.0, math.nan, 1.0, 3.0):
+        try:
+            sim.schedule(delay, lambda d=delay: fired.append((d, sim.now)))
+        except SimulationError:
+            pass
+    sim.run()
+    assert fired == [(1.0, 1.0), (3.0, 3.0), (5.0, 5.0)]
+    assert sim.now == 5.0
 
 
 def test_cancelled_event_does_not_fire():

@@ -1,5 +1,7 @@
 """Tests for the op definitions and unit conversions."""
 
+import math
+
 import pytest
 
 from repro.errors import WorkloadError
@@ -79,6 +81,13 @@ def test_compute_and_spin_reject_negative():
         Sleep(-1.0)
 
 
+@pytest.mark.parametrize("op", [Compute, Spin, Sleep])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_time_bearing_ops_reject_nan_and_infinity(op, value):
+    with pytest.raises(WorkloadError):
+        op(value)
+
+
 def test_membatch_validation():
     r = region()
     with pytest.raises(WorkloadError):
@@ -93,6 +102,14 @@ def test_membatch_validation():
         MemBatch(r, 1, PatternKind.CHASE, footprint_bytes=0)
     with pytest.raises(WorkloadError):
         MemBatch(r, 1, PatternKind.CHASE, dram_bytes_multiplier=0.0)
+    # A negative per-access cost would shorten the batch and inflate its
+    # stall charge; NaN or inf would poison every timing derived from it.
+    for value in (math.nan, math.inf):
+        with pytest.raises(WorkloadError):
+            MemBatch(r, 1, PatternKind.CHASE, dram_bytes_multiplier=value)
+    for value in (-1.0, math.nan, math.inf):
+        with pytest.raises(WorkloadError):
+            MemBatch(r, 1, PatternKind.CHASE, compute_cycles_per_access=value)
 
 
 def test_membatch_effective_footprint_defaults_to_region():
