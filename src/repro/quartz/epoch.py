@@ -394,11 +394,6 @@ class EpochEngine:
         state.start_ns = self.machine.sim.now
         state.last_boundary_ns = self.machine.sim.now
 
-    @property
-    def boundary_cost_cycles(self) -> float:
-        """Cycles charged for the timestamp bookkeeping at a boundary."""
-        return BOUNDARY_COST_CYCLES
-
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
