@@ -131,13 +131,8 @@ class BPlusTree:
     # ------------------------------------------------------------------
     def items(self) -> Iterator[tuple]:
         """All (key, value) pairs in key order."""
-        node = self._root
-        while not node.is_leaf:
-            node = node.children[0]
-        stack_done = False
         # Leaves are not chained (splits keep it simple); walk the tree.
         yield from self._iter_node(self._root)
-        del node, stack_done
 
     def _iter_node(self, node: _Node) -> Iterator[tuple]:
         if node.is_leaf:

@@ -10,25 +10,27 @@ scaled down (documented in EXPERIMENTS.md) but configurable.
 Both generators are pure functions of their arguments, and experiments
 ask for the same graph many times (drivers sharing a preset, workload
 bodies that build their default graph on every run, crash recovery
-replaying the graph its body ran on), so the public entry points are a
-content-addressed, per-process memo: the key is the generator plus every
-argument, arguments are validated on every call, at most
-:data:`MEMO_LIMIT` graphs are kept (least recently used first out), and
-a cached graph's arrays are read-only so no caller can alter a graph
-another caller shares.  Only inputs are memoized, never a run's results.
+replaying the graph its body ran on), so the public entry points go
+through a content-addressed, per-process :class:`~repro.workloads.memo.Memo`:
+the key is the generator plus every argument and its type, arguments are
+validated on every call, at most :data:`MEMO_LIMIT` graphs are kept
+(least recently used first out), and a cached graph's arrays are
+read-only so no caller can alter a graph another caller shares.  Only
+pure host-side functional work is memoized, keyed on everything it
+reads; a run's simulated costs never are.
 """
 
 from __future__ import annotations
 
 import operator
 import random
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from repro.errors import WorkloadError
+from repro.workloads.memo import Memo, typed
 
 
 @dataclass(frozen=True)
@@ -68,7 +70,7 @@ class CsrGraph:
 #: every graph it ever built.
 MEMO_LIMIT = 4
 
-_MEMO: OrderedDict[tuple, CsrGraph] = OrderedDict()
+_MEMO = Memo(MEMO_LIMIT)
 
 
 def _memoized(build: Callable[..., CsrGraph], *args) -> CsrGraph:
@@ -77,17 +79,12 @@ def _memoized(build: Callable[..., CsrGraph], *args) -> CsrGraph:
     Argument types are part of the key, so ``True`` never aliases ``1``
     and a value a fresh build would reject never hits a cached graph.
     """
-    key = (build, *((type(arg), arg) for arg in args))
-    graph = _MEMO.get(key)
-    if graph is not None:
-        _MEMO.move_to_end(key)
-        return graph
-    graph = build(*args)
+    return _MEMO.get((build, *typed(*args)), lambda: _read_only(build(*args)))
+
+
+def _read_only(graph: CsrGraph) -> CsrGraph:
     graph.row_ptr.flags.writeable = False
     graph.col.flags.writeable = False
-    _MEMO[key] = graph
-    if len(_MEMO) > MEMO_LIMIT:
-        _MEMO.popitem(last=False)
     return graph
 
 

@@ -9,7 +9,7 @@ from repro.os import SimOS
 from repro.sim import Simulator
 from repro.workloads.graph500 import Graph500Config, graph500_body, validate_bfs_tree
 from repro.workloads.graphs import synthetic_scale_free
-from repro.workloads.kvstore import KvStoreConfig, kvstore_main_body
+from repro.workloads.kvstore import KvRecordLayout, KvStoreConfig, kvstore_main_body
 from repro.workloads.pagerank import PageRankConfig, pagerank_body
 
 
@@ -68,6 +68,42 @@ def test_kvstore_config_validation():
         KvStoreConfig(batch_ops=0)
 
 
+@pytest.mark.parametrize(
+    "field, value, match",
+    [
+        ("node_order", 2, "node order"),
+        ("node_order", 3, "node order"),
+        ("value_bytes", 0, "value size"),
+        ("node_bytes", 8, "cache line"),
+        ("compute_cycles_per_level", -1.0, "per level"),
+        ("compute_cycles_per_level", float("nan"), "per level"),
+        ("compute_cycles_per_level", float("inf"), "per level"),
+    ],
+)
+def test_kvstore_config_rejects_what_would_fail_mid_run(field, value, match):
+    # Each of these used to be accepted and fail inside a put worker.
+    with pytest.raises(WorkloadError, match=match):
+        KvStoreConfig(**{field: value})
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_kv_layout_rejects_orders_whose_analytic_tree_never_narrows(order):
+    # A half-full node of order 2 or 3 holds one key, so level_footprints
+    # would add root levels forever.
+    with pytest.raises(WorkloadError, match="node order"):
+        KvRecordLayout(node_order=order)
+
+
+def test_kv_layout_footprints_narrow_to_one_root_at_the_smallest_order():
+    footprints = KvRecordLayout(node_order=4, node_bytes=64).level_footprints(
+        1_000
+    )
+    # 1000 records, two per half-full node: 500, 250, ..., 1 nodes.
+    assert footprints[0] == 64
+    assert footprints[-1] == 500 * 64
+    assert len(footprints) == 10
+
+
 # ----------------------------------------------------------------------
 # PageRank
 # ----------------------------------------------------------------------
@@ -123,6 +159,23 @@ def test_pagerank_rejects_an_empty_vertex_record():
 def test_pagerank_rejects_negative_compute_per_edge():
     with pytest.raises(WorkloadError, match="cannot be negative"):
         PageRankConfig(compute_cycles_per_edge=-1.0)
+
+
+@pytest.mark.parametrize(
+    "field, value, match",
+    [
+        # NaN never compares >= tolerance, so it used to run 0 iterations.
+        ("tolerance", float("nan"), "tolerance"),
+        ("tolerance", float("inf"), "tolerance"),
+        ("compute_cycles_per_edge", float("nan"), "must be finite"),
+        ("compute_cycles_per_edge", float("inf"), "must be finite"),
+        ("vertex_count", 1, "two vertices"),
+        ("edges_per_vertex", 0, "one edge"),
+    ],
+)
+def test_pagerank_config_rejects_what_would_run_wrong(field, value, match):
+    with pytest.raises(WorkloadError, match=match):
+        PageRankConfig(**{field: value})
 
 
 # ----------------------------------------------------------------------
