@@ -140,7 +140,9 @@ def check_service() -> dict:
 def check_sweep_resume() -> dict:
     # The resumability contract: crash a sweep at a deterministic point
     # (exit 130), inspect it, resume it, and require the resumed export
-    # to match an uninterrupted reference run.
+    # to match an uninterrupted reference run.  Then the one-driver
+    # contract: the journaled sweep and the inline registry run of the
+    # same preset export the same experiment.
     grid = ("sweep", "run", "latency-grid", "--scale", "smoke")
     cli(*grid, "--dir", "sweep-ci", "--jobs", "2", "--interrupt-after", "2",
         code=130)
@@ -158,9 +160,22 @@ def check_sweep_resume() -> dict:
         == reference["manifest"]["content_digest"],
         "resumed sweep digest diverged from uninterrupted reference",
     )
+    sweep = resumed["telemetry"]["sweep"]
+    expect(sweep["specs_skipped"] >= 2, "resume re-executed everything")
     expect(
-        resumed["telemetry"]["sweep"]["specs_skipped"] >= 2,
-        "resume re-executed everything",
+        sweep["queue_depth"] + sweep["specs_skipped"] == 4,
+        f"resume accounted for {sweep} instead of the 4-spec smoke grid",
+    )
+    journaled = export_json(
+        "sweep", "run", "latency-grid", "--scale", "small",
+        "--dir", "sweep-ci-small", "--jobs", "2", out="sweep-journaled.json",
+    )
+    inline = export_json(
+        "run", "sweep-latency-grid", "--jobs", "2", out="sweep-inline.json"
+    )
+    expect(
+        export.experiment_digest(journaled) == export.experiment_digest(inline),
+        "journaled sweep and inline registry run exported different experiments",
     )
     return resumed
 

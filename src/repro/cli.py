@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import os
 import sys
 import time
 from dataclasses import replace
@@ -44,6 +45,7 @@ from repro.validation.experiments import (
     SWEEP_PRESETS,
     manifest_sections,
 )
+from repro.validation.experiments.sweeps import sweep_status
 from repro.validation.reporting import render_table
 from repro.validation.runner import (
     close_trace_out,
@@ -52,6 +54,7 @@ from repro.validation.runner import (
     reset_run_stats,
     set_trace_out,
 )
+from repro.validation.sweep import check_fresh
 
 
 def _positive_int(text: str) -> int:
@@ -476,6 +479,33 @@ def _service_kwargs(args: argparse.Namespace) -> tuple[str, dict, dict]:
     return experiment_id, kwargs, knobs
 
 
+def _sweep_kwargs(args: argparse.Namespace) -> tuple[str, dict, dict]:
+    """``sweep run|resume``: a preset's registry driver, journaled in --dir.
+
+    ``run`` refuses a directory that already holds a journal; ``resume``
+    takes the preset and scale from the journal header.
+    """
+    if args.sweep_command == "run":
+        check_fresh(args.sweep_dir)
+        preset, scale = args.preset, args.scale
+    else:
+        knobs = sweep_status(args.sweep_dir)["knobs"]
+        preset, scale = knobs.get("preset"), knobs.get("scale")
+        if preset not in SWEEP_PRESETS or not scale:
+            raise ValidationError(
+                f"{args.sweep_dir}: journal names no known preset/scale; "
+                "cannot rebuild the grid"
+            )
+    kwargs = {
+        "scale": scale,
+        "jobs": args.run_jobs,
+        "sweep_dir": args.sweep_dir,
+        "interrupt_after": args.interrupt_after,
+    }
+    knobs = {"command": "sweep", "preset": preset, "scale": scale}
+    return f"sweep-{preset}", kwargs, knobs
+
+
 #: Command -> kwargs builder for every command that runs one registry
 #: experiment; each returns ``(experiment id, driver kwargs, knobs)``.
 EXPERIMENT_COMMANDS = {
@@ -483,6 +513,7 @@ EXPERIMENT_COMMANDS = {
     "crash-check": _oracle_kwargs,
     "explore": _oracle_kwargs,
     "service": _service_kwargs,
+    "sweep": _sweep_kwargs,
 }
 
 
@@ -514,7 +545,21 @@ def _finish(args: argparse.Namespace, rendered: str, lines: list) -> None:
 
 
 def _summary(stats) -> list:
-    return [stats.summary()] if stats is not None and stats.runs else []
+    # A resume that reuses every checkpoint runs nothing but still has
+    # its sweep counts to report.
+    if stats is None or not (stats.runs or stats.specs_skipped):
+        return []
+    return [stats.summary()]
+
+
+def _check_writable(path: str) -> None:
+    """Raise ``OSError`` before the run, not after it, if *path* cannot
+    be written; leaves the file system as it found it."""
+    existed = os.path.exists(path)
+    with open(path, "a", encoding="utf-8"):
+        pass
+    if not existed:
+        os.remove(path)
 
 
 def _emit(
@@ -525,11 +570,12 @@ def _emit(
     Reset stats → run the driver → build the manifest (its plan sections
     derived from the experiment id and kwargs) → render → summary →
     ``--out`` → verdict.  Exit codes: 0 success; 2 a malformed
-    ``--faults`` plan or a configuration the run rejects
-    (``ValidationError``, ``QuartzError``, ``WorkloadError``); 3 an
-    invariant violated (the run aborts at the first one); 4 a result row
-    failed its oracle (``ok`` false); 130 interrupted, after the partial
-    runner summary.
+    ``--faults`` plan, an unwritable ``--out``/``--trace-out`` path or
+    a configuration the run rejects (``ValidationError``,
+    ``QuartzError``, ``WorkloadError``); 3 an invariant violated (the
+    run aborts at the first one); 4 a result row failed its oracle
+    (``ok`` false); 130 interrupted, after the partial runner summary
+    (and, for a journaled sweep, the resume command).
     """
     fault_plan = None
     if getattr(args, "faults", None):
@@ -539,8 +585,14 @@ def _emit(
             print(f"error: {error}", file=sys.stderr)
             return 2
     check_invariants = getattr(args, "check_invariants", False)
-    if getattr(args, "trace_out", None):
-        set_trace_out(args.trace_out)
+    try:
+        if args.output:
+            _check_writable(args.output)
+        if getattr(args, "trace_out", None):
+            set_trace_out(args.trace_out)
+    except OSError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     if fault_plan is not None or check_invariants:
         set_active_faults(fault_plan, check_invariants)
     reset_run_stats()
@@ -569,6 +621,11 @@ def _emit(
         print(f"interrupted: {interrupt}", file=sys.stderr)
         for line in _summary(consume_run_stats()):
             print(line, file=sys.stderr)
+        if getattr(args, "sweep_dir", None):
+            print(
+                f"resume with: quartz-repro sweep resume --dir {args.sweep_dir}",
+                file=sys.stderr,
+            )
         return 130
     wall_s = time.perf_counter() - started
     stats = consume_run_stats()
@@ -596,84 +653,20 @@ def _emit(
     return 4 if failed else 0
 
 
-def _sweep(args: argparse.Namespace) -> int:
-    """The ``sweep`` subcommand family: run / resume / status.
-
-    Exit codes: 0 on a completed sweep, 2 on a misconfigured one
-    (unknown scale, journal/grid mismatch, fresh ``run`` into a used
-    directory), 130 when interrupted — with every completed spec
-    checkpointed and a resume hint printed.
-    """
-    from repro.validation.experiments.sweeps import (
-        resume_sweep,
-        start_sweep,
-        sweep_status,
-    )
-
-    if args.sweep_command == "status":
-        try:
-            status = sweep_status(args.sweep_dir)
-        except ValidationError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        print(f"sweep: {status['name']} (knobs: {status['knobs']})")
-        print(
-            f"progress: {status['done']}/{status['total']} spec(s) "
-            f"checkpointed, {status['remaining']} remaining"
-        )
-        print(f"grid digest: {status['grid_digest']}")
-        print(f"journal: {status['journal']}")
-        return 0
-
-    reset_run_stats()
-    started = time.perf_counter()
+def _sweep_status(args: argparse.Namespace) -> int:
+    """``sweep status``: a journaled sweep's progress (exit 2 if none)."""
     try:
-        if args.sweep_command == "run":
-            sweep_run = start_sweep(
-                args.preset,
-                args.scale,
-                args.sweep_dir,
-                jobs=args.run_jobs,
-                interrupt_after=args.interrupt_after,
-            )
-        else:
-            sweep_run = resume_sweep(
-                args.sweep_dir,
-                jobs=args.run_jobs,
-                interrupt_after=args.interrupt_after,
-            )
-    except RunInterrupted as interrupt:
-        stats = consume_run_stats()
-        print(f"sweep interrupted: {interrupt}", file=sys.stderr)
-        if stats is not None:
-            print(stats.summary(), file=sys.stderr)
-        print(
-            f"resume with: quartz-repro sweep resume --dir {args.sweep_dir}",
-            file=sys.stderr,
-        )
-        return 130
+        status = sweep_status(args.sweep_dir)
     except ValidationError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    wall_s = time.perf_counter() - started
-    stats = consume_run_stats()
-    rendered = _render(
-        args, sweep_run.result, stats,
-        knobs={
-            "command": "sweep",
-            "preset": sweep_run.preset,
-            "scale": sweep_run.scale,
-        },
+    print(f"sweep: {status['name']} (knobs: {status['knobs']})")
+    print(
+        f"progress: {status['done']}/{status['total']} spec(s) "
+        f"checkpointed, {status['remaining']} remaining"
     )
-    report = sweep_run.report
-    _finish(args, rendered, [
-        f"\nsweep {sweep_run.preset} ({sweep_run.scale}): "
-        f"{report.total} spec(s), {report.executed} executed, "
-        f"{report.skipped} reused from checkpoints"
-        f"{f', {report.tampered} tampered record(s) re-run' if report.tampered else ''} "
-        f"in {wall_s:.1f}s wall",
-        *_summary(stats),
-    ])
+    print(f"grid digest: {status['grid_digest']}")
+    print(f"journal: {status['journal']}")
     return 0
 
 
@@ -722,14 +715,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             args.run_jobs = args.jobs or default_cli_jobs()
         except ValidationError as error:
             parser.error(str(error))
+    if args.command == "sweep" and args.sweep_command == "status":
+        return _sweep_status(args)
     if args.command in EXPERIMENT_COMMANDS:
-        return _emit(args, *EXPERIMENT_COMMANDS[args.command](args))
+        try:
+            experiment = EXPERIMENT_COMMANDS[args.command](args)
+        except ValidationError as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
+        return _emit(args, *experiment)
     if args.command == "list":
         return _list_experiments()
     if args.command == "calibrate":
         return _calibrate(args)
-    if args.command == "sweep":
-        return _sweep(args)
     if args.command == "trace":
         return _trace_summarize(args)
     raise AssertionError(f"unhandled command {args.command!r}")

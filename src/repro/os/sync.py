@@ -41,11 +41,6 @@ class Mutex:
         self.contended_acquisitions = 0
 
     @property
-    def locked(self) -> bool:
-        """True while some thread owns the mutex."""
-        return self.owner is not None
-
-    @property
     def waiter_count(self) -> int:
         """Threads currently blocked on the mutex."""
         return len(self._waiters)

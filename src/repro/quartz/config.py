@@ -48,8 +48,6 @@ class WriteModel(enum.Enum):
     PCOMMIT = "pcommit"
 
 
-#: Library initialisation cost (Section 3.2): ~5.5 billion cycles.
-INIT_COST_CYCLES = 5_500_000_000
 #: Per-thread registration cost (Section 3.2): ~300,000 cycles.
 THREAD_REGISTRATION_COST_CYCLES = 300_000
 #: Epoch-processing cost excluding counter reads (Section 3.2 puts the
@@ -105,14 +103,6 @@ class QuartzConfig:
     latency_model: str = "stalls"
     #: False = "switched-off delay injection" overhead-measurement mode.
     injection_enabled: bool = True
-    #: Charge the ~5.5e9-cycle library initialisation to the main thread.
-    include_init_cost: bool = False
-    #: Charge the ~300k-cycle per-thread registration cost.
-    include_registration_cost: bool = True
-    #: Signal number used by the monitor to interrupt threads.
-    epoch_signal: int = 44
-    #: Socket the monitor thread is pinned to.
-    monitor_socket: int = 1
 
     def __post_init__(self) -> None:
         self.validate()
@@ -185,8 +175,6 @@ class QuartzConfig:
                 "the Eq. 1 simple model has no local/remote split; "
                 f"{self.mode.value} mode requires the stall model"
             )
-        if not 1 <= self.epoch_signal <= 64:
-            raise QuartzError(f"bad signal number: {self.epoch_signal}")
         self._validate_tiers()
 
     def _validate_tiers(self) -> None:

@@ -31,7 +31,6 @@ from repro.quartz.bandwidth import BandwidthThrottler
 from repro.quartz.calibration import CalibrationData, calibrate_arch
 from repro.quartz.config import (
     EmulationMode,
-    INIT_COST_CYCLES,
     QuartzConfig,
     THREAD_REGISTRATION_COST_CYCLES,
     WriteModel,
@@ -49,6 +48,10 @@ if TYPE_CHECKING:
 
 #: Every sync boundary charges the same bookkeeping: one op serves all.
 _BOUNDARY_OP = Compute(BOUNDARY_COST_CYCLES, label="quartz-sync-boundary")
+#: Signal number the monitor uses to interrupt threads.
+EPOCH_SIGNAL = 44
+#: Socket the monitor thread is pinned to.
+MONITOR_SOCKET = 1
 
 
 class Quartz:
@@ -74,7 +77,6 @@ class Quartz:
         self._registered: dict[int, SimThread] = {}
         self._monitor_thread: Optional[SimThread] = None
         self._attached = False
-        self._init_cost_charged = False
 
     # ------------------------------------------------------------------
     # Attach / detach
@@ -219,13 +221,13 @@ class Quartz:
         self.os.interpose.register_op_hook(
             "barrier_wait", self._make_sync_hook("notify")
         )
-        self.os.signal_handlers[config.epoch_signal] = self._signal_handler
+        self.os.signal_handlers[EPOCH_SIGNAL] = self._signal_handler
 
         self._attached = True
         self._monitor_thread = self.os.create_thread(
             self._monitor_body,
             name="quartz-monitor",
-            cpu_node=config.monitor_socket,
+            cpu_node=MONITOR_SOCKET,
             daemon=True,
         )
 
@@ -242,7 +244,7 @@ class Quartz:
             self.os.hooks.unsubscribe(
                 "thread_exit", self.write_emulator.discard_thread
             )
-        self.os.signal_handlers.pop(self.config.epoch_signal, None)
+        self.os.signal_handlers.pop(EPOCH_SIGNAL, None)
         if self._throttler is not None:
             self._throttler.reset()
         self.kernel_module.unload()
@@ -264,15 +266,9 @@ class Quartz:
         if thread.daemon:
             return  # library/monitor threads are not emulated
         assert self._engine is not None
-        if not self._init_cost_charged:
-            self._init_cost_charged = True
-            if self.config.include_init_cost:
-                self.stats.init_cost_cycles = INIT_COST_CYCLES
-                yield Compute(INIT_COST_CYCLES, label="quartz-library-init")
-        if self.config.include_registration_cost:
-            yield Compute(
-                THREAD_REGISTRATION_COST_CYCLES, label="quartz-thread-registration"
-            )
+        yield Compute(
+            THREAD_REGISTRATION_COST_CYCLES, label="quartz-thread-registration"
+        )
         read_cost = self._engine.open_initial(thread)
         self._registered[thread.tid] = thread
         yield Compute(read_cost, label="quartz-initial-counter-read")
@@ -343,7 +339,5 @@ class Quartz:
                 if thread.finished or thread.library_state is None:
                     continue
                 if self._engine.epoch_elapsed_ns(thread) > self.config.max_epoch_ns:
-                    if self.os.post_signal(
-                        thread, Signal(self.config.epoch_signal)
-                    ):
+                    if self.os.post_signal(thread, Signal(EPOCH_SIGNAL)):
                         self.stats.signals_posted += 1

@@ -66,7 +66,6 @@ class QuartzStats:
 
     per_thread: dict[int, ThreadQuartzStats] = field(default_factory=dict)
     threads_registered: int = 0
-    init_cost_cycles: float = 0.0
     monitor_wakeups: int = 0
     signals_posted: int = 0
     #: Epochs whose positive stall time had to be discarded because the
@@ -129,7 +128,6 @@ class QuartzStats:
         """
         return {
             "threads_registered": self.threads_registered,
-            "init_cost_cycles": self.init_cost_cycles,
             "monitor_wakeups": self.monitor_wakeups,
             "signals_posted": self.signals_posted,
             "epochs_total": self.epochs_total,

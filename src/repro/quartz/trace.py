@@ -276,6 +276,8 @@ def read_trace_jsonl(
                 raise QuartzError(
                     f"{path}:{line_number}: not valid JSON ({error})"
                 )
+            if not isinstance(payload, dict):
+                raise QuartzError(f"{path}:{line_number}: not a JSON object")
             kind = payload.get("kind")
             if header is None:
                 if kind != "header" or payload.get("schema") != TRACE_SCHEMA:

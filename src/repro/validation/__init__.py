@@ -21,12 +21,7 @@ from repro.validation.configs import RunOutcome, run_conf1, run_conf2, run_nativ
 from repro.validation.metrics import TrialStats, relative_error, summarize
 from repro.validation.reporting import ExperimentResult, render_table
 from repro.validation.runner import RunResult, RunSpec, RunnerStats, run_specs
-from repro.validation.sweep import (
-    SweepJournal,
-    SweepReport,
-    run_sweep,
-    spec_fingerprint,
-)
+from repro.validation.sweep import SweepJournal, run_sweep, spec_fingerprint
 
 __all__ = [
     "ExperimentResult",
@@ -35,7 +30,6 @@ __all__ = [
     "RunSpec",
     "RunnerStats",
     "SweepJournal",
-    "SweepReport",
     "TrialStats",
     "relative_error",
     "render_table",

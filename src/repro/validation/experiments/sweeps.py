@@ -11,17 +11,18 @@ order, so a preset's :class:`~repro.validation.reporting.ExperimentResult`
 — and its export digest — is byte-identical whether the grid ran on one
 job, on N jobs, or across an interrupt/resume boundary.
 
-Each preset is also registered as a plain experiment driver
-(``sweep-latency-grid`` …), so the grids run inline — no journal —
-through the ordinary ``quartz-repro run`` path, the fast presets, and
-the registry-wide export/fault test sweeps.
+Each preset is registered as a plain experiment driver
+(``sweep-latency-grid`` …).  Without a ``sweep_dir`` the grid runs
+inline — no journal — through the ordinary ``quartz-repro run`` path,
+the fast presets, and the registry-wide export/fault test sweeps; with
+one, the same driver journals it (``quartz-repro sweep run|resume``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 from repro.errors import ValidationError
 from repro.hw.arch import IVY_BRIDGE
@@ -31,12 +32,7 @@ from repro.quartz.tiers import MemoryTier
 from repro.units import MILLISECOND
 from repro.validation.reporting import ExperimentResult
 from repro.validation.runner import RunResult, RunSpec
-from repro.validation.sweep import (
-    SweepJournal,
-    SweepReport,
-    run_sweep,
-    spec_fingerprint,
-)
+from repro.validation.sweep import SweepJournal, run_sweep, spec_fingerprint
 
 #: Seed base for sweep grids (distinct from the figure experiments).
 _GRID_SEED = 900
@@ -461,30 +457,35 @@ def get_sweep_preset(name: str) -> SweepPreset:
 
 
 # ----------------------------------------------------------------------
-# Execution: journaled (CLI sweep) and inline (registry drivers)
+# Registry drivers: inline, or journaled in a sweep directory
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class SweepRun:
-    """One journaled sweep invocation's outcome."""
-
-    preset: str
-    scale: str
-    result: ExperimentResult
-    report: SweepReport
-
-
-def _execute_preset(
-    preset: SweepPreset,
+def _run_preset(
+    preset_name: str,
     scale: str,
-    specs: Sequence[RunSpec],
-    journal: Optional[SweepJournal],
     jobs: Optional[int],
-    interrupt_after: Optional[int] = None,
-) -> tuple[ExperimentResult, SweepReport]:
+    sweep_dir: Optional[Union[str, Path]],
+    interrupt_after: Optional[int],
+) -> ExperimentResult:
+    """Build a preset's grid and stream it into one result.
+
+    With a ``sweep_dir`` the grid is journaled there: an existing
+    journal is resumed (its grid digest must match), otherwise a fresh
+    one is created.
+    """
+    preset = get_sweep_preset(preset_name)
+    specs = preset.build(scale)
+    journal = None
+    if sweep_dir is not None:
+        journal = SweepJournal.open_or_create(
+            sweep_dir,
+            [spec_fingerprint(spec) for spec in specs],
+            name=preset_name,
+            knobs={"preset": preset_name, "scale": scale},
+        )
     result = ExperimentResult(
-        experiment_id=f"sweep-{preset.name}",
+        experiment_id=f"sweep-{preset_name}",
         title=preset.title,
         columns=list(preset.columns),
     )
@@ -492,64 +493,11 @@ def _execute_preset(
     def consume(spec: RunSpec, run: RunResult) -> None:
         result.add_row(**preset.row(spec, run))
 
-    report = run_sweep(
-        specs,
-        journal=journal,
-        jobs=jobs,
-        consume=consume,
-        interrupt_after=interrupt_after,
-    )
+    run_sweep(specs, journal, jobs, consume, interrupt_after)
     for note in preset.notes:
         result.note(note)
     result.note(f"scale={scale}; {len(specs)} spec(s) in grid")
-    return result, report
-
-
-def start_sweep(
-    preset_name: str,
-    scale: str,
-    directory: Union[str, Path],
-    jobs: Optional[int] = None,
-    interrupt_after: Optional[int] = None,
-) -> SweepRun:
-    """Create a journal in *directory* and run the preset's grid."""
-    preset = get_sweep_preset(preset_name)
-    specs = preset.build(scale)
-    journal = SweepJournal.create(
-        directory,
-        [spec_fingerprint(spec) for spec in specs],
-        name=preset_name,
-        knobs={"preset": preset_name, "scale": scale},
-    )
-    result, report = _execute_preset(
-        preset, scale, specs, journal, jobs, interrupt_after
-    )
-    return SweepRun(preset_name, scale, result, report)
-
-
-def resume_sweep(
-    directory: Union[str, Path],
-    jobs: Optional[int] = None,
-    interrupt_after: Optional[int] = None,
-) -> SweepRun:
-    """Resume a journaled sweep: verified checkpoints are reused, only
-    the remainder executes, and the merged result is byte-identical to
-    an uninterrupted run."""
-    journal = SweepJournal.open(directory)
-    knobs = journal.header.get("knobs", {})
-    preset_name = knobs.get("preset")
-    scale = knobs.get("scale")
-    if not preset_name or not scale:
-        raise ValidationError(
-            f"{journal.journal_path}: journal names no preset/scale; "
-            "cannot rebuild the grid"
-        )
-    preset = get_sweep_preset(preset_name)
-    specs = preset.build(scale)
-    result, report = _execute_preset(
-        preset, scale, specs, journal, jobs, interrupt_after
-    )
-    return SweepRun(preset_name, scale, result, report)
+    return result
 
 
 def sweep_status(directory: Union[str, Path]) -> dict:
@@ -561,43 +509,41 @@ def sweep_status(directory: Union[str, Path]) -> dict:
         journal.close()
 
 
-# ----------------------------------------------------------------------
-# Registry drivers (inline, no journal)
-# ----------------------------------------------------------------------
-
-
-def _run_inline(
-    preset_name: str, scale: str, jobs: Optional[int]
-) -> ExperimentResult:
-    preset = get_sweep_preset(preset_name)
-    specs = preset.build(scale)
-    result, _ = _execute_preset(preset, scale, specs, None, jobs)
-    return result
-
-
 def run_latency_grid(
-    scale: str = "small", jobs: Optional[int] = None
+    scale: str = "small",
+    jobs: Optional[int] = None,
+    sweep_dir: Optional[Union[str, Path]] = None,
+    interrupt_after: Optional[int] = None,
 ) -> ExperimentResult:
     """MemLat error over a latency x epoch grid (streaming sweep)."""
-    return _run_inline("latency-grid", scale, jobs)
+    return _run_preset("latency-grid", scale, jobs, sweep_dir, interrupt_after)
 
 
 def run_tier_grid(
-    scale: str = "small", jobs: Optional[int] = None
+    scale: str = "small",
+    jobs: Optional[int] = None,
+    sweep_dir: Optional[Union[str, Path]] = None,
+    interrupt_after: Optional[int] = None,
 ) -> ExperimentResult:
     """Tiered MultiLat error across ladder scale factors (sweep)."""
-    return _run_inline("tier-grid", scale, jobs)
+    return _run_preset("tier-grid", scale, jobs, sweep_dir, interrupt_after)
 
 
 def run_migration_grid(
-    scale: str = "small", jobs: Optional[int] = None
+    scale: str = "small",
+    jobs: Optional[int] = None,
+    sweep_dir: Optional[Union[str, Path]] = None,
+    interrupt_after: Optional[int] = None,
 ) -> ExperimentResult:
     """Placement policy x threshold study as a streaming sweep."""
-    return _run_inline("migration-grid", scale, jobs)
+    return _run_preset("migration-grid", scale, jobs, sweep_dir, interrupt_after)
 
 
 def run_service_grid(
-    scale: str = "small", jobs: Optional[int] = None
+    scale: str = "small",
+    jobs: Optional[int] = None,
+    sweep_dir: Optional[Union[str, Path]] = None,
+    interrupt_after: Optional[int] = None,
 ) -> ExperimentResult:
     """KV-service tails across tiers and throttles (streaming sweep)."""
-    return _run_inline("service-grid", scale, jobs)
+    return _run_preset("service-grid", scale, jobs, sweep_dir, interrupt_after)

@@ -436,7 +436,7 @@ def _run_grid(
     reuse: Optional[dict[int, Callable[[], RunResult]]] = None,
     record: Optional[Callable[[RunResult], None]] = None,
     interrupt_after: Optional[int] = None,
-) -> int:
+) -> None:
     """The one grid executor, behind :func:`run_specs` and ``run_sweep``.
 
     Runs every spec not in *reuse* (index -> loader of an earlier
@@ -446,9 +446,9 @@ def _run_grid(
     ``record(result)`` sees each fresh result as it finishes;
     ``consume(spec, result)`` sees every result in submission order, as
     soon as those before it are in (only out-of-order completions are
-    buffered; the peak count is returned).  The :class:`RunnerStats`
-    window gets the specs' provenance, the fresh results in submission
-    order, the job count used and the wall time.  Ctrl-C, a broken pool
+    buffered).  The :class:`RunnerStats` window gets the specs'
+    provenance, the fresh results in submission order, the job count
+    used, the wall time and the peak count of buffered results.  Ctrl-C, a broken pool
     or ``interrupt_after`` fresh results fold every finished run into
     the window, mark it ``"interrupted"`` and raise
     :class:`~repro.errors.RunInterrupted`.
@@ -528,7 +528,6 @@ def _run_grid(
         stats.wall_s += time.perf_counter() - started
         stats.jobs = max(stats.jobs, jobs)
         stats.stream_merge_peak_rows = max(stats.stream_merge_peak_rows, peak)
-    return peak
 
 
 # ----------------------------------------------------------------------
@@ -711,12 +710,14 @@ class RunnerStats:
     #: Per-run wall times (seconds), one entry per executed run — the
     #: raw series behind the p50/p99 tail summary.
     run_wall_times: list = field(default_factory=list)
-    #: Sweep counters (zero outside ``run_sweep``): the work queue's
-    #: high-water mark of specs to execute and the specs satisfied from
-    #: a checkpoint journal without re-execution; then the grid
-    #: executor's peak count of buffered out-of-order result rows.
+    #: Sweep counters (zero outside ``run_sweep``): the specs queued for
+    #: execution, those reused from a checkpoint journal without
+    #: re-execution and the journaled checkpoints that failed
+    #: verification and re-ran; then the grid executor's peak count of
+    #: buffered out-of-order result rows.
     queue_depth: int = 0
     specs_skipped: int = 0
+    specs_tampered: int = 0
     stream_merge_peak_rows: int = 0
     #: Provenance of the grid (deterministic for any job count): which
     #: testbeds, workloads, modes, and seeds the runs covered.  These
@@ -796,11 +797,16 @@ class RunnerStats:
         if p50 is not None and p99 is not None:
             line += f"; per-run wall p50/p99: {p50 * 1e3:.1f}/{p99 * 1e3:.1f}ms"
         if self.queue_depth or self.specs_skipped:
+            # A cut grid did not execute all of its queue.
+            executed = "executed" if self.stop_reason == "completed" else "queued"
             line += (
-                f"; sweep: queue depth {self.queue_depth}, "
-                f"{self.specs_skipped} spec(s) skipped via checkpoint, "
-                f"peak {self.stream_merge_peak_rows} buffered row(s)"
+                f"; sweep: {self.queue_depth + self.specs_skipped} spec(s), "
+                f"{self.queue_depth} {executed}, "
+                f"{self.specs_skipped} reused from checkpoints"
             )
+            if self.specs_tampered:
+                line += f", {self.specs_tampered} tampered record(s) re-run"
+            line += f", peak {self.stream_merge_peak_rows} buffered row(s)"
         if self.stop_reason != "completed":
             line += f"; stopped: {self.stop_reason}"
         for name, total in self._shown_totals().items():
@@ -836,6 +842,7 @@ class RunnerStats:
             payload["sweep"] = {
                 "queue_depth": self.queue_depth,
                 "specs_skipped": self.specs_skipped,
+                "specs_tampered": self.specs_tampered,
                 "stream_merge_peak_rows": self.stream_merge_peak_rows,
             }
         payload.update(copy.deepcopy(self._shown_totals()))

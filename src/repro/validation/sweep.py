@@ -143,6 +143,16 @@ def grid_digest(fingerprints: Sequence[str]) -> str:
 # ----------------------------------------------------------------------
 
 
+def check_fresh(directory: Union[str, Path]) -> None:
+    """Refuse a sweep directory that already holds a journal."""
+    journal_path = Path(directory) / JOURNAL_FILENAME
+    if journal_path.exists():
+        raise ValidationError(
+            f"{journal_path}: sweep journal already exists "
+            "(resume it, or point --dir at a fresh directory)"
+        )
+
+
 @dataclass
 class ShardRecord:
     """One completed spec as the journal knows it."""
@@ -192,13 +202,7 @@ class SweepJournal:
     ) -> "SweepJournal":
         """Start a fresh sweep directory; refuses to clobber one."""
         directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        journal_path = directory / JOURNAL_FILENAME
-        if journal_path.exists():
-            raise ValidationError(
-                f"{journal_path}: sweep journal already exists "
-                "(resume it, or point --dir at a fresh directory)"
-            )
+        check_fresh(directory)
         header = {
             "type": "header",
             "schema": SWEEP_SCHEMA,
@@ -208,11 +212,16 @@ class SweepJournal:
             "grid_digest": grid_digest(fingerprints),
             "knobs": dict(knobs or {}),
         }
-        journal = cls(directory, header, {})
-        with open(journal_path, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(header, sort_keys=True) + "\n")
-        (directory / SHARD_FILENAME).touch()
-        return journal
+        try:
+            directory.mkdir(parents=True, exist_ok=True)
+            with open(
+                directory / JOURNAL_FILENAME, "w", encoding="utf-8"
+            ) as handle:
+                handle.write(json.dumps(header, sort_keys=True) + "\n")
+            (directory / SHARD_FILENAME).touch()
+        except OSError as error:
+            raise ValidationError(f"cannot create sweep journal: {error}")
+        return cls(directory, header, {})
 
     @classmethod
     def open(cls, directory: Union[str, Path]) -> "SweepJournal":
@@ -234,7 +243,7 @@ class SweepJournal:
             header = json.loads(lines[0])
         except ValueError as error:
             raise ValidationError(f"{journal_path}: corrupt header: {error}")
-        if header.get("schema") != SWEEP_SCHEMA:
+        if not isinstance(header, dict) or header.get("schema") != SWEEP_SCHEMA:
             raise ValidationError(
                 f"{journal_path}: not a {SWEEP_SCHEMA} journal"
             )
@@ -244,13 +253,18 @@ class SweepJournal:
                 f"{header.get('schema_version')!r} "
                 f"(supported: {SWEEP_SCHEMA_VERSION})"
             )
+        total = header.get("total")
+        if type(total) is not int or total < 0:
+            raise ValidationError(
+                f"{journal_path}: corrupt header: bad spec total {total!r}"
+            )
         completed: dict = {}
         for line in lines[1:]:
             if not line.strip():
                 continue
             try:
                 record = json.loads(line)
-                if record.get("type") != "done":
+                if not isinstance(record, dict) or record.get("type") != "done":
                     continue
                 shard = ShardRecord(
                     index=int(record["index"]),
@@ -263,6 +277,19 @@ class SweepJournal:
             completed[shard.fingerprint] = shard
         return cls(directory, header, completed)
 
+    @classmethod
+    def open_or_create(
+        cls,
+        directory: Union[str, Path],
+        fingerprints: Sequence[str],
+        name: str = "sweep",
+        knobs: Optional[dict] = None,
+    ) -> "SweepJournal":
+        """Resume the journal in *directory*, or start a fresh one."""
+        if (Path(directory) / JOURNAL_FILENAME).exists():
+            return cls.open(directory)
+        return cls.create(directory, fingerprints, name, knobs)
+
     def close(self) -> None:
         for handle in (
             self._journal_handle, self._shard_append, self._shard_read
@@ -272,12 +299,6 @@ class SweepJournal:
         self._journal_handle = None
         self._shard_append = None
         self._shard_read = None
-
-    def __enter__(self) -> "SweepJournal":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     # -- recording -----------------------------------------------------
     def record_result(
@@ -345,7 +366,8 @@ class SweepJournal:
         except (OSError, ValueError):
             return None
         if (
-            entry.get("fingerprint") != record.fingerprint
+            not isinstance(entry, dict)
+            or entry.get("fingerprint") != record.fingerprint
             or entry.get("digest") != record.digest
         ):
             return None
@@ -382,7 +404,7 @@ class SweepJournal:
     # -- introspection -------------------------------------------------
     def status(self) -> dict:
         """Progress snapshot for ``quartz-repro sweep status``."""
-        total = int(self.header.get("total", 0))
+        total = self.header["total"]
         done = len(self.completed)
         return {
             "name": self.header.get("name"),
@@ -401,28 +423,13 @@ class SweepJournal:
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class SweepReport:
-    """What one :func:`run_sweep` invocation did."""
-
-    total: int = 0
-    #: Specs actually executed this invocation.
-    executed: int = 0
-    #: Specs satisfied from verified checkpoint records.
-    skipped: int = 0
-    #: Checkpoint records that failed verification and were re-executed.
-    tampered: int = 0
-    #: High-water mark of the streaming merge's out-of-order buffer.
-    peak_buffered: int = 0
-
-
 def run_sweep(
     specs: Sequence[RunSpec],
     journal: Optional[SweepJournal] = None,
     jobs: Optional[int] = None,
     consume: Optional[Callable[[RunSpec, RunResult], None]] = None,
     interrupt_after: Optional[int] = None,
-) -> SweepReport:
+) -> None:
     """Execute a grid as a streaming, checkpointed work queue.
 
     ``consume(spec, result)`` is called exactly once per spec, in
@@ -436,10 +443,13 @@ def run_sweep(
     are journaled the sweep raises
     :class:`~repro.errors.RunInterrupted`, exactly as Ctrl-C would —
     with the partial runner stats recorded and every completed spec
-    journaled.
+    journaled.  The :class:`~repro.validation.runner.RunnerStats` window
+    counts the specs queued for execution (``queue_depth``), those
+    reused from the journal (``specs_skipped``) and the checkpoints that
+    failed verification and re-ran (``specs_tampered``).
     """
     specs = list(specs)
-    report = SweepReport(total=len(specs))
+    stats = current_run_stats()
     reuse: dict = {}
     record = None
     if journal is not None:
@@ -460,7 +470,7 @@ def run_sweep(
             if journal.verify(shard):
                 verified[fingerprint] = shard
             else:
-                report.tampered += 1
+                stats.specs_tampered += 1
                 print(
                     f"note: checkpointed result {fingerprint[:12]} failed "
                     "its digest check; re-executing that spec",
@@ -477,17 +487,13 @@ def run_sweep(
                 result.index, fingerprints[result.index], result
             )
 
-    report.skipped = len(reuse)
-    report.executed = report.total - report.skipped
-    stats = current_run_stats()
-    stats.specs_skipped += report.skipped
-    stats.queue_depth = max(stats.queue_depth, report.executed)
+    stats.specs_skipped += len(reuse)
+    stats.queue_depth += len(specs) - len(reuse)
     try:
-        report.peak_buffered = _run_grid(
+        _run_grid(
             specs, jobs, consume or (lambda spec, result: None),
             reuse, record, interrupt_after,
         )
     finally:
         if journal is not None:
             journal.close()
-    return report

@@ -175,7 +175,7 @@ def test_emulated_socket_exhaustion_still_raises():
     machine, osys = make_stack()
     quartz = Quartz(
         osys,
-        QuartzConfig(nvm_read_latency_ns=300.0, monitor_socket=1),
+        QuartzConfig(nvm_read_latency_ns=300.0),
         calibration=calibration(),
     )
     quartz.attach()

@@ -39,8 +39,6 @@ def test_monitor_interval_defaults_to_tenth_of_max_epoch():
         {"min_epoch_ns": 20 * MILLISECOND},  # exceeds max
         {"monitor_interval_ns": 0.0},
         {"counter_backend": "perf"},
-        {"epoch_signal": 0},
-        {"epoch_signal": 99},
         {"nvm_read_latency_ns": math.nan},
         {"nvm_read_latency_ns": math.inf},
         {"nvm_write_latency_ns": math.nan},

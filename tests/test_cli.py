@@ -265,6 +265,59 @@ def test_trace_summarize_bad_file_errors(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("header", (False, True), ids=("header", "record"))
+def test_trace_summarize_rejects_a_line_that_is_not_an_object(
+    header, tmp_path, capsys
+):
+    from repro.quartz.trace import JsonlTraceWriter
+
+    trace_file = tmp_path / "epochs.jsonl"
+    if header:
+        JsonlTraceWriter(trace_file).close()
+    with open(trace_file, "a", encoding="utf-8") as handle:
+        handle.write("[1]\n")
+    assert main(["trace", "summarize", str(trace_file)]) == 1
+    err = capsys.readouterr().err
+    assert "not a JSON object" in err and "Traceback" not in err
+
+
+def test_unwritable_out_fails_before_the_run(monkeypatch, tmp_path, capsys):
+    calls = []
+    monkeypatch.setitem(
+        REGISTRY, "stub-exp", lambda: calls.append(1) or _stub_driver()
+    )
+    target = tmp_path / "missing" / "x.txt"
+    assert main(["run", "stub-exp", "-o", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert "error: " in err and str(target) in err
+    assert calls == []
+
+
+def test_unwritable_trace_out_exits_2(monkeypatch, tmp_path, capsys):
+    calls = []
+    monkeypatch.setitem(
+        REGISTRY, "stub-exp", lambda: calls.append(1) or _stub_driver()
+    )
+    target = tmp_path / "missing" / "x.jsonl"
+    assert main(["run", "stub-exp", "--trace-out", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert "error: " in err and str(target) in err
+    assert calls == []
+
+
+def test_writable_out_probe_leaves_no_file_behind(monkeypatch, tmp_path, capsys):
+    from repro.errors import ValidationError
+
+    def rejected():
+        raise ValidationError("bad configuration")
+
+    monkeypatch.setitem(REGISTRY, "stub-exp", rejected)
+    target = tmp_path / "x.txt"
+    assert main(["run", "stub-exp", "-o", str(target)]) == 2
+    capsys.readouterr()
+    assert not target.exists()
+
+
 # ----------------------------------------------------------------------
 # Fault injection and invariant checking
 # ----------------------------------------------------------------------
@@ -372,7 +425,8 @@ def test_sweep_interrupt_status_resume_roundtrip(tmp_path, capsys):
         "--dir", sweep_dir, "--jobs", "1", "--interrupt-after", "2",
     ]) == 130
     captured = capsys.readouterr()
-    assert "sweep interrupted" in captured.err
+    assert "interrupted:" in captured.err
+    assert "4 spec(s), 4 queued, 0 reused from checkpoints" in captured.err
     assert "sweep resume --dir" in captured.err
 
     assert main(["sweep", "status", "--dir", sweep_dir]) == 0
@@ -412,6 +466,106 @@ def test_sweep_run_refuses_existing_journal(tmp_path, capsys):
         "--dir", sweep_dir, "--jobs", "1",
     ]) == 2
     assert "already exists" in capsys.readouterr().err
+
+
+def test_sweep_run_into_an_uncreatable_directory_exits_two(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main([
+        "sweep", "run", "latency-grid", "--scale", "smoke",
+        "--dir", str(blocker / "grid"), "--jobs", "1",
+    ]) == 2
+    err = capsys.readouterr().err
+    assert "error: cannot create sweep journal" in err
+    assert "Traceback" not in err
+
+
+def _smoke_journal(tmp_path, capsys) -> str:
+    """A finished smoke-scale latency-grid sweep directory."""
+    sweep_dir = str(tmp_path / "grid")
+    assert main([
+        "sweep", "run", "latency-grid", "--scale", "smoke",
+        "--dir", sweep_dir, "--jobs", "1",
+    ]) == 0
+    capsys.readouterr()
+    return sweep_dir
+
+
+def test_sweep_resume_of_a_finished_sweep_reports_the_reuse(tmp_path, capsys):
+    sweep_dir = _smoke_journal(tmp_path, capsys)
+    assert main(["sweep", "resume", "--dir", sweep_dir, "--jobs", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "runner: 0 runs" in out
+    assert "4 spec(s), 0 executed, 4 reused from checkpoints" in out
+
+
+def test_sweep_journal_done_line_that_is_not_an_object_is_skipped(
+    tmp_path, capsys
+):
+    sweep_dir = _smoke_journal(tmp_path, capsys)
+    with open(f"{sweep_dir}/journal.jsonl", "a", encoding="utf-8") as handle:
+        handle.write("[1]\n")
+    assert main(["sweep", "status", "--dir", sweep_dir]) == 0
+    assert "4/4 spec(s) checkpointed" in capsys.readouterr().out
+    assert main(["sweep", "resume", "--dir", sweep_dir, "--jobs", "1"]) == 0
+    assert "4 reused from checkpoints" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "total, message",
+    (
+        (None, "not a quartz-repro/sweep-journal journal"),
+        ("abc", "corrupt header: bad spec total 'abc'"),
+    ),
+    ids=("list-header", "str-total"),
+)
+@pytest.mark.parametrize("command", ("status", "resume"))
+def test_sweep_bad_journal_header_exits_two(
+    command, total, message, tmp_path, capsys
+):
+    import json
+
+    sweep_dir = _smoke_journal(tmp_path, capsys)
+    journal = tmp_path / "grid" / "journal.jsonl"
+    header, *records = journal.read_text().splitlines()
+    header = "[]" if total is None else json.dumps(
+        dict(json.loads(header), total=total)
+    )
+    journal.write_text("\n".join([header, *records]) + "\n")
+    assert main(["sweep", command, "--dir", sweep_dir]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {journal}: {message}" in err
+    assert "Traceback" not in err
+
+
+def test_sweep_resume_reexecutes_a_shard_record_that_is_not_an_object(
+    tmp_path, capsys
+):
+    sweep_dir = _smoke_journal(tmp_path, capsys)
+    shards = tmp_path / "grid" / "results.jsonl"
+    *kept, _ = shards.read_text().splitlines()
+    shards.write_text("\n".join([*kept, "[1]"]) + "\n")
+    assert main(["sweep", "resume", "--dir", sweep_dir, "--jobs", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "4 spec(s), 1 executed, 3 reused from checkpoints" in out
+    assert "1 tampered record(s) re-run" in out
+
+
+def test_sweep_and_inline_run_export_one_experiment(tmp_path, capsys):
+    import json
+
+    from repro.validation import export
+    from repro.validation.experiments.sweeps import run_latency_grid
+
+    inline = run_latency_grid("smoke", jobs=1)
+    assert main([
+        "sweep", "run", "latency-grid", "--scale", "smoke",
+        "--dir", str(tmp_path / "grid"), "--jobs", "1", "--format", "json",
+    ]) == 0
+    document = json.loads(capsys.readouterr().out)
+    assert export.experiment_digest(document) == export.experiment_digest(
+        {"experiment": inline.to_dict()}
+    )
 
 
 def test_sweep_status_missing_directory_exits_two(tmp_path, capsys):

@@ -24,8 +24,7 @@ from repro.validation import export
 from repro.validation.experiments.sweeps import (
     SWEEP_PRESETS,
     get_sweep_preset,
-    resume_sweep,
-    start_sweep,
+    run_latency_grid,
     sweep_status,
 )
 from repro.validation.runner import (
@@ -142,6 +141,26 @@ def test_journal_tolerates_torn_trailing_record(tmp_path):
     reopened.close()
 
 
+@pytest.mark.parametrize(
+    "header, message",
+    (
+        ("[]", "not a quartz-repro/sweep-journal journal"),
+        ({"total": "4"}, "bad spec total '4'"),
+        ({"total": 2.5}, "bad spec total 2.5"),
+        ({"total": True}, "bad spec total True"),
+        ({"total": -1}, "bad spec total -1"),
+    ),
+    ids=("list", "str-total", "float-total", "bool-total", "negative-total"),
+)
+def test_journal_rejects_a_malformed_header(tmp_path, header, message):
+    journal = _fresh_journal(tmp_path, [_memlat_spec(1)])
+    if isinstance(header, dict):
+        header = json.dumps(dict(journal.header, **header))
+    journal.journal_path.write_text(header + "\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match=message):
+        SweepJournal.open(tmp_path / "test")
+
+
 def test_run_sweep_rejects_mismatched_journal(tmp_path):
     journal = _fresh_journal(tmp_path, [_memlat_spec(1)])
     with pytest.raises(ValidationError, match="does not match this grid"):
@@ -175,12 +194,13 @@ def test_consume_sees_submission_order_for_any_job_count():
 def test_report_counts_and_peak_buffer():
     specs = [_memlat_spec(seed) for seed in (1, 2, 3)]
     reset_run_stats()
-    report = run_sweep(specs, jobs=1)
-    assert (report.total, report.executed, report.skipped) == (3, 3, 0)
-    # Sequential execution merges every result immediately.
-    assert report.peak_buffered <= 1
+    assert run_sweep(specs, jobs=1) is None
     stats = consume_run_stats()
-    assert stats.queue_depth == 3
+    assert (stats.queue_depth, stats.specs_skipped, stats.specs_tampered) == (
+        3, 0, 0,
+    )
+    # Sequential execution merges every result immediately.
+    assert stats.stream_merge_peak_rows <= 1
     assert stats.telemetry()["sweep"]["stream_merge_peak_rows"] <= 1
 
 
@@ -194,11 +214,10 @@ def test_stats_record_the_job_count_actually_used(tmp_path):
     specs = [_memlat_spec(seed) for seed in (1, 2)]
     run_sweep(specs, journal=_fresh_journal(tmp_path, specs), jobs=1)
     reset_run_stats()
-    report = run_sweep(
-        specs, journal=SweepJournal.open(tmp_path / "test"), jobs=8
-    )
-    assert report.skipped == 2
-    assert consume_run_stats().jobs == 1
+    run_sweep(specs, journal=SweepJournal.open(tmp_path / "test"), jobs=8)
+    stats = consume_run_stats()
+    assert stats.specs_skipped == 2
+    assert stats.jobs == 1
 
 
 def test_large_grid_streams_through_bounded_buffer():
@@ -210,15 +229,18 @@ def test_large_grid_streams_through_bounded_buffer():
     assert len(specs) >= 500
     seen = []
     reset_run_stats()
-    report = run_sweep(
+    run_sweep(
         specs, jobs=2,
         consume=lambda spec, result: seen.append(result.index),
     )
     assert seen == list(range(len(specs)))
-    assert report.executed == len(specs)
-    assert 1 <= report.peak_buffered <= 64 < len(specs)
-    telemetry = consume_run_stats().telemetry()
-    assert telemetry["sweep"]["stream_merge_peak_rows"] == report.peak_buffered
+    stats = consume_run_stats()
+    assert stats.queue_depth == len(specs)
+    assert 1 <= stats.stream_merge_peak_rows <= 64 < len(specs)
+    telemetry = stats.telemetry()
+    assert telemetry["sweep"]["stream_merge_peak_rows"] == (
+        stats.stream_merge_peak_rows
+    )
 
 
 # ----------------------------------------------------------------------
@@ -226,19 +248,26 @@ def test_large_grid_streams_through_bounded_buffer():
 # ----------------------------------------------------------------------
 
 
-def _export_digest(run):
-    stats = consume_run_stats()
+def _journaled(scale, sweep_dir, **kwargs):
+    """Run the latency grid journaled in *sweep_dir*; returns the result
+    and the window's stats."""
+    reset_run_stats()
+    result = run_latency_grid(scale, sweep_dir=sweep_dir, **kwargs)
+    return result, consume_run_stats()
+
+
+def _export_digest(result, stats, scale):
     document = export.build_document(
-        run.result,
+        result,
         export.build_manifest(
             stats=stats,
             knobs={
                 "command": "sweep",
-                "preset": run.preset,
-                "scale": run.scale,
+                "preset": "latency-grid",
+                "scale": scale,
             },
         ),
-        telemetry=stats.telemetry() if stats is not None else None,
+        telemetry=stats.telemetry(),
     )
     return export.content_digest(document), document
 
@@ -247,20 +276,19 @@ def test_interrupted_then_resumed_sweep_exports_identical_digest(tmp_path):
     """>=100-spec grid: crash deterministically partway, resume, and the
     merged export digest is byte-identical to the uninterrupted run's —
     with only the unfinished specs re-executed."""
-    preset, scale = "latency-grid", "small"
-    total = len(get_sweep_preset(preset).build(scale))
+    scale = "small"
+    total = len(get_sweep_preset("latency-grid").build(scale))
     assert total >= 100
     crash_after = 40
 
-    reset_run_stats()
-    reference = start_sweep(preset, scale, tmp_path / "ref", jobs=1)
-    assert reference.report.executed == total
-    reference_digest, reference_doc = _export_digest(reference)
+    reference, stats = _journaled(scale, tmp_path / "ref", jobs=1)
+    assert stats.queue_depth == total
+    reference_digest, reference_doc = _export_digest(reference, stats, scale)
 
     reset_run_stats()
     with pytest.raises(RunInterrupted) as excinfo:
-        start_sweep(
-            preset, scale, tmp_path / "crashed", jobs=1,
+        run_latency_grid(
+            scale, jobs=1, sweep_dir=tmp_path / "crashed",
             interrupt_after=crash_after,
         )
     assert excinfo.value.completed == crash_after
@@ -271,13 +299,13 @@ def test_interrupted_then_resumed_sweep_exports_identical_digest(tmp_path):
     assert status["done"] == crash_after
     assert status["remaining"] == total - crash_after
 
-    reset_run_stats()
-    resumed = resume_sweep(tmp_path / "crashed", jobs=1)
+    resumed, stats = _journaled(scale, tmp_path / "crashed", jobs=1)
     # Only the unfinished specs ran; the rest came from checkpoints.
-    assert resumed.report.executed == total - crash_after
-    assert resumed.report.skipped == crash_after
-    assert resumed.report.tampered == 0
-    resumed_digest, resumed_doc = _export_digest(resumed)
+    assert stats.queue_depth == total - crash_after
+    assert stats.runs == total - crash_after
+    assert stats.specs_skipped == crash_after
+    assert stats.specs_tampered == 0
+    resumed_digest, resumed_doc = _export_digest(resumed, stats, scale)
 
     assert resumed_digest == reference_digest
     assert export.experiment_digest(resumed_doc) == export.experiment_digest(
@@ -309,49 +337,56 @@ def test_tampered_checkpoint_is_reexecuted_not_trusted(tmp_path):
 
     resumed_rows = []
     journal = SweepJournal.open(tmp_path / "test")
-    report = run_sweep(
+    reset_run_stats()
+    run_sweep(
         specs, journal=journal, jobs=1,
         consume=lambda spec, result: resumed_rows.append(
             result.workload_result.measured_latency_ns
         ),
     )
-    assert report.tampered == 1
-    assert report.executed == 1  # the tampered spec, nothing else
-    assert report.skipped == 3
+    stats = consume_run_stats()
+    assert stats.specs_tampered == 1
+    assert stats.queue_depth == 1  # the tampered spec, nothing else
+    assert stats.runs == 1
+    assert stats.specs_skipped == 3
+    assert stats.telemetry()["sweep"]["specs_tampered"] == 1
+    assert "1 tampered record(s) re-run" in stats.summary()
     assert resumed_rows == rows
 
 
 def test_resume_with_nothing_left_reuses_everything(tmp_path):
-    preset, scale = "latency-grid", "smoke"
-    reset_run_stats()
-    first = start_sweep(preset, scale, tmp_path / "done", jobs=1)
-    first_digest, _ = _export_digest(first)
+    scale = "smoke"
+    first, stats = _journaled(scale, tmp_path / "done", jobs=1)
+    first_digest, _ = _export_digest(first, stats, scale)
 
-    reset_run_stats()
-    again = resume_sweep(tmp_path / "done", jobs=1)
-    assert again.report.executed == 0
-    assert again.report.skipped == again.report.total
-    assert _export_digest(again)[0] == first_digest
+    again, stats = _journaled(scale, tmp_path / "done", jobs=1)
+    total = len(get_sweep_preset("latency-grid").build(scale))
+    assert stats.queue_depth == 0
+    assert stats.runs == 0
+    assert stats.specs_skipped == total
+    assert _export_digest(again, stats, scale)[0] == first_digest
 
 
 def test_interrupt_in_parallel_mode_checkpoints_completed_specs(tmp_path):
-    preset, scale = "latency-grid", "smoke"
+    reset_run_stats()
     with pytest.raises(RunInterrupted):
-        start_sweep(
-            preset, scale, tmp_path / "par", jobs=2, interrupt_after=2,
+        run_latency_grid(
+            "smoke", jobs=2, sweep_dir=tmp_path / "par", interrupt_after=2,
         )
     consume_run_stats()
     status = sweep_status(tmp_path / "par")
     assert status["done"] >= 2
+    _, stats = _journaled("smoke", tmp_path / "par", jobs=2)
+    assert status["total"] == status["done"] + stats.queue_depth
+    assert stats.specs_skipped == status["done"]
+
+
+def test_driver_refuses_a_journal_of_another_grid(tmp_path):
+    _journaled("smoke", tmp_path / "grid", jobs=1)
     reset_run_stats()
-    resumed = resume_sweep(tmp_path / "par", jobs=2)
-    assert resumed.report.total == status["done"] + resumed.report.executed
+    with pytest.raises(ValidationError, match="does not match this grid"):
+        run_latency_grid("small", jobs=1, sweep_dir=tmp_path / "grid")
     consume_run_stats()
-
-
-# ----------------------------------------------------------------------
-# Presets
-# ----------------------------------------------------------------------
 
 
 def test_every_preset_builds_every_scale_with_unique_fingerprints():
