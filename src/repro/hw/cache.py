@@ -109,8 +109,8 @@ class BatchProfile:
     Counts are floats (batches are statistically, not individually,
     resolved).  ``demand_dram_loads`` excludes prefetch-covered lines,
     which appear in ``prefetched_lines`` instead: those retire as LLC hits
-    (the PMC view) but still transfer bytes.  Frozen: the model hands the
-    same instance to every batch of the same shape.
+    (the PMC view) but still transfer bytes.  Frozen: a core's batch plan
+    hands the same instance to every execution of the same op.
     """
 
     accesses: int
@@ -164,15 +164,9 @@ class AnalyticCacheModel:
     #: access streams when the workload does not say otherwise.
     DEFAULT_RANDOM_PARALLELISM = 1
 
-    #: Distinct batch shapes remembered before the memo starts over, so
-    #: interrupted batches (each remainder a new access count) cannot
-    #: grow it without limit.
-    MEMO_LIMIT = 4096
-
     def __init__(self, arch: ArchSpec):
         self.arch = arch
         self.llc_sharers = 1
-        self._memo: dict[tuple, BatchProfile] = {}
 
     # -- capacity helpers ------------------------------------------------
     def _effective_l3(self) -> float:
@@ -190,8 +184,8 @@ class AnalyticCacheModel:
         """Resolve a batch into per-level hit/miss counts.
 
         The result depends only on the batch's shape and the current
-        ``llc_sharers``, so it is memoized on exactly those fields.  The
-        liveness and non-temporal-load checks run on every call.
+        ``llc_sharers``; each core keeps it in the batch plan of the op
+        (:class:`repro.hw.core.Core`), so this runs on a plan miss.
         """
         region = batch.region
         region.require_live()
@@ -199,23 +193,9 @@ class AnalyticCacheModel:
             return BatchProfile(accesses=0, is_store=batch.is_store)
         if batch.non_temporal and not batch.is_store:
             raise HardwareError("non-temporal hint is only meaningful for stores")
-        key = (
-            batch.pattern, batch.effective_footprint, batch.accesses,
-            batch.parallelism, batch.stride_bytes, batch.is_store,
-            batch.non_temporal, batch.dram_bytes_multiplier, region.page_size,
-            self.llc_sharers,
-        )
-        memo = self._memo
-        profile = memo.get(key)
-        if profile is None:
-            if len(memo) >= self.MEMO_LIMIT:
-                memo.clear()
-            if batch.pattern is PatternKind.SEQUENTIAL:
-                profile = self._resolve_sequential(batch)
-            else:
-                profile = self._resolve_irregular(batch)
-            memo[key] = profile
-        return profile
+        if batch.pattern is PatternKind.SEQUENTIAL:
+            return self._resolve_sequential(batch)
+        return self._resolve_irregular(batch)
 
     # -- pattern-specific resolution ----------------------------------------
     def _resolve_irregular(self, batch: MemBatch) -> BatchProfile:

@@ -90,6 +90,61 @@ _PIPELINED_HIT_ILP = 8.0
 _STORE_ISSUE_CYCLES = 0.25
 #: Cycles charged for issuing a clflushopt (non-blocking).
 _FLUSHOPT_ISSUE_CYCLES = 5.0
+#: Batch plans one core keeps before it starts over, so ops seen once
+#: (every interrupted batch's remainder is a new op) cannot grow the
+#: table without limit.
+PLAN_LIMIT = 4096
+
+
+class _BatchPlan:
+    """How one :class:`MemBatch` op costs on one core.
+
+    Everything here follows from the op, the socket's ``llc_sharers`` and
+    inputs fixed for the run (the arch, the machine's DRAM latencies, the
+    nominal frequency), so a core works it out on the op's first execution
+    and reuses it while ``llc_sharers`` is unchanged.  It holds ``op``
+    itself: the table is keyed by ``id(op)``, and a live op's id cannot be
+    reused by another object.  The plan is how the charge is derived, never
+    the charge itself: every execution still submits its flow, waits and
+    adds its own counts.
+    """
+
+    __slots__ = (
+        "op", "llc_sharers", "profile", "freq", "compute_like", "duration_min",
+        "timeout", "controller", "dram_bytes", "rate_cap", "flow_kind", "label",
+        "counts", "l3_hits", "dram_loads", "miss_events",
+    )
+
+    def __init__(self, core: "Core", op: MemBatch):
+        machine = core.machine
+        profile = core._cache_model.resolve(op)
+        freq = core.frequency_ghz()
+        compute_like, _mem_wait, duration_min = core._membatch_timing(
+            op, profile, freq
+        )
+        self.op = op
+        self.llc_sharers = core._cache_model.llc_sharers
+        self.profile = profile
+        self.freq = freq
+        self.compute_like = compute_like
+        self.duration_min = duration_min
+        self.timeout = self.controller = None
+        if profile.dram_bytes > 0:
+            self.controller = machine.controller(op.region.node)
+            self.dram_bytes = profile.dram_bytes
+            self.rate_cap = profile.dram_bytes / max(duration_min, 1e-9)
+            self.flow_kind = "write" if op.is_store else "read"
+            self.label = op.label or "membatch"
+        else:
+            self.timeout = Timeout(duration_min)
+        # Added to directly: the core's own events always exist in its file.
+        self.counts = machine.pmc(core.core_id)._true
+        self.l3_hits = profile.pmc_l3_hits
+        self.dram_loads = profile.pmc_dram_loads
+        if op.region.node == core.socket:
+            self.miss_events = core._local_miss_events
+        else:
+            self.miss_events = core._remote_miss_events
 
 
 class Core:
@@ -114,6 +169,9 @@ class Core:
             self._remote_miss_events = (events.l3_miss_remote,) + combined
         else:
             self._local_miss_events = self._remote_miss_events = combined
+        self._cache_model = machine.cache_model(self.socket)
+        #: ``id(op)`` -> :class:`_BatchPlan` (see :meth:`execute`).
+        self._plans: dict[int, _BatchPlan] = {}
 
     # ------------------------------------------------------------------
     # Timestamp counter
@@ -147,25 +205,27 @@ class Core:
         if kind is MemBatch:
             if op.accesses == 0:
                 return None, OpResult(op, 0.0)
-            profile = self.machine.cache_model(self.socket).resolve(op)
-            freq = self.frequency_ghz()
-            compute_like, _mem_wait, duration_min = self._membatch_timing(
-                op, profile, freq
+            machine = self.machine
+            if machine.dvfs.enabled or machine.loaded_latency_alpha > 0:
+                # Frequency or DRAM latency moves with time or load.
+                plan = _BatchPlan(self, op)
+            else:
+                plans = self._plans
+                plan = plans.get(id(op))
+                if plan is None or plan.llc_sharers != self._cache_model.llc_sharers:
+                    plan = _BatchPlan(self, op)
+                    if len(plans) >= PLAN_LIMIT:
+                        plans.clear()
+                    plans[id(op)] = plan
+                else:
+                    op.region.require_live()
+            controller = plan.controller
+            if controller is None:
+                return plan.timeout, (kind, plan, now, None)
+            flow = controller.submit(
+                plan.dram_bytes, plan.rate_cap, label=plan.label, kind=plan.flow_kind
             )
-            controller = flow = None
-            if profile.dram_bytes > 0:
-                controller = self.machine.controller(op.region.node)
-                rate_cap = profile.dram_bytes / max(duration_min, 1e-9)
-                flow = controller.submit(
-                    profile.dram_bytes,
-                    rate_cap,
-                    label=op.label or "membatch",
-                    kind="write" if op.is_store else "read",
-                )
-            wait = Timeout(duration_min) if flow is None else flow.done
-            return wait, (
-                kind, op, now, duration_min, profile, compute_like, freq, controller, flow
-            )
+            return flow.done, (kind, plan, now, flow)
         if kind is Compute:
             duration = op.cycles / self.frequency_ghz()
             return Timeout(duration), (kind, op, now, duration)
@@ -212,9 +272,10 @@ class Core:
         """Complete the op behind *token* once its wait has elapsed."""
         kind = token[0]
         if kind is MemBatch:
+            plan = token[1]
             elapsed = self.machine.sim.now - token[2]
-            self._account_membatch(token[1], token[4], 1.0, elapsed, token[5], token[6])
-            return OpResult(token[1], elapsed)
+            self._account_membatch(plan, 1.0, elapsed)
+            return OpResult(plan.op, elapsed)
         op, duration, stats = token[1], token[3], self.stats
         if kind is Spin:
             stats.spin_ns += duration
@@ -227,20 +288,22 @@ class Core:
     def abort(self, token: tuple, interrupt: Interrupt) -> OpInterrupted:
         """Account the done part of the op behind *token* and return the
         :class:`OpInterrupted` carrying what is left of it."""
-        kind, op, start, duration = token[:4]
+        kind = token[0]
         stats = self.stats
-        elapsed = self.machine.sim.now - start
+        elapsed = self.machine.sim.now - token[2]
         if kind is MemBatch:
-            _, _, _, _, profile, compute_like, freq, controller, flow = token
+            plan, flow = token[1], token[3]
             if flow is not None:
-                controller.withdraw(flow)
+                plan.controller.withdraw(flow)
                 fraction = flow.fraction_done
             else:
+                duration = plan.duration_min
                 fraction = elapsed / duration if duration > 0 else 1.0
-            self._account_membatch(op, profile, fraction, elapsed, compute_like, freq)
+            self._account_membatch(plan, fraction, elapsed)
             return OpInterrupted(
-                op.split_remainder(fraction), interrupt.payload, elapsed
+                plan.op.split_remainder(fraction), interrupt.payload, elapsed
             )
+        op, duration = token[1], token[3]
         stats.interrupts_taken += 1
         fraction = elapsed / duration if duration > 0 else 1.0
         remainder: Optional[Op] = None
@@ -309,41 +372,33 @@ class Core:
         return compute_like, mem_wait, duration_min
 
     def _account_membatch(
-        self,
-        batch: MemBatch,
-        profile: "BatchProfile",
-        fraction: float,
-        elapsed_ns: float,
-        compute_like_ns: float,
-        freq: float,
+        self, plan: _BatchPlan, fraction: float, elapsed_ns: float
     ) -> None:
         """Charge PMCs and stats for the completed *fraction* of a batch.
 
-        *freq* is the frequency read at the start of the batch.  With DVFS
-        on, stall cycles accrue at the frequency the batch ends at, so it
-        is read again here.
+        The plan's frequency is the one read when it was made.  With DVFS
+        on (never a stored plan), stall cycles accrue at the frequency the
+        batch ends at, so it is read again here.
         """
+        stats = self.stats
         if fraction < 1.0:
-            self.stats.interrupts_taken += 1
-        pmc = self.machine.pmc(self.core_id)
+            stats.interrupts_taken += 1
         stall_ns = 0.0
-        if not batch.is_store:
-            stall_ns = max(0.0, elapsed_ns - fraction * compute_like_ns)
+        if not plan.op.is_store:
+            stall_ns = max(0.0, elapsed_ns - fraction * plan.compute_like)
+        freq = plan.freq
         if self.machine.dvfs.enabled:
             freq = self.frequency_ghz()
-        pmc.increment(self._stall_event, stall_ns * freq)
-        pmc.increment(self._l3_hit_event, fraction * profile.pmc_l3_hits)
-        dram_loads = fraction * profile.pmc_dram_loads
-        if batch.region.node == self.socket:
-            miss_events = self._local_miss_events
-        else:
-            miss_events = self._remote_miss_events
-        for event in miss_events:
-            pmc.increment(event, dram_loads)
-        self.stats.busy_ns += elapsed_ns
-        self.stats.stall_ns += stall_ns
-        self.stats.mem_accesses += fraction * batch.accesses
-        self.stats.dram_loads += dram_loads
+        counts = plan.counts
+        counts[self._stall_event] += stall_ns * freq
+        counts[self._l3_hit_event] += fraction * plan.l3_hits
+        dram_loads = fraction * plan.dram_loads
+        for event in plan.miss_events:
+            counts[event] += dram_loads
+        stats.busy_ns += elapsed_ns
+        stats.stall_ns += stall_ns
+        stats.mem_accesses += fraction * plan.op.accesses
+        stats.dram_loads += dram_loads
 
     # -- persistent-memory line flushes -----------------------------------
     def _flush_latency_ns(self, node: int) -> float:

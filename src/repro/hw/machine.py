@@ -77,14 +77,15 @@ class Machine:
             )
             for node in range(arch.sockets)
         ]
-        # One Core/PmcFile per *logical* CPU (hyperthread); the paper's
-        # testbeds are all two-way hyper-threaded (Section 4.1).
-        total_logical = arch.sockets * arch.cores_per_socket * arch.smt
-        self.cores = [Core(self, core_id) for core_id in range(total_logical)]
-        self.pmcs = [PmcFile(sim, arch, core_id) for core_id in range(total_logical)]
         self.dvfs = DvfsGovernor(nominal_ghz=arch.freq_ghz)
         self.dvfs.disable()  # the paper's required configuration
         self._cache_models = [AnalyticCacheModel(arch) for _ in range(arch.sockets)]
+        # One Core/PmcFile per *logical* CPU (hyperthread); the paper's
+        # testbeds are all two-way hyper-threaded (Section 4.1).  A core
+        # keeps its socket's cache model, so the models come first.
+        total_logical = arch.sockets * arch.cores_per_socket * arch.smt
+        self.pmcs = [PmcFile(sim, arch, core_id) for core_id in range(total_logical)]
+        self.cores = [Core(self, core_id) for core_id in range(total_logical)]
 
     # ------------------------------------------------------------------
     # Component lookup

@@ -21,7 +21,9 @@ Two responsibilities, matching the paper:
 from __future__ import annotations
 
 import itertools
-from typing import Optional, TYPE_CHECKING
+import math
+from functools import partial
+from typing import Callable, Optional, TYPE_CHECKING
 
 from repro.errors import HardwareError
 from repro.sim import Condition, Simulator
@@ -47,10 +49,14 @@ class MemoryFlow:
 
     def __init__(self, sim: Simulator, total_bytes: float, rate_cap: float,
                  label: str = "flow", kind: str = "read"):
-        if total_bytes < 0:
-            raise HardwareError(f"negative flow size: {total_bytes}")
-        if rate_cap <= 0:
-            raise HardwareError(f"flow rate cap must be positive: {rate_cap}")
+        # NaN fails both range checks: a NaN size would fire ``done`` at
+        # once with nothing served, a NaN cap a NaN completion time.
+        if not 0 <= total_bytes < math.inf:
+            raise HardwareError(
+                f"flow size must be finite and non-negative: {total_bytes}"
+            )
+        if not 0 < rate_cap < math.inf:
+            raise HardwareError(f"flow rate cap must be finite and positive: {rate_cap}")
         if kind not in ("read", "write"):
             raise HardwareError(f"flow kind must be read/write: {kind!r}")
         self.flow_id = next(_flow_ids)
@@ -63,6 +69,9 @@ class MemoryFlow:
         self.done = Condition(sim, name=f"{label}.done")
         self._last_update_ns = sim.now
         self._completion_event: Optional["ScheduledEvent"] = None
+        #: The controller's completion callback for this flow, bound once
+        #: when it is admitted and reused by every reschedule.
+        self._on_complete: Optional[Callable[[], None]] = None
         self.withdrawn = False
 
     @property
@@ -220,6 +229,7 @@ class MemoryController:
         if flow.remaining_bytes <= 0.0:
             flow.done.fire(flow)
             return flow
+        flow._on_complete = partial(self._complete, flow)
         self._flows.append(flow)
         self._reallocate()
         return flow
@@ -297,7 +307,10 @@ class MemoryController:
         the combined register still binds when the per-kind registers are
         left open.  A lone flow skips the fills: each stage gives it
         ``min(cap, capacity / 1)``, which is the nested ``min`` below.
+        With no flow active there is nothing to credit or reschedule.
         """
+        if not self._flows:
+            return
         self._advance_all()
         if len(self._flows) == 1:
             flow = self._flows[0]
@@ -327,9 +340,7 @@ class MemoryController:
             if flow.assigned_rate <= 0:
                 continue
             eta = flow.remaining_bytes / flow.assigned_rate
-            flow._completion_event = self.sim.schedule(
-                eta, lambda f=flow: self._complete(f)
-            )
+            flow._completion_event = self.sim.schedule(eta, flow._on_complete)
 
     def _complete(self, flow: MemoryFlow) -> None:
         self._advance_all()
@@ -338,4 +349,5 @@ class MemoryController:
         flow.transferred = flow.total_bytes
         self._detach(flow)
         flow.done.fire(flow)
-        self._reallocate()
+        if self._flows:
+            self._reallocate()

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import random
 import zlib
+from types import MappingProxyType
+from typing import Mapping
 
 from repro.errors import HardwareError
 from repro.hw.arch import ArchSpec
@@ -29,6 +31,10 @@ from repro.sim import Simulator
 
 #: (family, core id, event, bias sigma) -> systematic bias factor.
 _BIAS_TABLE: dict[tuple[str, int, str, float], float] = {}
+#: (family, core id, bias sigma, event names) -> (valid events, read-only
+#: bias per event): one core's fixed counter layout, shared by every
+#: :class:`PmcFile` of that core of the family.
+_LAYOUTS: dict[tuple, tuple[frozenset, Mapping[str, float]]] = {}
 
 
 def systematic_bias(family: str, core_id: int, event: str, sigma: float) -> float:
@@ -49,6 +55,19 @@ def systematic_bias(family: str, core_id: int, event: str, sigma: float) -> floa
     return bias
 
 
+def _layout(arch: ArchSpec, core_id: int) -> tuple[frozenset, Mapping[str, float]]:
+    """The valid events and bias factors of one core of *arch*, derived
+    once per process like the biases themselves."""
+    events = arch.counter_events.all_events()
+    sigma = arch.counter_fidelity.bias_sigma
+    key = (arch.name, core_id, sigma, events)
+    layout = _LAYOUTS.get(key)
+    if layout is None:
+        bias = {name: systematic_bias(arch.name, core_id, name, sigma) for name in events}
+        layout = _LAYOUTS[key] = (frozenset(events), MappingProxyType(bias))
+    return layout
+
+
 class PmcFile:
     """The PMC register file of one core."""
 
@@ -56,17 +75,14 @@ class PmcFile:
         self.sim = sim
         self.arch = arch
         self.core_id = core_id
-        self._valid_events = set(arch.counter_events.all_events())
-        self._true: dict[str, float] = {name: 0.0 for name in self._valid_events}
+        self._valid_events, self._bias = _layout(arch, core_id)
+        #: True (hardware-side) counts.  A core's batch plans add to this
+        #: dict directly, for the core's own events (``repro.hw.core``).
+        self._true: dict[str, float] = dict.fromkeys(self._valid_events, 0.0)
         self._programmed: set[str] = set()
         # Measurement state per event: (true value at last read, last
         # reported value).
         self._read_state: dict[str, tuple[float, float]] = {}
-        sigma = arch.counter_fidelity.bias_sigma
-        self._bias: dict[str, float] = {
-            name: systematic_bias(arch.name, core_id, name, sigma)
-            for name in self._valid_events
-        }
         # Created on the first noisy read: a stream's seed depends only on
         # its name, so the draws are the same whenever it is created.
         self._noise_rng: random.Random | None = None

@@ -5,11 +5,13 @@ import dataclasses
 import pytest
 
 from repro.errors import HardwareError
-from repro.hw import IVY_BRIDGE, SANDY_BRIDGE
+from repro.hw import IVY_BRIDGE, SANDY_BRIDGE, Machine
 from repro.hw.cache import AnalyticCacheModel, CacheHierarchySim, SetAssociativeCache
+from repro.hw.core import PLAN_LIMIT
 from repro.hw.topology import MemoryRegion, PageSize
 from repro.ops import MemBatch, PatternKind
-from repro.units import CACHE_LINE_BYTES, KIB, MIB
+from repro.sim import Interrupt, Simulator
+from repro.units import CACHE_LINE_BYTES, GIB, KIB, MIB
 
 
 def region(size, node=0, page=PageSize.SMALL_4K):
@@ -227,7 +229,7 @@ def test_freed_region_rejected():
 
 
 # ----------------------------------------------------------------------
-# Shape memo of the analytic model
+# Memo of a batch's shape: each core's batch plans (repro.hw.core)
 # ----------------------------------------------------------------------
 MEMO_SHAPES = {
     "chase": dict(pattern=PatternKind.CHASE, parallelism=4),
@@ -241,14 +243,45 @@ MEMO_SHAPES = {
 }
 
 
+def make_machine():
+    return Machine(Simulator(seed=1), IVY_BRIDGE)
+
+
+def execute_batch(machine, batch, core_id=0):
+    """Run *batch* to completion on one core; return its duration and the
+    core's true PMC counts and stats after it."""
+    core = machine.core(core_id)
+    outcome = {}
+
+    def proc():
+        wait, token = core.execute(None, batch)
+        if wait is not None:
+            yield wait
+            token = core.finish(token)
+        outcome["duration"] = token.duration_ns
+
+    machine.sim.spawn(proc())
+    machine.sim.run()
+    pmc = machine.pmc(core_id)
+    counts = {
+        event: pmc.true_value(event)
+        for event in machine.arch.counter_events.all_events()
+    }
+    return outcome["duration"], counts, dataclasses.asdict(core.stats)
+
+
 @pytest.mark.parametrize("shape", sorted(MEMO_SHAPES))
 def test_memo_hit_equals_a_fresh_models_profile(shape):
-    r = region(512 * MIB)
-    warm = model()
-    first = warm.resolve(MemBatch(r, 10_000, **MEMO_SHAPES[shape]))
-    hit = warm.resolve(MemBatch(r, 10_000, **MEMO_SHAPES[shape]))
-    assert hit is first
-    assert hit == model().resolve(MemBatch(r, 10_000, **MEMO_SHAPES[shape]))
+    warm, cold = make_machine(), make_machine()
+    batch = MemBatch(warm.allocate(512 * MIB, node=0), 10_000, **MEMO_SHAPES[shape])
+    twin = MemBatch(cold.allocate(512 * MIB, node=0), 10_000, **MEMO_SHAPES[shape])
+    assert execute_batch(warm, batch) == execute_batch(cold, twin)
+    plan = warm.core(0)._plans[id(batch)]
+    assert plan.profile == model().resolve(batch)
+    # The second run is a plan hit; its twin re-derives everything.
+    cold.core(0)._plans.clear()
+    assert execute_batch(warm, batch) == execute_batch(cold, twin)
+    assert warm.core(0)._plans[id(batch)] is plan
 
 
 def test_changing_llc_sharers_changes_the_next_result():
@@ -264,38 +297,62 @@ def test_changing_llc_sharers_changes_the_next_result():
 
 
 def test_freed_region_rejected_on_a_memo_hit():
-    r = region(MIB)
+    machine = make_machine()
+    r = machine.allocate(MIB, node=0)
     batch = MemBatch(r, 10, PatternKind.RANDOM)
-    warm = model()
-    warm.resolve(batch)
-    r.freed = True
+    execute_batch(machine, batch)
+    assert id(batch) in machine.core(0)._plans
+    machine.free(r)
     with pytest.raises(HardwareError, match="use after free"):
-        warm.resolve(batch)
+        machine.core(0).execute(None, batch)
 
 
 def test_non_temporal_load_rejected_on_every_call():
-    r = region(MIB)
-    warm = model()
-    # The same shape as a store is legal and lands in the memo first.
-    warm.resolve(MemBatch(r, 10, PatternKind.SEQUENTIAL, is_store=True,
-                          non_temporal=True))
+    machine = make_machine()
+    core = machine.core(0)
+    r = machine.allocate(MIB, node=0)
+    # The same shape as a store is legal and gets a plan first.
+    execute_batch(machine, MemBatch(r, 10, PatternKind.SEQUENTIAL, is_store=True,
+                                    non_temporal=True))
     batch = MemBatch(r, 10, PatternKind.SEQUENTIAL, non_temporal=True)
     for _ in range(3):
         with pytest.raises(HardwareError, match="non-temporal"):
-            warm.resolve(batch)
+            core.execute(None, batch)
+    assert id(batch) not in core._plans
 
 
 def test_memo_stays_bounded_over_many_distinct_access_counts():
-    r = region(512 * MIB)
-    warm = model()
-    limit = AnalyticCacheModel.MEMO_LIMIT
-    for accesses in range(1, 3 * limit):
-        warm.resolve(MemBatch(r, accesses, PatternKind.CHASE))
-        assert len(warm._memo) <= limit
-    # Shapes resolved after a reset are still exact.
-    assert warm.resolve(MemBatch(r, 7, PatternKind.CHASE)) == model().resolve(
-        MemBatch(r, 7, PatternKind.CHASE)
-    )
+    """Every interrupted batch's remainder is a new op with a new access
+    count; the plan table starts over instead of growing."""
+    machine = make_machine()
+    core = machine.core(0)
+    r = machine.allocate(8 * GIB, node=0, page_size=PageSize.HUGE_2M)
+    interrupts = PLAN_LIMIT + 100
+    remainders = []
+
+    def proc():
+        op = MemBatch(r, 10_000_000, PatternKind.CHASE)
+        while op is not None:
+            wait, token = core.execute(None, op)
+            assert len(core._plans) <= PLAN_LIMIT
+            try:
+                yield wait
+            except Interrupt as interrupt:
+                op = core.abort(token, interrupt).remainder
+                remainders.append(op)
+            else:
+                core.finish(token)
+                op = None
+
+    process = machine.sim.spawn(proc())
+    for index in range(1, interrupts + 1):
+        machine.sim.schedule(index * 1_000.0, lambda: process.interrupt("sig"))
+    machine.sim.run()
+    assert len({op.accesses for op in remainders}) == interrupts
+    assert len(core._plans) <= PLAN_LIMIT
+    # A plan made after the table started over is still exact.
+    last = remainders[-1]
+    assert core._plans[id(last)].profile == model().resolve(last)
 
 
 def test_batch_profile_is_frozen():

@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import HardwareError
 from repro.hw import IVY_BRIDGE, Machine
+from repro.hw.cache import AnalyticCacheModel
 from repro.hw.memory import THROTTLE_REGISTER_MAX
 from repro.hw.topology import PageSize
 from repro.ops import (
@@ -148,6 +149,7 @@ def test_interrupt_mid_batch_partial_accounting_and_remainder():
     # Partial PMC accounting: about half the misses recorded.
     misses = machine.pmc(0).true_value(IVY_BRIDGE.counter_events.l3_miss_local)
     assert misses == pytest.approx(480, abs=40)
+    assert machine.core(0).stats.mem_accesses == pytest.approx(500, abs=20)
 
 
 def test_interrupted_then_resumed_batch_totals_match_uninterrupted():
@@ -296,6 +298,55 @@ def test_batch_reads_the_frequency_once_without_dvfs(
     batch = MemBatch(region, 1000, PatternKind.CHASE, is_store=is_store)
     run_op(machine, batch, interrupt_at=interrupt_at)
     assert len(reads) <= 1
+
+
+# ----------------------------------------------------------------------
+# Batch plans
+# ----------------------------------------------------------------------
+def test_a_change_of_llc_sharers_replans_the_batch():
+    machine = make_machine()
+    core = machine.core(0)
+    batch = MemBatch(machine.allocate(20 * MIB, node=0), 10_000, PatternKind.RANDOM)
+    alone, _, _ = run_op(machine, batch)
+    plan = core._plans[id(batch)]
+    machine.set_llc_sharers(0, 8)
+    crowded, _, _ = run_op(machine, batch)
+    assert core._plans[id(batch)] is not plan
+    assert crowded.duration_ns > alone.duration_ns
+    shared = AnalyticCacheModel(IVY_BRIDGE)
+    shared.llc_sharers = 8
+    assert core._plans[id(batch)].profile == shared.resolve(batch)
+    machine.set_llc_sharers(0, 1)
+    again, _, _ = run_op(machine, batch)
+    assert again.duration_ns == alone.duration_ns
+
+
+def test_dvfs_bypasses_a_stored_plan(monkeypatch):
+    machine = make_machine()
+    core = machine.core(0)
+    reads = record_frequency_reads(monkeypatch, core)
+    batch = chase_batch(machine, accesses=2_000)
+    run_op(machine, batch)
+    assert len(reads) == 1 and id(batch) in core._plans
+    machine.dvfs.enable()
+    for _ in range(2):
+        start = machine.sim.now
+        run_op(machine, batch)
+        # Read at the start for timing and at the end for the stall PMC.
+        assert reads[-2:] == [start, machine.sim.now]
+    assert len(reads) == 5
+
+
+def test_loaded_latency_bypasses_the_plan():
+    machine = Machine(Simulator(seed=1), IVY_BRIDGE, loaded_latency_alpha=0.5)
+    batch = chase_batch(machine, accesses=2_000, size=4 * GIB)
+    idle, _, _ = run_op(machine, batch)
+    # A saturating stream on the same controller raises the latency the
+    # same op sees on its next execution.
+    machine.controller(0).submit(1e12, rate_cap=1e3)
+    loaded, _, _ = run_op(machine, batch)
+    assert loaded.duration_ns > 1.3 * idle.duration_ns
+    assert machine.core(0)._plans == {}
 
 
 def test_unknown_op_is_rejected():

@@ -1,5 +1,7 @@
 """Tests for the memory controller: throttling and fluid flow sharing."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -146,6 +148,25 @@ def test_invalid_flow_parameters_rejected():
         MemoryFlow(sim, total_bytes=-1.0, rate_cap=1.0)
     with pytest.raises(HardwareError):
         MemoryFlow(sim, total_bytes=10.0, rate_cap=0.0)
+
+
+@pytest.mark.parametrize("total_bytes, rate_cap, named", [
+    (math.nan, 1.0, "nan"),
+    (math.inf, 1.0, "inf"),
+    (1000.0, math.nan, "nan"),
+    (1000.0, math.inf, "inf"),
+])
+def test_non_finite_flow_rejected_before_it_reaches_the_controller(
+    total_bytes, rate_cap, named
+):
+    sim, ctrl = make_controller(peak=10.0)
+    with pytest.raises(HardwareError, match=named):
+        ctrl.submit(total_bytes, rate_cap)
+    assert ctrl.active_flow_count == 0
+    # A later flow is served as if the bad one had never been offered.
+    flow = ctrl.submit(1000.0, rate_cap=2.0)
+    assert run_flow(sim, flow) == pytest.approx(500.0)
+    assert ctrl.total_bytes_served == pytest.approx(1000.0)
 
 
 def test_invalid_controller_parameters_rejected():

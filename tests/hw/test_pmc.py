@@ -177,6 +177,21 @@ def test_replaced_bias_sigma_never_aliases_the_original():
     assert replaced._bias[event] == _direct_bias(wider, 0, event)
 
 
+def test_machines_of_an_arch_share_each_cores_layout_read_only():
+    first = Machine(Simulator(seed=0), IVY_BRIDGE).pmc(3)
+    second = Machine(Simulator(seed=1), IVY_BRIDGE).pmc(3)
+    assert second._valid_events is first._valid_events
+    assert second._bias is first._bias
+    assert second._true is not first._true
+    event = IVY_BRIDGE.counter_events.l3_hit
+    with pytest.raises(TypeError):
+        second._bias[event] = 1.0
+    with pytest.raises(AttributeError):
+        second._valid_events.add("BOGUS_EVENT")
+    second.increment(event, 5.0)
+    assert first.true_value(event) == 0.0
+
+
 def test_second_machine_of_an_arch_seeds_no_random(monkeypatch):
     Machine(Simulator(seed=0), IVY_BRIDGE)
     constructed = []

@@ -118,8 +118,8 @@ def _execute_membatch(core, batch: MemBatch):
         except Interrupt as intr:
             controller.withdraw(flow)
             fraction = flow.fraction_done
-            core._account_membatch(
-                batch, profile, fraction, sim.now - start, compute_like, freq
+            _account_membatch(
+                core, batch, profile, fraction, sim.now - start, compute_like, freq
             )
             raise OpInterrupted(
                 batch.split_remainder(fraction), intr.payload, sim.now - start
@@ -130,13 +130,37 @@ def _execute_membatch(core, batch: MemBatch):
         except Interrupt as intr:
             elapsed = sim.now - start
             fraction = elapsed / duration_min if duration_min > 0 else 1.0
-            core._account_membatch(batch, profile, fraction, elapsed, compute_like, freq)
+            _account_membatch(core, batch, profile, fraction, elapsed, compute_like, freq)
             raise OpInterrupted(
                 batch.split_remainder(fraction), intr.payload, elapsed
             ) from None
     elapsed = sim.now - start
-    core._account_membatch(batch, profile, 1.0, elapsed, compute_like, freq)
+    _account_membatch(core, batch, profile, 1.0, elapsed, compute_like, freq)
     return OpResult(batch, elapsed)
+
+
+def _account_membatch(core, batch, profile, fraction, elapsed_ns, compute_like_ns, freq):
+    if fraction < 1.0:
+        core.stats.interrupts_taken += 1
+    pmc = core.machine.pmc(core.core_id)
+    stall_ns = 0.0
+    if not batch.is_store:
+        stall_ns = max(0.0, elapsed_ns - fraction * compute_like_ns)
+    if core.machine.dvfs.enabled:
+        freq = core.frequency_ghz()
+    pmc.increment(core._stall_event, stall_ns * freq)
+    pmc.increment(core._l3_hit_event, fraction * profile.pmc_l3_hits)
+    dram_loads = fraction * profile.pmc_dram_loads
+    if batch.region.node == core.socket:
+        miss_events = core._local_miss_events
+    else:
+        miss_events = core._remote_miss_events
+    for event in miss_events:
+        pmc.increment(event, dram_loads)
+    core.stats.busy_ns += elapsed_ns
+    core.stats.stall_ns += stall_ns
+    core.stats.mem_accesses += fraction * batch.accesses
+    core.stats.dram_loads += dram_loads
 
 
 def _execute_flush(core, op: Flush):
