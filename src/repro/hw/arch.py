@@ -18,6 +18,7 @@ Sandy Bridge's larger emulation errors (up to 9% vs. 2% on Ivy Bridge).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from repro.errors import UnsupportedFeatureError
@@ -43,6 +44,23 @@ class CounterEventSet:
     def has_local_remote_split(self) -> bool:
         """True if LLC misses can be attributed to local vs. remote DRAM."""
         return self.l3_miss_local is not None and self.l3_miss_remote is not None
+
+    @cached_property
+    def local_miss_events(self) -> tuple[str, ...]:
+        """The events an LLC miss served by the core's own node counts
+        toward: the local-miss event where the family splits misses,
+        plus the combined one where it has it."""
+        return self._miss_events(self.l3_miss_local)
+
+    @cached_property
+    def remote_miss_events(self) -> tuple[str, ...]:
+        """As :attr:`local_miss_events`, for a miss served by the other
+        socket's DRAM."""
+        return self._miss_events(self.l3_miss_remote)
+
+    def _miss_events(self, split: Optional[str]) -> tuple[str, ...]:
+        combined = () if self.l3_miss_combined is None else (self.l3_miss_combined,)
+        return (split,) + combined if self.has_local_remote_split else combined
 
     def all_events(self) -> tuple[str, ...]:
         """Every event name in this set, in programming order."""

@@ -160,15 +160,9 @@ class Core:
         self._stall_event = events.l2_stalls
         self._l3_hit_event = events.l3_hit
         # LLC-miss events charged for loads served by the local node and
-        # by a remote one.
-        combined = (
-            () if events.l3_miss_combined is None else (events.l3_miss_combined,)
-        )
-        if events.has_local_remote_split:
-            self._local_miss_events = (events.l3_miss_local,) + combined
-            self._remote_miss_events = (events.l3_miss_remote,) + combined
-        else:
-            self._local_miss_events = self._remote_miss_events = combined
+        # by a remote one: one pair of tuples per family, shared.
+        self._local_miss_events = events.local_miss_events
+        self._remote_miss_events = events.remote_miss_events
         self._cache_model = machine.cache_model(self.socket)
         #: ``id(op)`` -> :class:`_BatchPlan` (see :meth:`execute`).
         self._plans: dict[int, _BatchPlan] = {}

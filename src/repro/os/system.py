@@ -380,7 +380,7 @@ class SimOS:
 
         Completion is event-driven: thread exit paths decrement a live
         count and request a simulator stop when it reaches zero, so the
-        kernel's fast dispatch path runs without a per-event predicate.
+        kernel's dispatch loop runs without a per-event predicate.
         Dispatch order and counts are identical to the old
         predicate-polling loop — the stop lands before the event that
         would have followed the final thread exit.

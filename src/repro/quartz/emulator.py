@@ -112,13 +112,13 @@ class Quartz:
                         raise QuartzError(
                             f"tier {tier.name!r}: target {direction} "
                             f"latency {target} ns is below the backing "
-                            f"DRAM latency {backing_latency:.0f} ns; "
+                            f"DRAM latency {backing_latency} ns; "
                             "DRAM can only be slowed down"
                         )
         elif config.nvm_read_latency_ns < backing_latency:
             raise QuartzError(
                 f"target NVM latency {config.nvm_read_latency_ns} ns is "
-                f"below the backing DRAM latency {backing_latency:.0f} ns; "
+                f"below the backing DRAM latency {backing_latency} ns; "
                 "DRAM can only be slowed down"
             )
 

@@ -18,11 +18,12 @@ class ScheduledEvent:
     live count of cancelled entries and compacts the heap when they
     dominate, so cancel-heavy runs cannot grow the heap without bound.
 
-    Instances are pooled by the kernel's fast dispatch path: once fired
-    (or popped cancelled) with no outside references left, an event is
-    reset and reused for a later :meth:`Simulator.schedule` call.  Holding
-    a reference to an event keeps it out of the pool, so handles returned
-    to callers always describe the event they scheduled.
+    Instances are pooled by :meth:`Simulator.run`, observed or not: once
+    fired (or popped cancelled) with no outside references left, an event
+    is reset and reused for a later :meth:`Simulator.schedule` call.
+    Holding a reference to an event — a caller's handle, or a ``dispatch``
+    subscriber that keeps it — keeps it out of the pool, so a kept event
+    always describes the event that was scheduled.
     """
 
     __slots__ = ("time", "seq", "callback", "sim", "_cancelled", "_fired")
@@ -64,13 +65,6 @@ class ScheduledEvent:
     def pending(self) -> bool:
         """True while the event is still scheduled to fire."""
         return not self._cancelled and not self._fired
-
-    def _fire(self) -> None:
-        self._fired = True
-        self.callback()
-
-    def __lt__(self, other: "ScheduledEvent") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
     def __repr__(self) -> str:
         state = "cancelled" if self._cancelled else ("fired" if self._fired else "pending")

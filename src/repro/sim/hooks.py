@@ -11,11 +11,15 @@ crash points, tracing, explore-mode gating — is deterministic and needs
 no hand-written chaining.
 
 Each event attribute is a tuple of subscribers, empty by default, so an
-unobserved hot path pays one truthiness check.  The events, what calls
-them, and how the caller combines several subscribers:
+unobserved hot path pays one truthiness check.  Subscribing and
+unsubscribing only rebind that tuple and notify no one: every caller
+reads the tuple where it raises the event.  The events, what calls them,
+and how the caller combines several subscribers:
 
 * ``dispatch(event)`` — the kernel, before each event fires; notify all.
-  While any subscriber exists the kernel runs its observable loop.
+  The kernel's one dispatch loop reads this tuple once per event, so a
+  subscriber armed or disarmed by a callback takes effect from the next
+  event, and checked and unchecked runs execute the same loop.
 * ``schedule(delay_ns) -> delay_ns`` — :meth:`Simulator.schedule`;
   folded in order (each subscriber sees the previous one's delay).
 * ``pmc_read(core_id, event, value) -> value`` — every PMC read; folded
@@ -38,12 +42,9 @@ them, and how the caller combines several subscribers:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Callable
 
 from repro.errors import SimulationError
-
-if TYPE_CHECKING:
-    from repro.sim.kernel import Simulator
 
 #: Every event name, in the order the list above gives them.
 EVENTS = (
@@ -65,19 +66,15 @@ EVENTS = (
 class Hooks:
     """Ordered subscriber tuples, one attribute per event name."""
 
-    __slots__ = EVENTS + ("_sim",)
+    __slots__ = EVENTS
 
-    def __init__(self, sim: Optional["Simulator"] = None):
-        #: The simulator whose run loop must re-select its dispatch path
-        #: when ``dispatch`` subscribers change (None: a detached registry).
-        self._sim = sim
+    def __init__(self):
         for name in EVENTS:
             setattr(self, name, ())
 
     def subscribe(self, name: str, fn: Callable) -> None:
         """Append *fn* to the subscribers of event *name*."""
         setattr(self, name, self._subscribers(name) + (fn,))
-        self._changed(name)
 
     def unsubscribe(self, name: str, fn: Callable) -> None:
         """Remove the first subscriber of *name* equal to *fn*.
@@ -91,7 +88,6 @@ class Hooks:
                 setattr(
                     self, name, subscribers[:index] + subscribers[index + 1:]
                 )
-                self._changed(name)
                 return
         raise SimulationError(f"{fn!r} is not subscribed to {name!r}")
 
@@ -101,9 +97,3 @@ class Hooks:
                 f"unknown hook event {name!r} (events: {', '.join(EVENTS)})"
             )
         return getattr(self, name)
-
-    def _changed(self, name: str) -> None:
-        if name == "dispatch" and self._sim is not None:
-            # Ring the run loop's doorbell: a fast loop yields to the
-            # observable one before the next event fires, and vice versa.
-            self._sim._wake = True

@@ -1,32 +1,23 @@
 """The discrete-event simulator loop.
 
-The kernel dispatches through one of two loops sharing identical
-semantics:
+:meth:`Simulator.run` is the kernel's one event-dispatch body, for
+observed and unobserved runs alike.  Per event it pops the heap entry
+first, reads the ``dispatch`` subscribers of :attr:`Simulator.hooks`
+(:mod:`repro.sim.hooks`) once and calls each of them, then marks the
+event fired and runs its callback.  With no subscriber that costs one
+truthiness check, so invariant-checked runs and timed runs execute the
+same code.  A subscriber armed or disarmed by a callback takes effect
+from the next event; nothing has to re-select a loop.
 
-* the **fast path** — taken whenever nothing subscribes to the
-  ``dispatch`` event of :attr:`Simulator.hooks`.  A tight loop with the
-  heap, ``heappop`` and the event free list bound to locals, slot-direct
-  attribute access (no property calls), and batched bookkeeping:
-  ``events_dispatched`` and the pending-event counter are reconciled when
-  the loop exits rather than per event.  Fired events with no outside
-  references are recycled through a free list, so steady-state dispatch
-  allocates nothing.
-* the **observable path** — taken while ``dispatch`` has subscribers
-  (the invariant monitor's view).  Every event flows through them in
-  subscription order, with counters exact at each dispatch.
+The loop keeps the heap, ``heappop`` and the event free list in locals
+and reconciles ``events_dispatched`` and the pending-event counter once,
+when it exits.  Fired events with no outside references are recycled
+through a bounded free list, so steady-state dispatch allocates nothing;
+a subscriber that keeps an event keeps it out of the pool.
 
-Subscribing or unsubscribing mid-run is honoured: :class:`~repro.sim.hooks.Hooks`
-rings the ``_wake`` doorbell the loops poll each iteration, and
-:meth:`Simulator.run` re-selects the path.  Both paths dispatch
-byte-identical event sequences — the fast path is a pure mechanical
-specialisation, never a semantic fork.
-
-Every other observation seam of the model is an event of the same
-registry (:mod:`repro.sim.hooks`).
-
-Cancellation is lazy (O(1)), but no longer unbounded: the simulator
-counts cancelled entries still in the heap and compacts in place once
-they exceed half of a non-trivial heap, preserving FIFO tie-break order
+Cancellation is lazy (O(1)), but not unbounded: the simulator counts
+cancelled entries still in the heap and compacts in place once they
+exceed half of a non-trivial heap, preserving FIFO tie-break order
 (the (time, seq) total order survives re-heapification).
 """
 from __future__ import annotations
@@ -79,23 +70,19 @@ class Simulator:
         self.compactions = 0
         #: Free list of fired events with no outside references.
         self._free: list[ScheduledEvent] = []
-        #: Set by :meth:`request_stop`; consumed by the run loops.
+        #: Set by :meth:`request_stop`; consumed by :meth:`run`.
         self._stop = False
-        #: One-bit doorbell the run loops poll: stop requested or the
-        #: ``dispatch`` subscribers changed mid-run.
-        self._wake = False
         self.random = RandomStreams(seed=seed)
         #: Every observation seam of the run (see :mod:`repro.sim.hooks`).
-        self.hooks = Hooks(self)
+        self.hooks = Hooks()
 
     # ------------------------------------------------------------------
     # Stop requests
     # ------------------------------------------------------------------
     def request_stop(self) -> None:
         """Ask the running dispatch loop to return ``"stopped"`` before
-        the next event fires.  Sticky until a run loop consumes it."""
+        the next event fires.  Sticky until :meth:`run` consumes it."""
         self._stop = True
-        self._wake = True
 
     def cancel_stop(self) -> None:
         """Withdraw a pending :meth:`request_stop` (e.g. new work arrived
@@ -184,23 +171,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Dispatch the next pending event.  Returns False if none remain."""
-        heap = self._heap
-        while heap:
-            time_ns, _, event = _heappop(heap)
-            if event._cancelled:
-                self._cancelled_in_heap -= 1
-                continue
-            self.now = time_ns
-            self._events_dispatched += 1
-            self._pending -= 1
-            for observer in self.hooks.dispatch:
-                observer(event)
-            event._fire()
-            return True
-        return False
-
     def run(
         self,
         until_ns: Optional[float] = None,
@@ -208,6 +178,9 @@ class Simulator:
     ) -> str:
         """Run until the event heap drains, *until_ns* passes, *max_events*
         more events have been dispatched, or a stop is requested.
+
+        Each ``dispatch`` subscriber sees an event after the clock has
+        moved to it and before it is marked fired and its callback runs.
 
         Returns the stop reason:
 
@@ -224,27 +197,11 @@ class Simulator:
         * ``"stopped"`` — :meth:`request_stop` was called (usually from
           a callback); no further event was dispatched after it.
         """
-        remaining = max_events
-        while True:
-            if not self.hooks.dispatch and not self._wake:
-                reason, dispatched = self._run_fast(until_ns, remaining)
-            else:
-                reason, dispatched = self._run_observed(until_ns, remaining)
-            if remaining is not None:
-                remaining -= dispatched
-            if reason is not None:
-                return reason
-            # reason None: the active loop yielded so the other could
-            # take over (dispatch subscribers changed mid-run).
-
-    def _run_fast(
-        self, until_ns: Optional[float], max_events: Optional[int]
-    ) -> tuple[Optional[str], int]:
-        """The no-hooks dispatch loop (see module docstring)."""
         heap = self._heap
         pop = _heappop
         push = _heappush
         free = self._free
+        hooks = self.hooks
         refcount = getrefcount
         until = _INF if until_ns is None else until_ns
         budget = maxsize if max_events is None else max_events
@@ -253,7 +210,7 @@ class Simulator:
             while heap:
                 # Pop eagerly: the common iteration dispatches, so one
                 # heap operation replaces peek-then-pop.  The rare exits
-                # (wake, horizon, budget) push the entry straight back —
+                # (stop, horizon, budget) push the entry straight back —
                 # it was the minimum, so the heap order is unchanged.
                 # Unpacking (not binding the tuple) drops the entry's
                 # last reference, keeping the refcount gate meaningful.
@@ -264,26 +221,27 @@ class Simulator:
                         event.callback = None
                         free.append(event)
                     continue
-                if self._wake:
+                if self._stop:
                     push(heap, (time_ns, seq, event))
-                    self._wake = False
-                    if self._stop:
-                        self._stop = False
-                        return "stopped", dispatched
-                    return None, dispatched  # subscribed: switch loops
+                    self._stop = False
+                    return "stopped"
                 if time_ns > until:
                     push(heap, (time_ns, seq, event))
                     if until > self.now:
                         self.now = until
-                    return "until", dispatched
+                    return "until"
                 if dispatched >= budget:
                     push(heap, (time_ns, seq, event))
                     if until_ns is not None:
                         self.now = max(self.now, min(time_ns, until))
-                    return "max-events", dispatched
+                    return "max-events"
                 self.now = time_ns
-                event._fired = True
                 dispatched += 1
+                observers = hooks.dispatch
+                if observers:
+                    for observer in observers:
+                        observer(event)
+                event._fired = True
                 event.callback()
                 if refcount(event) == 2 and len(free) < _POOL_MAX:
                     event.callback = None
@@ -291,61 +249,12 @@ class Simulator:
         finally:
             self._events_dispatched += dispatched
             self._pending -= dispatched
-        if self._wake:
-            self._wake = False
-            if self._stop:
-                self._stop = False
-                return "stopped", 0
+        if self._stop:
+            self._stop = False
+            return "stopped"
         if until_ns is not None and until_ns > self.now:
             self.now = until_ns
-        return "drained", 0
-
-    def _run_observed(
-        self, until_ns: Optional[float], max_events: Optional[int]
-    ) -> tuple[Optional[str], int]:
-        """The hook-visible dispatch loop: exact counters, ``dispatch``
-        subscribers called before each event fires."""
-        heap = self._heap
-        hooks = self.hooks
-        budget = maxsize if max_events is None else max_events
-        dispatched = 0
-        while heap:
-            time_ns, _, event = heap[0]
-            if event._cancelled:
-                _heappop(heap)
-                self._cancelled_in_heap -= 1
-                continue
-            if self._wake:
-                self._wake = False
-                if self._stop:
-                    self._stop = False
-                    return "stopped", dispatched
-            observers = hooks.dispatch
-            if not observers:
-                return None, dispatched  # unsubscribed: fast path
-            if until_ns is not None and time_ns > until_ns:
-                self.now = max(self.now, until_ns)
-                return "until", dispatched
-            if dispatched >= budget:
-                if until_ns is not None:
-                    self.now = max(self.now, min(time_ns, until_ns))
-                return "max-events", dispatched
-            _heappop(heap)
-            self.now = time_ns
-            self._events_dispatched += 1
-            self._pending -= 1
-            dispatched += 1
-            for observer in observers:
-                observer(event)
-            event._fire()
-        if self._wake:
-            self._wake = False
-            if self._stop:
-                self._stop = False
-                return "stopped", dispatched
-        if until_ns is not None:
-            self.now = max(self.now, until_ns)
-        return "drained", dispatched
+        return "drained"
 
     def run_until_condition(
         self,
@@ -354,9 +263,10 @@ class Simulator:
     ) -> None:
         """Run until *predicate* becomes true.
 
-        The predicate is re-evaluated between events, so this is the
-        slow, fully-general form — prefer :meth:`request_stop` from a
-        callback when the completion condition has a natural owner (see
+        Drives :meth:`run` one event at a time and re-evaluates the
+        predicate between events, so this is the slow, fully-general
+        form — prefer :meth:`request_stop` from a callback when the
+        completion condition has a natural owner (see
         ``SimOS.run_to_completion``).
 
         Raises :class:`SimulationError` if the heap drains (or the event
@@ -367,7 +277,10 @@ class Simulator:
         while not predicate():
             if remaining <= 0:
                 raise SimulationError("event budget exhausted before condition held")
-            if not self.step():
+            before = self._events_dispatched
+            # "drained" also follows the dispatch of the last queued
+            # event, so a deadlock is "nothing dispatched", not a reason.
+            if self.run(max_events=1) != "stopped" and self._events_dispatched == before:
                 raise SimulationError(
                     "event heap drained before condition held (deadlock?)"
                 )
@@ -380,10 +293,11 @@ class Simulator:
     def pending_event_count(self) -> int:
         """Number of still-pending (non-cancelled) events.
 
-        Maintained as a live counter on schedule/cancel/fire — O(1),
-        never a heap scan.  During a fast-path run the fired share is
-        reconciled when the loop exits; it is exact whenever client code
-        can observe it between runs, steps, or observable dispatches.
+        Maintained as a live counter on schedule and cancel — O(1),
+        never a heap scan.  The fired share is reconciled when
+        :meth:`run` exits, on every run, observed or not, so the count is
+        exact between runs; inside a callback or a ``dispatch``
+        subscriber it still includes the events this run has fired.
         """
         return self._pending
 
@@ -394,7 +308,8 @@ class Simulator:
 
     @property
     def events_dispatched(self) -> int:
-        """Total events fired since construction."""
+        """Total events fired since construction (reconciled when
+        :meth:`run` exits, like :attr:`pending_event_count`)."""
         return self._events_dispatched
 
     def spawn(self, generator: Iterator, name: str = "process"):

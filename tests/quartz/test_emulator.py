@@ -88,6 +88,24 @@ def test_emulating_faster_than_dram_rejected():
         quartz.attach()
 
 
+def test_below_backing_latency_message_prints_both_latencies_in_full():
+    """Sandy Bridge calibrates to 97.29... ns local: a 97.0 ns target is
+    below it, and a message rounding the backing latency to "97 ns"
+    would read as a contradiction."""
+    calibration = calibrate_arch(SANDY_BRIDGE)
+    machine, osys = make_stack(arch=SANDY_BRIDGE)
+    quartz = Quartz(
+        osys, QuartzConfig(nvm_read_latency_ns=97.0), calibration=calibration
+    )
+    with pytest.raises(QuartzError) as caught:
+        quartz.attach()
+    assert str(caught.value) == (
+        "target NVM latency 97.0 ns is below the backing DRAM latency "
+        f"{calibration.dram_local_ns} ns; DRAM can only be slowed down"
+    )
+    assert "latency 97.29" in str(caught.value)
+
+
 def test_two_memory_mode_rejected_on_sandy_bridge():
     """Sandy Bridge lacks local/remote LLC-miss counters (Table 1)."""
     machine, osys = make_stack(arch=SANDY_BRIDGE)

@@ -50,31 +50,3 @@ def test_schedule_subscribers_fold_in_order():
     sim.hooks.subscribe("schedule", lambda delay: delay * 10.0)
     event = sim.schedule(2.0, lambda: None)
     assert event.time == 30.0
-
-
-def test_dispatch_loop_follows_subscriptions():
-    sim = Simulator()
-    loops = []
-    for name in ("_run_fast", "_run_observed"):
-        method = getattr(sim, name)
-
-        def spy(*args, _method=method, _name=name):
-            loops.append(_name)
-            return _method(*args)
-
-        setattr(sim, name, spy)
-    seen = []
-    sim.schedule(1.0, lambda: None)
-    sim.run()
-    sim.hooks.subscribe("dispatch", seen.append)
-    sim.schedule(1.0, lambda: None)
-    sim.run()
-    sim.hooks.unsubscribe("dispatch", seen.append)
-    sim.schedule(1.0, lambda: None)
-    sim.run()
-    assert len(seen) == 1
-    # Unsubscribing rings the doorbell: one observable pass notices the
-    # empty tuple and hands the run straight back to the fast loop.
-    assert loops == [
-        "_run_fast", "_run_observed", "_run_observed", "_run_fast"
-    ]

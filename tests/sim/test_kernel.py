@@ -171,6 +171,11 @@ def test_run_until_condition():
         sim.schedule(float(i), lambda: counter.append(1))
     sim.run_until_condition(lambda: len(counter) >= 4)
     assert len(counter) == 4
+    # The last queued event makes the predicate true: the run that
+    # dispatches it returns "drained", which must not read as a deadlock.
+    sim.run_until_condition(lambda: len(counter) >= 10)
+    assert len(counter) == 10
+    assert sim.pending_event_count == 0
 
 
 def test_run_until_condition_deadlock_detected():

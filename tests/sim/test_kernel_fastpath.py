@@ -1,15 +1,24 @@
-"""Fast-path kernel behaviour: compaction, pooling, stop, path parity.
+"""Kernel dispatch-loop behaviour: compaction, pooling, stop, parity.
 
-The kernel dispatches through a tight fast loop when no dispatch
-observer is armed and falls back to the observable loop while one is.
-These tests pin the contract that both paths are mechanically identical
-(same event sequence, same clock, same counters) and that the
-cancellation-hygiene machinery (live counters, threshold compaction,
-event pooling) never changes observable behaviour.
+One loop dispatches every run; an armed ``dispatch`` observer only adds
+a call before each event fires.  These tests pin that observed and
+unobserved runs are mechanically identical (same event sequence, same
+clock, same counters), that arming or disarming mid-run takes effect at
+the next event, and that the cancellation-hygiene machinery (live
+counters, threshold compaction, event pooling) never changes observable
+behaviour, with or without an observer.
 """
 
 from repro.sim import Simulator
 from repro.sim.kernel import _COMPACT_MIN_HEAP, _POOL_MAX
+
+
+def _unhooked_and_hooked():
+    """A plain simulator and one with a dispatch observer that keeps
+    nothing: the stop and pool tests hold for both."""
+    hooked = Simulator()
+    hooked.hooks.subscribe("dispatch", lambda event: None)
+    return Simulator(), hooked
 
 
 # ----------------------------------------------------------------------
@@ -81,7 +90,7 @@ def test_compaction_mid_run_keeps_dispatch_loop_consistent():
 
 
 # ----------------------------------------------------------------------
-# Fast path vs observable path parity
+# Observed vs unobserved parity
 # ----------------------------------------------------------------------
 
 
@@ -165,49 +174,63 @@ def test_observer_sees_events_before_their_callback_fires():
 
 
 def test_fired_event_with_no_outside_reference_is_reused():
-    sim = Simulator()
-    first_id = id(sim.schedule(1.0, lambda: None))
-    sim.run()
-    recycled = sim.schedule(2.0, lambda: None)
-    assert id(recycled) == first_id
-    assert recycled.pending and not recycled.fired
-    sim.run()
+    for sim in _unhooked_and_hooked():
+        first_id = id(sim.schedule(1.0, lambda: None))
+        sim.run()
+        recycled = sim.schedule(2.0, lambda: None)
+        assert id(recycled) == first_id
+        assert recycled.pending and not recycled.fired
+        sim.run()
 
 
 def test_held_event_is_never_recycled():
+    for sim in _unhooked_and_hooked():
+        held = sim.schedule(1.0, lambda: None)
+        sim.run()
+        fresh = sim.schedule(2.0, lambda: None)
+        assert fresh is not held
+        # The held handle still describes the event that fired.
+        assert held.fired and not held.pending
+
+
+def test_observer_that_keeps_the_event_keeps_it_out_of_the_pool():
     sim = Simulator()
-    held = sim.schedule(1.0, lambda: None)
+    seen = []
+    sim.hooks.subscribe("dispatch", seen.append)
+    sim.schedule(1.0, lambda: None)
     sim.run()
     fresh = sim.schedule(2.0, lambda: None)
-    assert fresh is not held
-    # The held handle still describes the event that fired.
-    assert held.fired and not held.pending
+    assert fresh is not seen[0]
+    assert seen[0].fired and not seen[0].pending
+    assert seen[0].time == 1.0
+    sim.run()
+    assert seen[1] is fresh
 
 
 def test_pool_reuse_keeps_handles_valid_across_generations():
-    sim = Simulator()
-    fired = []
-    for round_no in range(5):
-        events = [
-            sim.schedule(float(i + 1), lambda r=round_no, i=i: fired.append((r, i)))
-            for i in range(50)
+    for sim in _unhooked_and_hooked():
+        fired = []
+        for round_no in range(5):
+            events = [
+                sim.schedule(float(i + 1), lambda r=round_no, i=i: fired.append((r, i)))
+                for i in range(50)
+            ]
+            events[10].cancel()
+            sim.run()
+            assert events[10].cancelled and not events[10].fired
+            assert all(e.fired for i, e in enumerate(events) if i != 10)
+        expected = [
+            (r, i) for r in range(5) for i in range(50) if i != 10
         ]
-        events[10].cancel()
-        sim.run()
-        assert events[10].cancelled and not events[10].fired
-        assert all(e.fired for i, e in enumerate(events) if i != 10)
-    expected = [
-        (r, i) for r in range(5) for i in range(50) if i != 10
-    ]
-    assert fired == expected
+        assert fired == expected
 
 
 def test_pool_is_bounded():
-    sim = Simulator()
-    for i in range(2 * _POOL_MAX):
-        sim.schedule(float(i), lambda: None)
-    sim.run()
-    assert len(sim._free) <= _POOL_MAX
+    for sim in _unhooked_and_hooked():
+        for i in range(2 * _POOL_MAX):
+            sim.schedule(float(i), lambda: None)
+        sim.run()
+        assert len(sim._free) <= _POOL_MAX
 
 
 # ----------------------------------------------------------------------
@@ -216,43 +239,42 @@ def test_pool_is_bounded():
 
 
 def test_request_stop_from_callback_returns_stopped():
-    sim = Simulator()
-    fired = []
-    sim.schedule(1.0, lambda: fired.append("a"))
-    sim.schedule(2.0, sim.request_stop)
-    sim.schedule(3.0, lambda: fired.append("b"))
-    assert sim.run() == "stopped"
-    assert fired == ["a"]
-    assert sim.now == 2.0
-    # The stop was consumed; resuming dispatches the remainder.
-    assert sim.run() == "drained"
-    assert fired == ["a", "b"]
+    for sim in _unhooked_and_hooked():
+        fired = []
+        sim.schedule(1.0, lambda: fired.append("a"))
+        sim.schedule(2.0, sim.request_stop)
+        sim.schedule(3.0, lambda: fired.append("b"))
+        assert sim.run() == "stopped"
+        assert fired == ["a"]
+        assert sim.now == 2.0
+        # The stop was consumed; resuming dispatches the remainder.
+        assert sim.run() == "drained"
+        assert fired == ["a", "b"]
 
 
 def test_cancel_stop_in_same_callback_revives_run():
-    sim = Simulator()
-    fired = []
+    for sim in _unhooked_and_hooked():
+        fired = []
 
-    def stop_then_cancel():
-        sim.request_stop()
-        sim.cancel_stop()
+        def stop_then_cancel():
+            sim.request_stop()
+            sim.cancel_stop()
 
-    sim.schedule(1.0, stop_then_cancel)
-    sim.schedule(2.0, lambda: fired.append("later"))
-    assert sim.run() == "drained"
-    assert fired == ["later"]
+        sim.schedule(1.0, stop_then_cancel)
+        sim.schedule(2.0, lambda: fired.append("later"))
+        assert sim.run() == "drained"
+        assert fired == ["later"]
 
 
 def test_request_stop_on_observable_path():
-    sim = Simulator()
-    fired = []
-    sim.hooks.subscribe("dispatch", lambda event: None)
-    sim.schedule(1.0, sim.request_stop)
-    sim.schedule(2.0, lambda: fired.append("x"))
-    assert sim.run() == "stopped"
-    assert fired == []
-    assert sim.run() == "drained"
-    assert fired == ["x"]
+    for sim in _unhooked_and_hooked():
+        fired = []
+        sim.schedule(1.0, sim.request_stop)
+        sim.schedule(2.0, lambda: fired.append("x"))
+        assert sim.run() == "stopped"
+        assert fired == []
+        assert sim.run() == "drained"
+        assert fired == ["x"]
 
 
 # ----------------------------------------------------------------------
