@@ -88,7 +88,7 @@ def check_tier_sweep() -> dict:
 
 def check_crash_check() -> dict:
     document = export_json(
-        "crash-check", "kvstore", "--jobs", "2", out=f"crash-check-{TAG}.json"
+        "run", "crash-check", "--jobs", "2", out=f"crash-check-{TAG}.json"
     )
     rows = {row["mutant"]: row for row in document["experiment"]["rows"]}
     expect(rows["none"]["violations"] == 0, "correct protocol violated")
@@ -104,7 +104,9 @@ def check_crash_check() -> dict:
 def check_explore() -> dict:
     # Exhaustively explore the mutex-log litmus: the clean protocol and
     # both mutants over a sharded schedule tree.
-    document = jobs_invariant("explore", "mutex-log", "--shards", "2", name="explore")
+    document = jobs_invariant(
+        "run", "explore-check", "--shards", "2", name="explore"
+    )
     rows = {row["mutant"]: row for row in document["experiment"]["rows"]}
     expect(rows["none"]["violations"] == 0, "clean protocol violated")
     for mutant in ("missing-flush", "misordered-barrier"):
@@ -119,12 +121,12 @@ def check_explore() -> dict:
 
 
 def check_service() -> dict:
-    # The multi-tenant KV service at its CI preset: the digest-covered
+    # The multi-tenant KV service at its fast preset: the digest-covered
     # service section, a tail for every tenant.
-    document = jobs_invariant("service", "latency-smoke", name="service")
+    document = jobs_invariant("run", "service-latency", "--fast", name="service")
     service = document["manifest"]["service"]
     expect(
-        bool(service) and service["preset"] == "latency-smoke",
+        bool(service) and service["preset"] == "fast",
         "manifest missing the service scenario",
     )
     rows = document["experiment"]["rows"]

@@ -9,7 +9,16 @@ Examples::
     quartz-repro run figure12 --format json --out fig12.json
     quartz-repro run figure12 --trace-out fig12-epochs.jsonl
     quartz-repro trace summarize fig12-epochs.jsonl
+    quartz-repro run crash-check --workload graph500 --mutant missing-flush
+    quartz-repro run explore-check --workload disjoint-locks --no-prune
+    quartz-repro run service-latency --fast
     quartz-repro calibrate --arch haswell
+
+``run`` is the one verb for every registry experiment (``sweep
+run|resume`` adds a journal).  ``--fast`` starts from the experiment's
+minimum-scale preset (``FAST_KWARGS``); every other flag overlays the
+keyword argument of the same name, and a flag the driver has no
+parameter for prints a ``note:`` instead.
 
 With ``--format json`` the experiment document (rows + provenance
 manifest + runner telemetry; see ``repro.validation.export``) is the
@@ -40,11 +49,13 @@ from repro.hw.arch import ArchSpec, arch_by_name
 from repro.quartz.calibration import calibrate_arch
 from repro.validation import export
 from repro.validation.experiments import (
+    DEFAULT_EXPLORE_PLAN,
     REGISTRY,
-    SERVICE_PRESETS,
     SWEEP_PRESETS,
     manifest_sections,
 )
+from repro.validation.experiments.crash import MUTANT_AXIS
+from repro.validation.experiments.fast import FAST_KWARGS
 from repro.validation.experiments.sweeps import sweep_status
 from repro.validation.reporting import render_table
 from repro.validation.runner import (
@@ -151,33 +162,6 @@ def _fault_flags() -> argparse.ArgumentParser:
     return flags
 
 
-def _oracle_flags(parser, shards: int, shards_help: str, seed: int) -> None:
-    """The mutant axis and sharding of ``crash-check`` and ``explore``."""
-    parser.add_argument(
-        "--mutant",
-        choices=("all", "none", "missing-flush", "misordered-barrier"),
-        default="all",
-        help=(
-            "protocol variant(s) to run: the correct protocol ('none'), a "
-            "seeded bug, or the full oracle sweep (default: all; litmus "
-            "tests without a persist protocol only accept 'none')"
-        ),
-    )
-    parser.add_argument(
-        "--shards",
-        type=_positive_int,
-        default=shards,
-        help=(
-            f"ways to {shards_help} (fixed per invocation, so results are "
-            f"identical for any --jobs value; default: {shards})"
-        ),
-    )
-    parser.add_argument("--seed", type=int, default=seed, help="run seed")
-    parser.add_argument(
-        "--arch", type=_arch, help="processor family of the simulated testbed"
-    )
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quartz-repro",
@@ -221,6 +205,49 @@ def _build_parser() -> argparse.ArgumentParser:
             "DRAM, is implicit)"
         ),
     )
+    run.add_argument(
+        "--fast",
+        action="store_true",
+        help=(
+            "start from the experiment's minimum-scale preset (seconds, "
+            "not minutes); the other flags overlay it"
+        ),
+    )
+    run.add_argument(
+        "--workload",
+        help=(
+            "workload to check (crash-check: kvstore, graph500; "
+            "explore-check: also the mutex-log and disjoint-locks litmus "
+            "tests)"
+        ),
+    )
+    run.add_argument(
+        "--mutant",
+        choices=MUTANT_AXIS,
+        help=(
+            "run one protocol variant: the correct protocol ('none') or a "
+            "seeded bug (default: the experiment's whole mutant axis)"
+        ),
+    )
+    run.add_argument(
+        "--shards",
+        type=_positive_int,
+        help=(
+            "ways to split a crash or explore run (fixed per invocation, "
+            "so results are identical for any --jobs value)"
+        ),
+    )
+    run.add_argument("--seed", type=int, help="run seed")
+    run.add_argument(
+        "--no-prune",
+        action="store_true",
+        default=None,
+        help=(
+            "explore-check: walk the full interleaving tree without "
+            "sleep-set pruning (the soundness baseline; slower, same "
+            "verdict)"
+        ),
+    )
 
     calibrate = subparsers.add_parser(
         "calibrate", help="print the calibration data for a testbed"
@@ -230,60 +257,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--refresh",
         action="store_true",
         help="re-measure even when a cached calibration exists",
-    )
-
-    crash = subparsers.add_parser(
-        "crash-check",
-        parents=[outputs],
-        help=(
-            "crash-consistency check a recoverable PM workload "
-            "(persistence-domain simulation + recovery validation)"
-        ),
-    )
-    crash.add_argument(
-        "workload",
-        choices=("kvstore", "graph500"),
-        help="recoverable workload to check",
-    )
-    _oracle_flags(crash, 4, "shard crash-image storage across runs", 411)
-
-    explore = subparsers.add_parser(
-        "explore",
-        parents=[outputs],
-        help=(
-            "model-check a recoverable workload: enumerate every thread "
-            "interleaving and cross each with every reachable crash point"
-        ),
-    )
-    explore.add_argument(
-        "workload",
-        choices=("mutex-log", "disjoint-locks", "kvstore", "graph500"),
-        help="explorable workload (litmus tests or recoverable PM bodies)",
-    )
-    _oracle_flags(
-        explore, 2,
-        "partition the schedule tree at its first decision point", 0,
-    )
-    explore.add_argument(
-        "--no-prune",
-        action="store_true",
-        help=(
-            "disable sleep-set pruning and walk the full interleaving "
-            "tree (the pruning-soundness baseline; slower, same verdict)"
-        ),
-    )
-
-    service = subparsers.add_parser(
-        "service",
-        parents=[outputs, faults],
-        help=(
-            "run the trace-driven multi-tenant KV service (DRAM cache "
-            "tier + tail-latency reporting) at a named preset"
-        ),
-    )
-    service.add_argument(
-        "preset", choices=sorted(SERVICE_PRESETS), metavar="preset",
-        help=f"service preset ({', '.join(sorted(SERVICE_PRESETS))})",
     )
 
     sweep = subparsers.add_parser(
@@ -353,6 +326,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: ``run`` flags that set one driver parameter each, when given:
+#: ``(flag dest, parameter, value -> argument or None for as-is)``.
+_PARAMETER_FLAGS = (
+    ("trials", "trials", None),
+    ("workload", "workload", None),
+    ("mutant", "mutants", lambda mutant: (mutant,)),
+    ("shards", "shards", None),
+    ("seed", "seed", None),
+    ("no_prune", "explore_plan",
+     lambda _: replace(DEFAULT_EXPLORE_PLAN, prune=False)),
+)
+
+
 def _driver_kwargs(
     experiment: str, driver, args: argparse.Namespace
 ) -> dict:
@@ -363,13 +349,12 @@ def _driver_kwargs(
     """
     parameters = inspect.signature(driver).parameters
     kwargs: dict = {}
-    ladder = getattr(args, "tiers", None)
-    if ladder:
+    if args.tiers:
         # The sweep takes named ladders; the policy study takes one.
         if "tier_sets" in parameters:
-            kwargs["tier_sets"] = {"cli": ladder}
+            kwargs["tier_sets"] = {"cli": args.tiers}
         elif "read_write_ns" in parameters:
-            kwargs["read_write_ns"] = ladder
+            kwargs["read_write_ns"] = args.tiers
         else:
             print(
                 f"note: {experiment} does not take --tiers",
@@ -386,17 +371,20 @@ def _driver_kwargs(
                 f"note: {experiment} does not take an architecture",
                 file=sys.stderr,
             )
-    if args.trials is not None:
-        if "trials" in parameters:
-            kwargs["trials"] = args.trials
+    for flag, parameter, convert in _PARAMETER_FLAGS:
+        value = getattr(args, flag)
+        if value is None:
+            continue
+        if parameter in parameters:
+            kwargs[parameter] = convert(value) if convert else value
         else:
             print(
-                f"note: {experiment} does not take --trials",
+                f"note: {experiment} does not take --{flag.replace('_', '-')}",
                 file=sys.stderr,
             )
     if "jobs" in parameters:
         kwargs["jobs"] = args.run_jobs
-        if getattr(args, "trace_out", None):
+        if args.trace_out:
             if kwargs["jobs"] != 1:
                 print(
                     "note: --trace-out streams from in-process runs; "
@@ -413,70 +401,20 @@ def _driver_kwargs(
 
 
 def _run_kwargs(args: argparse.Namespace) -> tuple[str, dict, dict]:
-    """``run <experiment>``: the registry driver under the CLI flags."""
-    kwargs = _driver_kwargs(args.experiment, REGISTRY[args.experiment], args)
+    """``run <experiment>``: the registry driver under the CLI flags,
+    which overlay the experiment's fast preset with ``--fast``."""
+    experiment = args.experiment
+    kwargs = FAST_KWARGS[experiment]() if args.fast else {}
+    kwargs.update(_driver_kwargs(experiment, REGISTRY[experiment], args))
     knobs = {
         "command": "run",
-        "experiment": args.experiment,
+        "experiment": experiment,
+        "preset": "fast" if args.fast else None,
         "arch": args.arch and args.arch.name,
-        "trials": args.trials,
+        **{flag: getattr(args, flag) for flag, _, _ in _PARAMETER_FLAGS},
         "check_invariants": bool(args.check_invariants),
     }
-    return args.experiment, kwargs, knobs
-
-
-def _oracle_kwargs(args: argparse.Namespace) -> tuple[str, dict, dict]:
-    """``crash-check`` / ``explore``: one oracle experiment per workload."""
-    from repro.validation.experiments.explore import (
-        DEFAULT_EXPLORE_PLAN,
-        MUTANT_AXIS,
-    )
-
-    if args.mutant != "all":
-        mutants = (args.mutant,)
-    elif args.workload == "disjoint-locks":
-        # Litmus tests without a persist protocol reject mutants.
-        mutants = ("none",)
-    else:
-        mutants = MUTANT_AXIS
-    kwargs = {
-        "workload": args.workload,
-        "mutants": mutants,
-        "shards": args.shards,
-        "seed": args.seed,
-        "jobs": args.run_jobs,
-    }
-    if args.arch:
-        kwargs["arch"] = args.arch
-    experiment_id = "crash-check"
-    if args.command == "explore":
-        experiment_id = "explore-check"
-        kwargs["explore_plan"] = replace(
-            DEFAULT_EXPLORE_PLAN, prune=not args.no_prune
-        )
-    knobs = {
-        "command": args.command,
-        "workload": args.workload,
-        "mutant": args.mutant,
-        "shards": args.shards,
-        "seed": args.seed,
-        "arch": args.arch and args.arch.name,
-    }
-    return experiment_id, kwargs, knobs
-
-
-def _service_kwargs(args: argparse.Namespace) -> tuple[str, dict, dict]:
-    """``service <preset>``: a service experiment at a named scale."""
-    experiment_id, build_kwargs = SERVICE_PRESETS[args.preset]
-    kwargs = build_kwargs()
-    kwargs["jobs"] = args.run_jobs
-    knobs = {
-        "command": "service",
-        "preset": args.preset,
-        "experiment": experiment_id,
-        "check_invariants": bool(args.check_invariants),
-    }
-    return experiment_id, kwargs, knobs
+    return experiment, kwargs, knobs
 
 
 def _sweep_kwargs(args: argparse.Namespace) -> tuple[str, dict, dict]:
@@ -508,13 +446,7 @@ def _sweep_kwargs(args: argparse.Namespace) -> tuple[str, dict, dict]:
 
 #: Command -> kwargs builder for every command that runs one registry
 #: experiment; each returns ``(experiment id, driver kwargs, knobs)``.
-EXPERIMENT_COMMANDS = {
-    "run": _run_kwargs,
-    "crash-check": _oracle_kwargs,
-    "explore": _oracle_kwargs,
-    "service": _service_kwargs,
-    "sweep": _sweep_kwargs,
-}
+EXPERIMENT_COMMANDS = {"run": _run_kwargs, "sweep": _sweep_kwargs}
 
 
 def _render(args: argparse.Namespace, result, stats, **manifest) -> str:

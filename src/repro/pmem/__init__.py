@@ -15,7 +15,7 @@ correctness tooling on the simulator's hook events
   recovery replay, and the mutant regression oracle.
 
 Wired into the validation stack as the ``crash`` run mode and the
-``crash-check`` experiment / CLI subcommand.
+``crash-check`` experiment (``quartz-repro run crash-check``).
 """
 
 from repro.pmem.crash import CrashInjector, CrashPlan

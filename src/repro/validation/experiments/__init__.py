@@ -48,7 +48,6 @@ from repro.validation.experiments.tiers import (
     run_tier_sweep,
 )
 from repro.validation.experiments.service import (
-    SERVICE_PRESETS,
     run_cache_policy,
     run_service_latency,
     service_scenario,
@@ -107,7 +106,8 @@ def manifest_sections(
     """The export manifest's plan sections for one driver invocation.
 
     Derived from the experiment id and the keyword arguments its driver
-    ran with (``preset``: the CLI service preset, if any), so every
+    ran with (``preset``: ``"fast"`` when they started from the fast
+    preset, else None; the service section records it), so every
     command that runs an experiment records the same plan.  Returns
     :func:`~repro.validation.export.build_manifest` keywords.
     """
@@ -122,6 +122,6 @@ def manifest_sections(
     return {}
 
 
-__all__ = ["REGISTRY", "SERVICE_PRESETS", "SWEEP_PRESETS", "manifest_sections"] + sorted(
+__all__ = ["REGISTRY", "SWEEP_PRESETS", "manifest_sections"] + sorted(
     name for name in dir() if name.startswith("run_")
 )

@@ -56,6 +56,20 @@ def default_pm_config(workload: str):
     raise ValidationError(f"no crash-check config for workload {workload!r}")
 
 
+def checked_config(experiment_id: str, workload: str, config, default):
+    """*config*, or *default* when it is None; a config of another type
+    than *default* does not fit *workload* and is rejected here, not
+    mid-run."""
+    if config is None:
+        return default
+    if not isinstance(config, type(default)):
+        raise ValidationError(
+            f"{experiment_id} workload {workload!r} takes a "
+            f"{type(default).__name__}, not a {type(config).__name__}"
+        )
+    return config
+
+
 def _merge_shards(reports: Sequence[dict]) -> dict:
     """Fold one mutant's shard reports into a single logical run.
 
@@ -97,7 +111,9 @@ def run_crash_check(
 ) -> ExperimentResult:
     """Crash-point enumeration + recovery validation, per mutant mode."""
     plan = crash_plan or DEFAULT_CRASH_PLAN
-    config = config if config is not None else default_pm_config(workload)
+    config = checked_config(
+        "crash-check", workload, config, default_pm_config(workload)
+    )
     quartz = QuartzConfig(
         nvm_read_latency_ns=400.0,
         nvm_write_latency_ns=500.0,

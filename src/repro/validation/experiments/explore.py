@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 from repro.errors import ValidationError
 from repro.explore import ExplorePlan, LitmusConfig, merge_shard_reports
 from repro.hw.arch import IVY_BRIDGE, ArchSpec
-from repro.validation.experiments.crash import MUTANT_AXIS
+from repro.validation.experiments.crash import MUTANT_AXIS, checked_config
 from repro.validation.reporting import ExperimentResult
 from repro.validation.runner import run_mutant_shards
 from repro.workloads.graph500 import Graph500Config
@@ -56,16 +56,24 @@ def default_explore_config(workload: str):
 def run_explore_check(
     arch: ArchSpec = IVY_BRIDGE,
     workload: str = "mutex-log",
-    mutants: Sequence[str] = MUTANT_AXIS,
+    mutants: Optional[Sequence[str]] = None,
     shards: int = 2,
     seed: int = 0,
     explore_plan: Optional[ExplorePlan] = None,
     config=None,
     jobs: Optional[int] = None,
 ) -> ExperimentResult:
-    """Interleaving x crash-point exploration, per mutant mode."""
+    """Interleaving x crash-point exploration, per mutant mode.
+
+    ``mutants`` defaults to the whole axis, except for ``disjoint-locks``:
+    a litmus test without a persist protocol has no mutant to run.
+    """
     plan = explore_plan or DEFAULT_EXPLORE_PLAN
-    config = config if config is not None else default_explore_config(workload)
+    config = checked_config(
+        "explore-check", workload, config, default_explore_config(workload)
+    )
+    if mutants is None:
+        mutants = ("none",) if workload == "disjoint-locks" else MUTANT_AXIS
     grid = run_mutant_shards(
         "explore", plan, mutants, shards, jobs, workload=workload,
         config=config, arch_name=arch.name, seed=seed,

@@ -2,10 +2,12 @@
 
 One entry per ``REGISTRY`` id, each a zero-argument builder returning
 the keyword arguments that make the driver run in seconds rather than
-minutes (the same scales the fast test-suite variants use).  Consumers:
-the JSON-export round-trip tests (``tests/validation/test_export.py``)
-and the ``registry`` workload of the end-to-end benchmark
-(``benchmarks/e2e``).
+minutes (the same scales the fast test-suite variants use).  This is
+the one preset table of the registry (the sweep grids' ``scale``
+argument aside).  Consumers: ``quartz-repro run <id> --fast``
+(the CLI flags overlay the preset), the golden digest and JSON-export
+round-trip tests, and the ``registry`` workload of the end-to-end
+benchmark (``benchmarks/e2e``).
 
 These presets trade statistical quality for speed — they exercise every
 driver's full plumbing (grids, runner, reporting, export) but are not
@@ -20,9 +22,11 @@ from typing import Callable, Optional
 from repro.errors import ValidationError
 from repro.explore import LitmusConfig
 from repro.hw.arch import IVY_BRIDGE
+from repro.service.cache import CacheConfig
+from repro.service.traces import TraceConfig
 from repro.units import MIB
 from repro.validation.experiments import REGISTRY
-from repro.validation.experiments.service import SERVICE_PRESETS
+from repro.validation.experiments.service import SERVICE_SEED
 from repro.validation.reporting import ExperimentResult
 from repro.workloads.graph500 import Graph500Config
 from repro.workloads.graphs import synthetic_power_law, synthetic_scale_free
@@ -67,6 +71,12 @@ def _parallel_pagerank_kwargs() -> dict:
     )
     graph = synthetic_power_law(100_000, 4, seed=2)
     return {"thread_counts": (1, 4), "base": base, "graph": graph}
+
+
+def _service_trace() -> TraceConfig:
+    return TraceConfig(
+        tenants=2, ops_per_tenant=300, keys_per_tenant=5_000, seed=SERVICE_SEED
+    )
 
 
 #: Experiment id -> zero-argument kwargs builder.
@@ -160,8 +170,18 @@ FAST_KWARGS: dict[str, Callable[[], dict]] = {
     "sweep-tier-grid": lambda: {"scale": "smoke"},
     "sweep-migration-grid": lambda: {"scale": "smoke"},
     "sweep-service-grid": lambda: {"scale": "smoke"},
-    "service-latency": lambda: SERVICE_PRESETS["latency-smoke"][1](),
-    "cache-policy": lambda: SERVICE_PRESETS["policy-smoke"][1](),
+    "service-latency": lambda: {
+        "latency_pairs": ((300.0, 600.0), (700.0, 1400.0)),
+        "trace": _service_trace(),
+        "cache": CacheConfig(capacity=256),
+        "clients_per_tenant": 2,
+    },
+    "cache-policy": lambda: {
+        "evictions": ("lru", "segmented"),
+        "admissions": ("always", "probabilistic"),
+        "trace": _service_trace(),
+        "capacity": 256,
+    },
 }
 
 

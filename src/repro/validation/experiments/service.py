@@ -13,9 +13,11 @@ Two registry drivers over the :mod:`repro.service` subsystem:
   evictions, PM writebacks, p99, and throughput across policies.
 
 Both fan out through :func:`~repro.validation.runner.run_specs`
-(``jobs``-parallel, byte-identical results for any job count) and are
-registered with fast presets, so the export round-trip and fault-sweep
-registry tests cover them automatically.
+(``jobs``-parallel, byte-identical results for any job count).  Their
+defaults are the EXPERIMENTS.md scales; their CI-sized presets are the
+``FAST_KWARGS`` entries (``quartz-repro run service-latency --fast``),
+so the export round-trip and fault-sweep registry tests cover them
+automatically.
 """
 
 from __future__ import annotations
@@ -28,10 +30,10 @@ from repro.service.cache import CacheConfig
 from repro.service.kvservice import ServiceConfig
 from repro.service.traces import TraceConfig
 from repro.validation.reporting import ExperimentResult
-from repro.validation.runner import RunResult, RunSpec, run_specs
+from repro.validation.runner import RunSpec, run_specs
 
 #: Seed base for the service experiments (distinct from figures/sweeps).
-_SERVICE_SEED = 1200
+SERVICE_SEED = 1200
 
 #: Default DRAM-cache capacity (entries) per service experiment.
 _CACHE_CAPACITY = {"service-latency": 2_048, "cache-policy": 1_024}
@@ -40,7 +42,7 @@ _CACHE_CAPACITY = {"service-latency": 2_048, "cache-policy": 1_024}
 DEFAULT_LATENCY_PAIRS = ((300.0, 600.0), (500.0, 1000.0), (800.0, 1600.0))
 
 
-def _default_trace(seed: int = _SERVICE_SEED) -> TraceConfig:
+def _default_trace(seed: int = SERVICE_SEED) -> TraceConfig:
     return TraceConfig(
         tenants=2,
         ops_per_tenant=1_500,
@@ -112,7 +114,7 @@ def run_service_latency(
                 nvm_read_latency_ns=read_ns, nvm_write_latency_ns=write_ns
             ),
             arch.name,
-            _SERVICE_SEED,
+            SERVICE_SEED,
         )
         for read_ns, write_ns in latency_pairs
     ]
@@ -185,7 +187,7 @@ def run_cache_policy(
             ),
             quartz,
             arch.name,
-            _SERVICE_SEED,
+            SERVICE_SEED,
         )
         for eviction, admission in cells
     ]
@@ -212,51 +214,15 @@ def run_cache_policy(
     return result
 
 
-# ----------------------------------------------------------------------
-# CLI presets (``quartz-repro service <preset>``)
-# ----------------------------------------------------------------------
-
-#: Preset name -> (experiment id, kwargs builder).  ``*-smoke`` presets
-#: are CI-sized; the bare names are the EXPERIMENTS.md scales.
-SERVICE_PRESETS: dict[str, tuple] = {
-    "latency": ("service-latency", lambda: {}),
-    "latency-smoke": (
-        "service-latency",
-        lambda: {
-            "latency_pairs": ((300.0, 600.0), (700.0, 1400.0)),
-            "trace": TraceConfig(
-                tenants=2, ops_per_tenant=300, keys_per_tenant=5_000,
-                seed=_SERVICE_SEED,
-            ),
-            "cache": CacheConfig(capacity=256),
-            "clients_per_tenant": 2,
-        },
-    ),
-    "policy": ("cache-policy", lambda: {}),
-    "policy-smoke": (
-        "cache-policy",
-        lambda: {
-            "evictions": ("lru", "segmented"),
-            "admissions": ("always", "probabilistic"),
-            "trace": TraceConfig(
-                tenants=2, ops_per_tenant=300, keys_per_tenant=5_000,
-                seed=_SERVICE_SEED,
-            ),
-            "capacity": 256,
-        },
-    ),
-}
-
-
 def service_scenario(
     experiment_id: str, kwargs: dict, preset: Optional[str] = None
 ) -> dict:
     """The manifest ``service`` section of one service-experiment run.
 
     Describes the offered load and cache tier the driver ran with its
-    keyword arguments *kwargs* (``preset``: the CLI preset, if any) —
-    the digest-covered context that makes two service exports
-    comparable.
+    keyword arguments *kwargs* (``preset``: ``"fast"`` when they started
+    from the fast preset, else None) — the digest-covered context that
+    makes two service exports comparable.
     """
     trace = kwargs.get("trace") or _default_trace()
     cache = kwargs.get("cache") or CacheConfig(

@@ -78,7 +78,9 @@ def test_cli_explore_json_export(capsys, tmp_path):
     out_path = tmp_path / "explore.json"
     code = main(
         [
-            "explore",
+            "run",
+            "explore-check",
+            "--workload",
             "mutex-log",
             "--mutant",
             "missing-flush",
@@ -94,7 +96,8 @@ def test_cli_explore_json_export(capsys, tmp_path):
     )
     assert code == 0
     document = json.loads(capsys.readouterr().out)
-    assert document["manifest"]["knobs"]["command"] == "explore"
+    assert document["manifest"]["knobs"]["command"] == "run"
+    assert document["manifest"]["knobs"]["experiment"] == "explore-check"
     assert document["manifest"]["explore"]["max_executions"] > 0
     rows = document["experiment"]["rows"]
     assert [row["ok"] for row in rows] == [True] * len(rows)
@@ -127,10 +130,22 @@ def test_cli_explore_exits_4_when_an_expectation_fails(capsys, monkeypatch):
         return result
 
     monkeypatch.setitem(REGISTRY, "explore-check", broken_check)
-    code = main(
-        ["explore", "mutex-log", "--mutant", "missing-flush", "--jobs", "1"]
-    )
+    code = main([
+        "run", "explore-check", "--workload", "mutex-log",
+        "--mutant", "missing-flush", "--jobs", "1",
+    ])
     assert code == 4
     captured = capsys.readouterr()
     assert "expectation failed" in captured.err
     assert "mutex-log/missing-flush" in captured.err
+
+
+def test_explore_driver_rejects_a_config_that_does_not_fit_the_workload():
+    from repro.validation.experiments.explore import run_explore_check
+
+    with pytest.raises(ValidationError) as error:
+        run_explore_check(workload="kvstore", config=CONFIG, jobs=1)
+    assert str(error.value) == (
+        "explore-check workload 'kvstore' takes a KvStoreConfig, "
+        "not a LitmusConfig"
+    )

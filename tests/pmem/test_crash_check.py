@@ -14,6 +14,7 @@ import json
 
 import pytest
 
+from repro.errors import ValidationError
 from repro.hw.arch import IVY_BRIDGE
 from repro.hw.machine import Machine
 from repro.os.system import SimOS
@@ -266,6 +267,15 @@ def test_driver_rows_satisfy_the_oracle():
         assert rows[mutant]["violations"] >= 1 and rows[mutant]["ok"]
 
 
+def test_driver_rejects_a_config_that_does_not_fit_the_workload():
+    with pytest.raises(ValidationError) as error:
+        run_crash_check(workload="graph500", config=KV_CONFIG, jobs=1)
+    assert str(error.value) == (
+        "crash-check workload 'graph500' takes a Graph500Config, "
+        "not a KvStoreConfig"
+    )
+
+
 def test_export_digest_is_jobs_invariant():
     serial = _document(jobs=1)
     parallel = _document(jobs=4)
@@ -281,7 +291,9 @@ def test_cli_crash_check(capsys, tmp_path):
     out_path = tmp_path / "crash.json"
     code = main(
         [
+            "run",
             "crash-check",
+            "--workload",
             "kvstore",
             "--shards",
             "2",
@@ -296,7 +308,8 @@ def test_cli_crash_check(capsys, tmp_path):
     assert code == 0
     document = json.loads(capsys.readouterr().out)
     assert document["manifest"]["crash"]["max_points"] > 0
-    assert document["manifest"]["knobs"]["command"] == "crash-check"
+    assert document["manifest"]["knobs"]["command"] == "run"
+    assert document["manifest"]["knobs"]["experiment"] == "crash-check"
     assert [row["ok"] for row in document["experiment"]["rows"]] == [True] * 3
     assert export.load_experiment_json(out_path)
 
@@ -306,7 +319,9 @@ def test_cli_crash_check_single_mutant_table(capsys):
 
     code = main(
         [
+            "run",
             "crash-check",
+            "--workload",
             "kvstore",
             "--mutant",
             "missing-flush",

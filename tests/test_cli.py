@@ -57,8 +57,8 @@ def test_unknown_arch_rejected(capsys):
 
 
 @pytest.mark.parametrize("argv", (
-    ["crash-check", "kvstore"],
-    ["explore", "mutex-log"],
+    ["run", "crash-check"],
+    ["run", "explore-check"],
     ["calibrate"],
 ))
 def test_unknown_arch_exits_2_on_every_command(argv, capsys):
@@ -93,7 +93,7 @@ def test_trials_must_be_a_positive_int(value, capsys):
 
 
 def test_shards_must_be_a_positive_int(capsys):
-    err = _usage_error(["crash-check", "kvstore", "--shards", "0"], capsys)
+    err = _usage_error(["run", "crash-check", "--shards", "0"], capsys)
     assert "argument --shards" in err
 
 
@@ -160,6 +160,82 @@ def test_unsupported_flags_note_instead_of_crashing(monkeypatch, capsys):
     assert "does not take an architecture" in captured.err
     assert "does not take --trials" in captured.err
     assert "does not take --jobs" in captured.err
+
+
+#: The flags ``run`` maps onto crash/explore driver parameters.
+ORACLE_FLAGS = [
+    "--workload", "kvstore", "--mutant", "none", "--shards", "3",
+    "--seed", "0", "--no-prune",
+]
+
+
+def test_oracle_flags_note_on_a_driver_without_the_parameters(
+    monkeypatch, capsys
+):
+    monkeypatch.setitem(REGISTRY, "stub-exp", lambda: _stub_driver())
+    assert main(["run", "stub-exp", *ORACLE_FLAGS]) == 0
+    err = capsys.readouterr().err
+    for flag in ("--workload", "--mutant", "--shards", "--seed", "--no-prune"):
+        assert err.count(f"note: stub-exp does not take {flag}\n") == 1
+
+
+def test_oracle_flags_reach_the_driver_by_parameter_name(monkeypatch, capsys):
+    from dataclasses import replace
+
+    from repro.validation.experiments import DEFAULT_EXPLORE_PLAN
+
+    seen = {}
+
+    def driver(
+        workload=None, mutants=None, shards=None, seed=None,
+        explore_plan=None,
+    ):
+        seen.update(
+            workload=workload, mutants=mutants, shards=shards, seed=seed,
+            explore_plan=explore_plan,
+        )
+        return _stub_driver()
+
+    monkeypatch.setitem(REGISTRY, "stub-exp", driver)
+    assert main(["run", "stub-exp", *ORACLE_FLAGS]) == 0
+    assert "note:" not in capsys.readouterr().err
+    assert seen["workload"] == "kvstore"
+    assert seen["mutants"] == ("none",)
+    assert seen["shards"] == 3
+    assert seen["seed"] == 0
+    assert seen["explore_plan"].prune is False
+    assert seen["explore_plan"] == replace(DEFAULT_EXPLORE_PLAN, prune=False)
+    # Unset flags leave the driver's defaults alone.
+    assert main(["run", "stub-exp"]) == 0
+    assert set(seen.values()) == {None}
+
+
+def test_fast_starts_from_the_preset_and_flags_overlay_it(monkeypatch, capsys):
+    from repro.validation.experiments.fast import FAST_KWARGS
+
+    seen = {}
+
+    def driver(workload="default", shards=1, config=None):
+        seen.update(workload=workload, shards=shards, config=config)
+        return _stub_driver()
+
+    monkeypatch.setitem(REGISTRY, "stub-exp", driver)
+    monkeypatch.setitem(
+        FAST_KWARGS, "stub-exp",
+        lambda: {"workload": "small", "shards": 2, "config": "tiny"},
+    )
+    assert main(["run", "stub-exp", "--fast", "--shards", "5"]) == 0
+    assert seen == {"workload": "small", "shards": 5, "config": "tiny"}
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", (
+    ["crash-check", "kvstore"],
+    ["explore", "mutex-log"],
+    ["service", "latency-smoke"],
+))
+def test_folded_experiment_commands_are_usage_errors(argv, capsys):
+    assert "invalid choice" in _usage_error(argv, capsys)
 
 
 def test_jobs_flag_forwarded(monkeypatch, capsys):
@@ -589,10 +665,14 @@ def test_run_crash_check_exports_the_crash_check_command_manifest(capsys):
 
     assert main(["run", "crash-check", "--jobs", "1", "--format", "json"]) == 0
     via_run = json.loads(capsys.readouterr().out)
-    assert main(["crash-check", "kvstore", "--jobs", "1", "--format", "json"]) == 0
+    # The driver's defaults, spelled out as flags.
+    assert main([
+        "run", "crash-check", "--workload", "kvstore", "--shards", "4",
+        "--seed", "411", "--jobs", "1", "--format", "json",
+    ]) == 0
     via_command = json.loads(capsys.readouterr().out)
     assert via_run["experiment"] == via_command["experiment"]
-    # The content digest covers the knobs, which name the command.
+    # The content digest covers the knobs, which record the flags.
     volatile = ("knobs", "content_digest")
     assert {
         key: value for key, value in via_run["manifest"].items()
@@ -604,6 +684,55 @@ def test_run_crash_check_exports_the_crash_check_command_manifest(capsys):
     assert via_run["manifest"]["crash"]["max_points"] > 0
     # Crash runs calibrate, so their calibration seed is provenance.
     assert via_run["manifest"]["calibration_seeds"] == [0]
+
+
+@pytest.mark.parametrize("experiment_id", ("service-latency", "cache-policy"))
+def test_run_fast_exports_the_golden_experiment_digest(experiment_id, capsys):
+    import json
+    from pathlib import Path
+
+    from repro.validation import export
+
+    golden = json.loads(
+        (Path(__file__).parent / "golden" / "experiment_digests.json")
+        .read_text()
+    )
+    assert main([
+        "run", experiment_id, "--fast", "--jobs", "1", "--format", "json",
+    ]) == 0
+    document = json.loads(capsys.readouterr().out)
+    assert export.experiment_digest(document) == golden[experiment_id]
+    assert document["manifest"]["service"]["preset"] == "fast"
+
+
+def test_explore_check_of_disjoint_locks_runs_only_the_clean_protocol(capsys):
+    import json
+
+    assert main([
+        "run", "explore-check", "--workload", "disjoint-locks",
+        "--jobs", "1", "--format", "json",
+    ]) == 0
+    rows = json.loads(capsys.readouterr().out)["experiment"]["rows"]
+    assert [(row["mutant"], row["ok"]) for row in rows] == [("none", True)]
+
+
+@pytest.mark.parametrize(
+    "experiment_id, workload, message",
+    (
+        ("crash-check", "graph500", "takes a Graph500Config, not a KvStoreConfig"),
+        ("explore-check", "kvstore", "takes a KvStoreConfig, not a LitmusConfig"),
+    ),
+    ids=("crash-check", "explore-check"),
+)
+def test_fast_config_that_does_not_fit_the_workload_exits_2(
+    experiment_id, workload, message, capsys
+):
+    assert main([
+        "run", experiment_id, "--fast", "--workload", workload, "--jobs", "1",
+    ]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {experiment_id} workload '{workload}' {message}" in err
+    assert "Traceback" not in err
 
 
 def _memlat_run():
@@ -621,8 +750,8 @@ def _memlat_run():
 
 
 ORACLE_COMMANDS = [
-    (["crash-check", "kvstore"], "crash-check"),
-    (["explore", "mutex-log"], "explore-check"),
+    (["run", "crash-check"], "crash-check"),
+    (["run", "explore-check"], "explore-check"),
 ]
 
 
