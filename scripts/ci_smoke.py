@@ -145,13 +145,14 @@ def check_sweep_resume() -> dict:
     # to match an uninterrupted reference run.  Then the one-driver
     # contract: the journaled sweep and the inline registry run of the
     # same preset export the same experiment.
-    grid = ("sweep", "run", "latency-grid", "--scale", "smoke")
-    cli(*grid, "--dir", "sweep-ci", "--jobs", "2", "--interrupt-after", "2",
-        code=130)
-    cli("sweep", "status", "--dir", "sweep-ci")
-    cli("sweep", "resume", "--dir", "sweep-ci", "--jobs", "2",
+    # Resuming is the interrupted command run again.
+    grid = ("run", "sweep-latency-grid", "--scale", "smoke")
+    cli(*grid, "--journal", "sweep-ci", "--jobs", "2",
+        "--interrupt-after", "2", code=130)
+    cli("status", "--journal", "sweep-ci")
+    cli(*grid, "--journal", "sweep-ci", "--jobs", "2",
         "--format", "json", "--out", "sweep-resumed.json")
-    cli(*grid, "--dir", "sweep-ci-ref", "--jobs", "1",
+    cli(*grid, "--journal", "sweep-ci-ref", "--jobs", "1",
         "--format", "json", "--out", "sweep-reference.json")
     with open("sweep-resumed.json", encoding="utf-8") as handle:
         resumed = json.load(handle)
@@ -169,8 +170,9 @@ def check_sweep_resume() -> dict:
         f"resume accounted for {sweep} instead of the 4-spec smoke grid",
     )
     journaled = export_json(
-        "sweep", "run", "latency-grid", "--scale", "small",
-        "--dir", "sweep-ci-small", "--jobs", "2", out="sweep-journaled.json",
+        "run", "sweep-latency-grid", "--scale", "small",
+        "--journal", "sweep-ci-small", "--jobs", "2",
+        out="sweep-journaled.json",
     )
     inline = export_json(
         "run", "sweep-latency-grid", "--jobs", "2", out="sweep-inline.json"

@@ -12,13 +12,16 @@ Examples::
     quartz-repro run crash-check --workload graph500 --mutant missing-flush
     quartz-repro run explore-check --workload disjoint-locks --no-prune
     quartz-repro run service-latency --fast
+    quartz-repro run sweep-latency-grid --scale smoke --journal grid
+    quartz-repro status --journal grid
     quartz-repro calibrate --arch haswell
 
-``run`` is the one verb for every registry experiment (``sweep
-run|resume`` adds a journal).  ``--fast`` starts from the experiment's
-minimum-scale preset (``FAST_KWARGS``); every other flag overlays the
-keyword argument of the same name, and a flag the driver has no
-parameter for prints a ``note:`` instead.
+``run`` is the one verb for every registry experiment.  ``--fast``
+starts from the experiment's minimum-scale preset (``FAST_KWARGS``);
+every other flag overlays the keyword argument of the same name, and a
+flag the driver has no parameter for prints a ``note:`` instead.
+``--journal D`` checkpoints a sweep grid in D; the same command run
+again resumes it, re-executing only the specs not yet checkpointed.
 
 With ``--format json`` the experiment document (rows + provenance
 manifest + runner telemetry; see ``repro.validation.export``) is the
@@ -51,7 +54,6 @@ from repro.validation import export
 from repro.validation.experiments import (
     DEFAULT_EXPLORE_PLAN,
     REGISTRY,
-    SWEEP_PRESETS,
     manifest_sections,
 )
 from repro.validation.experiments.crash import MUTANT_AXIS
@@ -65,7 +67,6 @@ from repro.validation.runner import (
     reset_run_stats,
     set_trace_out,
 )
-from repro.validation.sweep import check_fresh
 
 
 def _positive_int(text: str) -> int:
@@ -110,58 +111,6 @@ def _parse_tier_ladder(spec: str) -> tuple:
     return tuple(ladder)
 
 
-def _output_flags() -> argparse.ArgumentParser:
-    """``--jobs``/``--format``/``--out``: every result-emitting command's."""
-    flags = argparse.ArgumentParser(add_help=False)
-    flags.add_argument(
-        "--jobs",
-        type=_positive_int,
-        help=(
-            "worker processes for the run grid (default: QUARTZ_REPRO_JOBS "
-            "or all cores; results are identical for any job count)"
-        ),
-    )
-    flags.add_argument(
-        "--format",
-        choices=("table", "json"),
-        default="table",
-        help=(
-            "output format: the ASCII table, or the schema-versioned JSON "
-            "export document (default: table)"
-        ),
-    )
-    flags.add_argument(
-        "-o", "--output", "--out",
-        dest="output",
-        help="also write the rendered output (current --format) to a file",
-    )
-    return flags
-
-
-def _fault_flags() -> argparse.ArgumentParser:
-    """``--faults``/``--check-invariants``: the commands that take them."""
-    flags = argparse.ArgumentParser(add_help=False)
-    flags.add_argument(
-        "--faults",
-        help=(
-            "run under deterministic fault injection; semicolon-separated "
-            "clauses, e.g. 'seed(7); signal-delay(ns=2e6, p=1.0); "
-            "timer-jitter(rel=0.01)' — see repro.faults.plan for the "
-            "full grammar"
-        ),
-    )
-    flags.add_argument(
-        "--check-invariants",
-        action="store_true",
-        help=(
-            "attach the runtime invariant monitor (clock monotonicity, "
-            "delay conservation, split proportionality); the run aborts "
-            "with exit code 3 at the first violation"
-        ),
-    )
-    return flags
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quartz-repro",
@@ -171,14 +120,51 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    outputs, faults = _output_flags(), _fault_flags()
 
     subparsers.add_parser("list", help="list available experiments")
 
-    run = subparsers.add_parser(
-        "run", help="run one experiment", parents=[outputs, faults]
-    )
+    run = subparsers.add_parser("run", help="run one experiment")
     run.add_argument("experiment", choices=sorted(REGISTRY), metavar="experiment")
+    run.add_argument(
+        "--jobs",
+        type=_positive_int,
+        help=(
+            "worker processes for the run grid (default: QUARTZ_REPRO_JOBS "
+            "or all cores; results are identical for any job count)"
+        ),
+    )
+    run.add_argument(
+        "--format",
+        choices=("table", "json"),
+        default="table",
+        help=(
+            "output format: the ASCII table, or the schema-versioned JSON "
+            "export document (default: table)"
+        ),
+    )
+    run.add_argument(
+        "-o", "--output", "--out",
+        dest="output",
+        help="also write the rendered output (current --format) to a file",
+    )
+    run.add_argument(
+        "--faults",
+        help=(
+            "run under deterministic fault injection; semicolon-separated "
+            "clauses, e.g. 'seed(7); signal-delay(ns=2e6, p=1.0); "
+            "timer-jitter(rel=0.01)' — see repro.faults.plan for the "
+            "full grammar"
+        ),
+    )
+    run.add_argument(
+        "--check-invariants",
+        action="store_true",
+        help=(
+            "attach the runtime invariant monitor (clock monotonicity, "
+            "delay conservation, split proportionality); the run aborts "
+            "with exit code 3 at the first violation"
+        ),
+    )
     run.add_argument(
         "--arch",
         type=_arch,
@@ -248,6 +234,25 @@ def _build_parser() -> argparse.ArgumentParser:
             "verdict)"
         ),
     )
+    run.add_argument(
+        "--scale", help="sweep grid scale: smoke, small or large (default: small)"
+    )
+    run.add_argument(
+        "--journal",
+        help=(
+            "checkpoint a sweep grid in this directory (journal.jsonl + "
+            "results.jsonl); re-running the same command resumes it"
+        ),
+    )
+    run.add_argument(
+        "--interrupt-after",
+        type=_positive_int,
+        help=(
+            "with --journal: interrupt the sweep after N fresh "
+            "completions are checkpointed (exit 130; a deterministic "
+            "crash point for resume tests)"
+        ),
+    )
 
     calibrate = subparsers.add_parser(
         "calibrate", help="print the calibration data for a testbed"
@@ -259,51 +264,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="re-measure even when a cached calibration exists",
     )
 
-    sweep = subparsers.add_parser(
-        "sweep",
-        help=(
-            "streaming, checkpointed sweep orchestration for large run "
-            "grids (journal + resume-after-crash)"
-        ),
+    status = subparsers.add_parser(
+        "status", help="print a journaled sweep's progress"
     )
-    sweep_sub = sweep.add_subparsers(dest="sweep_command", required=True)
-    sweep_run = sweep_sub.add_parser(
-        "run", help="start a journaled sweep of a preset grid",
-        parents=[outputs],
+    status.add_argument(
+        "--journal", required=True, help="sweep journal directory"
     )
-    sweep_run.add_argument(
-        "preset", choices=sorted(SWEEP_PRESETS), metavar="preset",
-        help=f"sweep preset ({', '.join(sorted(SWEEP_PRESETS))})",
-    )
-    sweep_run.add_argument(
-        "--scale", default="small",
-        help="grid scale preset (smoke/small/large; default: small)",
-    )
-    sweep_resume = sweep_sub.add_parser(
-        "resume",
-        parents=[outputs],
-        help=(
-            "resume an interrupted sweep: verified checkpoints are "
-            "reused, only unfinished specs re-execute"
-        ),
-    )
-    sweep_status_p = sweep_sub.add_parser(
-        "status", help="print a sweep directory's progress"
-    )
-    for sub in (sweep_run, sweep_resume, sweep_status_p):
-        sub.add_argument(
-            "--dir", required=True, dest="sweep_dir",
-            help="sweep directory (journal.jsonl + results.jsonl)",
-        )
-    for sub in (sweep_run, sweep_resume):
-        sub.add_argument(
-            "--interrupt-after", type=_positive_int, default=None,
-            help=(
-                "deterministic crash point: interrupt the sweep after N "
-                "fresh completions are checkpointed (exit 130; used by "
-                "the resume tests and CI smoke)"
-            ),
-        )
 
     trace = subparsers.add_parser(
         "trace", help="inspect a JSONL epoch trace (--trace-out output)"
@@ -329,6 +295,7 @@ def _build_parser() -> argparse.ArgumentParser:
 #: ``run`` flags that set one driver parameter each, when given:
 #: ``(flag dest, parameter, value -> argument or None for as-is)``.
 _PARAMETER_FLAGS = (
+    ("scale", "scale", None),
     ("trials", "trials", None),
     ("workload", "workload", None),
     ("mutant", "mutants", lambda mutant: (mutant,)),
@@ -336,7 +303,14 @@ _PARAMETER_FLAGS = (
     ("seed", "seed", None),
     ("no_prune", "explore_plan",
      lambda _: replace(DEFAULT_EXPLORE_PLAN, prune=False)),
+    ("journal", "sweep_dir", None),
+    ("interrupt_after", "interrupt_after", None),
 )
+
+#: Flags that say where a run checkpoints, not what it computes: the
+#: knobs leave them out, as they leave out ``--jobs``, so a journaled,
+#: a resumed and an inline export of one grid are the same document.
+_UNRECORDED_FLAGS = ("journal", "interrupt_after")
 
 
 def _driver_kwargs(
@@ -411,42 +385,14 @@ def _run_kwargs(args: argparse.Namespace) -> tuple[str, dict, dict]:
         "experiment": experiment,
         "preset": "fast" if args.fast else None,
         "arch": args.arch and args.arch.name,
-        **{flag: getattr(args, flag) for flag, _, _ in _PARAMETER_FLAGS},
+        **{
+            flag: getattr(args, flag)
+            for flag, _, _ in _PARAMETER_FLAGS
+            if flag not in _UNRECORDED_FLAGS
+        },
         "check_invariants": bool(args.check_invariants),
     }
     return experiment, kwargs, knobs
-
-
-def _sweep_kwargs(args: argparse.Namespace) -> tuple[str, dict, dict]:
-    """``sweep run|resume``: a preset's registry driver, journaled in --dir.
-
-    ``run`` refuses a directory that already holds a journal; ``resume``
-    takes the preset and scale from the journal header.
-    """
-    if args.sweep_command == "run":
-        check_fresh(args.sweep_dir)
-        preset, scale = args.preset, args.scale
-    else:
-        knobs = sweep_status(args.sweep_dir)["knobs"]
-        preset, scale = knobs.get("preset"), knobs.get("scale")
-        if preset not in SWEEP_PRESETS or not scale:
-            raise ValidationError(
-                f"{args.sweep_dir}: journal names no known preset/scale; "
-                "cannot rebuild the grid"
-            )
-    kwargs = {
-        "scale": scale,
-        "jobs": args.run_jobs,
-        "sweep_dir": args.sweep_dir,
-        "interrupt_after": args.interrupt_after,
-    }
-    knobs = {"command": "sweep", "preset": preset, "scale": scale}
-    return f"sweep-{preset}", kwargs, knobs
-
-
-#: Command -> kwargs builder for every command that runs one registry
-#: experiment; each returns ``(experiment id, driver kwargs, knobs)``.
-EXPERIMENT_COMMANDS = {"run": _run_kwargs, "sweep": _sweep_kwargs}
 
 
 def _render(args: argparse.Namespace, result, stats, **manifest) -> str:
@@ -497,30 +443,31 @@ def _check_writable(path: str) -> None:
 def _emit(
     args: argparse.Namespace, experiment_id: str, kwargs: dict, knobs: dict
 ) -> int:
-    """Run one registry experiment and emit it: every command's one path.
+    """Run one registry experiment and emit it (``run``'s whole path).
 
     Reset stats → run the driver → build the manifest (its plan sections
     derived from the experiment id and kwargs) → render → summary →
     ``--out`` → verdict.  Exit codes: 0 success; 2 a malformed
     ``--faults`` plan, an unwritable ``--out``/``--trace-out`` path or
-    a configuration the run rejects (``ValidationError``,
+    ``--journal`` directory, a journal of another grid, or a
+    configuration the run rejects (``ValidationError``,
     ``QuartzError``, ``WorkloadError``); 3 an invariant violated (the
     run aborts at the first one); 4 a result row failed its oracle
     (``ok`` false); 130 interrupted, after the partial runner summary
-    (and, for a journaled sweep, the resume command).
+    (and, for a journaled sweep, the command that resumes it).
     """
     fault_plan = None
-    if getattr(args, "faults", None):
+    if args.faults:
         try:
             fault_plan = FaultPlan.parse(args.faults)
         except FaultPlanError as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
-    check_invariants = getattr(args, "check_invariants", False)
+    check_invariants = args.check_invariants
     try:
         if args.output:
             _check_writable(args.output)
-        if getattr(args, "trace_out", None):
+        if args.trace_out:
             set_trace_out(args.trace_out)
     except OSError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -553,9 +500,13 @@ def _emit(
         print(f"interrupted: {interrupt}", file=sys.stderr)
         for line in _summary(consume_run_stats()):
             print(line, file=sys.stderr)
-        if getattr(args, "sweep_dir", None):
+        if "sweep_dir" in kwargs:
+            scale = kwargs.get("scale") or inspect.signature(
+                REGISTRY[experiment_id]
+            ).parameters["scale"].default
             print(
-                f"resume with: quartz-repro sweep resume --dir {args.sweep_dir}",
+                f"resume with: quartz-repro run {experiment_id} --scale "
+                f"{scale} --journal {kwargs['sweep_dir']}",
                 file=sys.stderr,
             )
         return 130
@@ -585,10 +536,10 @@ def _emit(
     return 4 if failed else 0
 
 
-def _sweep_status(args: argparse.Namespace) -> int:
-    """``sweep status``: a journaled sweep's progress (exit 2 if none)."""
+def _journal_status(args: argparse.Namespace) -> int:
+    """``status``: a journaled sweep's progress (exit 2 if none)."""
     try:
-        status = sweep_status(args.sweep_dir)
+        status = sweep_status(args.journal)
     except ValidationError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -640,22 +591,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point."""
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if "jobs" in args:
+    if args.command == "run":
         # --jobs stays as given, for the drivers that note it; the count
         # every run uses is resolved once, here.
         try:
             args.run_jobs = args.jobs or default_cli_jobs()
         except ValidationError as error:
             parser.error(str(error))
-    if args.command == "sweep" and args.sweep_command == "status":
-        return _sweep_status(args)
-    if args.command in EXPERIMENT_COMMANDS:
-        try:
-            experiment = EXPERIMENT_COMMANDS[args.command](args)
-        except ValidationError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        return _emit(args, *experiment)
+        if args.interrupt_after is not None and args.journal is None:
+            # Without a journal an interrupt only throws the runs away.
+            parser.error("--interrupt-after needs --journal")
+        return _emit(args, *_run_kwargs(args))
+    if args.command == "status":
+        return _journal_status(args)
     if args.command == "list":
         return _list_experiments()
     if args.command == "calibrate":

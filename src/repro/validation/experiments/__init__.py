@@ -53,7 +53,6 @@ from repro.validation.experiments.service import (
     service_scenario,
 )
 from repro.validation.experiments.sweeps import (
-    SWEEP_PRESETS,
     run_latency_grid,
     run_migration_grid,
     run_service_grid,
@@ -91,8 +90,8 @@ REGISTRY = {
     # The trace-driven multi-tenant KV service (repro.service).
     "service-latency": run_service_latency,
     "cache-policy": run_cache_policy,
-    # Streaming sweep grids (see repro.validation.sweep): the same
-    # presets `quartz-repro sweep` checkpoints, run inline.
+    # Streaming sweep grids (see repro.validation.sweep): inline, or
+    # checkpointed with `quartz-repro run <id> --journal D`.
     "sweep-latency-grid": run_latency_grid,
     "sweep-tier-grid": run_tier_grid,
     "sweep-migration-grid": run_migration_grid,
@@ -122,6 +121,6 @@ def manifest_sections(
     return {}
 
 
-__all__ = ["REGISTRY", "SWEEP_PRESETS", "manifest_sections"] + sorted(
+__all__ = ["REGISTRY", "manifest_sections"] + sorted(
     name for name in dir() if name.startswith("run_")
 )

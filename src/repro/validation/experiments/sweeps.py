@@ -1,4 +1,4 @@
-"""Sweep presets: the thousand-config grids behind ``quartz-repro sweep``.
+"""Sweep presets: the thousand-config grids of the ``sweep-*`` experiments.
 
 The tier/migration experiments (PR 6) and the latency studies generate
 exactly the grid shapes the ROADMAP's orchestration item anticipates —
@@ -13,9 +13,10 @@ job, on N jobs, or across an interrupt/resume boundary.
 
 Each preset is registered as a plain experiment driver
 (``sweep-latency-grid`` …).  Without a ``sweep_dir`` the grid runs
-inline — no journal — through the ordinary ``quartz-repro run`` path,
-the fast presets, and the registry-wide export/fault test sweeps; with
-one, the same driver journals it (``quartz-repro sweep run|resume``).
+inline — no journal — as the fast presets and the registry-wide
+export/fault test sweeps run it; with one, the same driver journals it
+there, and a later call on the same directory resumes it
+(``quartz-repro run sweep-<preset> --scale S --journal D``).
 """
 
 from __future__ import annotations
@@ -28,8 +29,12 @@ from repro.errors import ValidationError
 from repro.hw.arch import IVY_BRIDGE
 from repro.quartz.calibration import calibrate_arch
 from repro.quartz.config import EmulationMode, QuartzConfig
-from repro.quartz.tiers import MemoryTier
 from repro.units import MILLISECOND
+from repro.validation.experiments.tiers import (
+    DEFAULT_TIER_SETS,
+    _build_tiers,
+    tier_report,
+)
 from repro.validation.reporting import ExperimentResult
 from repro.validation.runner import RunResult, RunSpec
 from repro.validation.sweep import SweepJournal, run_sweep, spec_fingerprint
@@ -37,15 +42,14 @@ from repro.validation.sweep import SweepJournal, run_sweep, spec_fingerprint
 #: Seed base for sweep grids (distinct from the figure experiments).
 _GRID_SEED = 900
 
-#: Base 3-tier read/write ladder the tier grids scale (ns).
-_BASE_LADDER = ((250.0, 350.0), (400.0, 600.0), (700.0, 1100.0))
+#: Base read/write ladder the tier grids scale (ns).
+_BASE_LADDER = DEFAULT_TIER_SETS["3-tier"]
 
 
 @dataclass(frozen=True)
 class SweepPreset:
     """One named grid: spec builder plus per-spec row projection."""
 
-    name: str
     title: str
     columns: tuple
     scales: tuple
@@ -144,14 +148,11 @@ _TIER_SCALES = {
 
 
 def _scaled_tiers(factor: float, dram_local_ns: float) -> tuple:
-    tiers = [MemoryTier("dram", dram_local_ns, dram_local_ns)]
-    for index, (read_ns, write_ns) in enumerate(_BASE_LADDER):
-        tiers.append(
-            MemoryTier(
-                f"tier{index + 1}", read_ns * factor, write_ns * factor
-            )
-        )
-    return tuple(tiers)
+    return _build_tiers(
+        [(read_ns * factor, write_ns * factor)
+         for read_ns, write_ns in _BASE_LADDER],
+        dram_local_ns,
+    )
 
 
 def _build_tier_grid(scale: str) -> list:
@@ -262,9 +263,7 @@ def _build_migration_grid(scale: str) -> list:
 
 
 def _migration_grid_row(spec: RunSpec, result: RunResult) -> dict:
-    report = (
-        result.quartz_stats.tier_report if result.quartz_stats else None
-    ) or {"placements": {}, "migrations": 0, "migrated_bytes": 0}
+    report = tier_report(result)
     threshold = spec.quartz.promote_threshold_accesses
     return {
         "arch": spec.arch_name,
@@ -384,7 +383,6 @@ def _service_grid_row(spec: RunSpec, result: RunResult) -> dict:
 
 SWEEP_PRESETS: dict[str, SweepPreset] = {
     "latency-grid": SweepPreset(
-        name="latency-grid",
         title="MemLat emulation error across a latency x epoch grid",
         columns=(
             "arch", "target_ns", "epoch_us", "seed", "measured_ns",
@@ -399,7 +397,6 @@ SWEEP_PRESETS: dict[str, SweepPreset] = {
         ),
     ),
     "tier-grid": SweepPreset(
-        name="tier-grid",
         title="Tiered MultiLat error across ladder scale factors",
         columns=(
             "arch", "tiers", "read_targets_ns", "seed", "completion_ms",
@@ -414,7 +411,6 @@ SWEEP_PRESETS: dict[str, SweepPreset] = {
         ),
     ),
     "service-grid": SweepPreset(
-        name="service-grid",
         title="KV service tails across tier ladders and bandwidth throttles",
         columns=(
             "arch", "cell", "tiers", "read_ns", "bandwidth_gbps", "seed",
@@ -430,7 +426,6 @@ SWEEP_PRESETS: dict[str, SweepPreset] = {
         ),
     ),
     "migration-grid": SweepPreset(
-        name="migration-grid",
         title="Placement policies x promote thresholds on an N-tier machine",
         columns=(
             "arch", "policy", "promote_threshold", "seed", "completion_ms",
@@ -445,15 +440,6 @@ SWEEP_PRESETS: dict[str, SweepPreset] = {
         ),
     ),
 }
-
-
-def get_sweep_preset(name: str) -> SweepPreset:
-    if name not in SWEEP_PRESETS:
-        raise ValidationError(
-            f"unknown sweep preset: {name!r} "
-            f"(choose from {', '.join(sorted(SWEEP_PRESETS))})"
-        )
-    return SWEEP_PRESETS[name]
 
 
 # ----------------------------------------------------------------------
@@ -471,10 +457,10 @@ def _run_preset(
     """Build a preset's grid and stream it into one result.
 
     With a ``sweep_dir`` the grid is journaled there: an existing
-    journal is resumed (its grid digest must match), otherwise a fresh
-    one is created.
+    journal is resumed (its grid digest must match, else
+    ``ValidationError``), otherwise a fresh one is created.
     """
-    preset = get_sweep_preset(preset_name)
+    preset = SWEEP_PRESETS[preset_name]
     specs = preset.build(scale)
     journal = None
     if sweep_dir is not None:

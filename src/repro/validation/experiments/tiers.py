@@ -25,7 +25,7 @@ from repro.quartz.config import EmulationMode, QuartzConfig
 from repro.quartz.tiers import MemoryTier
 from repro.units import MILLISECOND
 from repro.validation.reporting import ExperimentResult
-from repro.validation.runner import RunSpec, run_specs
+from repro.validation.runner import RunResult, RunSpec, run_specs
 from repro.workloads.multilat import MultiLatConfig
 
 #: Default 3-tier ladder (beyond DRAM): e.g. battery-backed DRAM,
@@ -44,6 +44,13 @@ def _build_tiers(
     for index, (read_ns, write_ns) in enumerate(read_write_ns):
         tiers.append(MemoryTier(f"tier{index + 1}", read_ns, write_ns))
     return tuple(tiers)
+
+
+def tier_report(run: RunResult) -> dict:
+    """The run's tier directory report; empty when it kept none."""
+    return (run.quartz_stats.tier_report if run.quartz_stats else None) or {
+        "placements": {}, "migrations": 0, "migrated_bytes": 0,
+    }
 
 
 def run_tier_sweep(
@@ -166,9 +173,7 @@ def run_migration_policy(
             )
             keys.append((arch, policy_name))
     for (arch, policy_name), run in zip(keys, run_specs(specs, jobs=jobs)):
-        report = (run.quartz_stats.tier_report if run.quartz_stats else None) or {
-            "placements": {}, "migrations": 0, "migrated_bytes": 0,
-        }
+        report = tier_report(run)
         placements = ",".join(
             f"{tier}:{count}"
             for tier, count in sorted(report["placements"].items())

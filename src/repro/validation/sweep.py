@@ -13,9 +13,11 @@ adds is the journal:
   (:func:`grid_digest`).
 * **Checkpoint/resume.**  Each finished run is pickled, digested and
   appended to the journal the moment it completes.  An interrupted
-  sweep restarts by loading the journal's completed-spec records,
-  re-verifying each shard record's digest (a tampered or torn record is
-  re-executed, never trusted), and running only the remainder.  The
+  sweep restarts — the same ``quartz-repro run <id> --journal D``
+  again, through :meth:`SweepJournal.open_or_create` — by loading the
+  journal's completed-spec records, re-verifying each shard record's
+  digest (a tampered or torn record is re-executed, never trusted), and
+  running only the remainder.  The
   merged output — and therefore the export digest — is byte-identical
   to an uninterrupted run.
 
@@ -143,16 +145,6 @@ def grid_digest(fingerprints: Sequence[str]) -> str:
 # ----------------------------------------------------------------------
 
 
-def check_fresh(directory: Union[str, Path]) -> None:
-    """Refuse a sweep directory that already holds a journal."""
-    journal_path = Path(directory) / JOURNAL_FILENAME
-    if journal_path.exists():
-        raise ValidationError(
-            f"{journal_path}: sweep journal already exists "
-            "(resume it, or point --dir at a fresh directory)"
-        )
-
-
 @dataclass
 class ShardRecord:
     """One completed spec as the journal knows it."""
@@ -202,7 +194,13 @@ class SweepJournal:
     ) -> "SweepJournal":
         """Start a fresh sweep directory; refuses to clobber one."""
         directory = Path(directory)
-        check_fresh(directory)
+        journal_path = directory / JOURNAL_FILENAME
+        if journal_path.exists():
+            raise ValidationError(
+                f"{journal_path}: sweep journal already exists "
+                "(open it to resume, or point --journal at a fresh "
+                "directory)"
+            )
         header = {
             "type": "header",
             "schema": SWEEP_SCHEMA,
@@ -214,9 +212,7 @@ class SweepJournal:
         }
         try:
             directory.mkdir(parents=True, exist_ok=True)
-            with open(
-                directory / JOURNAL_FILENAME, "w", encoding="utf-8"
-            ) as handle:
+            with open(journal_path, "w", encoding="utf-8") as handle:
                 handle.write(json.dumps(header, sort_keys=True) + "\n")
             (directory / SHARD_FILENAME).touch()
         except OSError as error:
@@ -403,7 +399,7 @@ class SweepJournal:
 
     # -- introspection -------------------------------------------------
     def status(self) -> dict:
-        """Progress snapshot for ``quartz-repro sweep status``."""
+        """Progress snapshot for ``quartz-repro status --journal D``."""
         total = self.header["total"]
         done = len(self.completed)
         return {

@@ -41,6 +41,10 @@ def test_unknown_experiment_rejected():
         main(["run", "figure99"])
 
 
+#: The smoke-scale latency grid, the sweep the journal tests ride on.
+SMOKE_GRID = ["run", "sweep-latency-grid", "--scale", "smoke"]
+
+
 def _usage_error(argv, capsys) -> str:
     """Run *argv*, require argparse's exit 2, and return its stderr."""
     with pytest.raises(SystemExit) as exit_info:
@@ -100,9 +104,37 @@ def test_shards_must_be_a_positive_int(capsys):
 @pytest.mark.parametrize("command", ("run latency-grid", "resume"))
 @pytest.mark.parametrize("value", ("0", "-3"))
 def test_interrupt_after_must_be_a_positive_int(command, value, tmp_path, capsys):
-    argv = ["sweep", *command.split(), "--dir", str(tmp_path / "grid")]
+    # A resume is the same command on a directory that holds a journal.
+    grid = tmp_path / "grid"
+    if command == "resume":
+        grid.mkdir()
+        (grid / "journal.jsonl").write_text("{}\n")
+    before = sorted(tmp_path.rglob("*"))
+    argv = ["run", "sweep-latency-grid", "--journal", str(grid)]
     err = _usage_error([*argv, "--interrupt-after", value], capsys)
     assert "argument --interrupt-after" in err
+    assert sorted(tmp_path.rglob("*")) == before
+    if command == "run latency-grid":
+        assert not grid.exists()
+
+
+def test_interrupt_after_without_a_journal_is_a_usage_error(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    err = _usage_error(
+        [*SMOKE_GRID, "--interrupt-after", "2"], capsys
+    )
+    assert "--interrupt-after needs --journal" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_the_sweep_command_group_is_gone(tmp_path, capsys):
+    err = _usage_error(
+        ["sweep", "run", "latency-grid", "--dir", str(tmp_path / "grid")],
+        capsys,
+    )
+    assert "invalid choice: 'sweep'" in err
     assert not (tmp_path / "grid").exists()
 
 
@@ -475,14 +507,18 @@ def test_without_check_invariants_corruption_passes_silently(monkeypatch, capsys
 
 
 # ----------------------------------------------------------------------
-# The sweep subcommand family
+# Journaled sweeps: run <sweep id> --journal D, and status --journal D
 # ----------------------------------------------------------------------
+
+SWEEP_IDS = (
+    "sweep-latency-grid", "sweep-tier-grid", "sweep-migration-grid",
+    "sweep-service-grid",
+)
 
 
 def test_sweep_run_smoke_exits_zero(tmp_path, capsys):
     assert main([
-        "sweep", "run", "latency-grid", "--scale", "smoke",
-        "--dir", str(tmp_path / "grid"), "--jobs", "1",
+        *SMOKE_GRID, "--journal", str(tmp_path / "grid"), "--jobs", "1",
     ]) == 0
     captured = capsys.readouterr()
     assert "4 spec(s), 4 executed" in captured.out
@@ -497,28 +533,30 @@ def test_sweep_interrupt_status_resume_roundtrip(tmp_path, capsys):
 
     sweep_dir = str(tmp_path / "grid")
     assert main([
-        "sweep", "run", "latency-grid", "--scale", "smoke",
-        "--dir", sweep_dir, "--jobs", "1", "--interrupt-after", "2",
+        *SMOKE_GRID, "--journal", sweep_dir, "--jobs", "1",
+        "--interrupt-after", "2",
     ]) == 130
     captured = capsys.readouterr()
     assert "interrupted:" in captured.err
     assert "4 spec(s), 4 queued, 0 reused from checkpoints" in captured.err
-    assert "sweep resume --dir" in captured.err
+    assert (
+        "resume with: quartz-repro run sweep-latency-grid --scale smoke "
+        f"--journal {sweep_dir}\n"
+    ) in captured.err
 
-    assert main(["sweep", "status", "--dir", sweep_dir]) == 0
+    assert main(["status", "--journal", sweep_dir]) == 0
     assert "2/4 spec(s) checkpointed" in capsys.readouterr().out
 
     resumed_path = tmp_path / "resumed.json"
     assert main([
-        "sweep", "resume", "--dir", sweep_dir, "--jobs", "1",
+        *SMOKE_GRID, "--journal", sweep_dir, "--jobs", "1",
         "--format", "json", "-o", str(resumed_path),
     ]) == 0
     assert "2 reused from checkpoints" in capsys.readouterr().err
 
     reference_path = tmp_path / "reference.json"
     assert main([
-        "sweep", "run", "latency-grid", "--scale", "smoke",
-        "--dir", str(tmp_path / "ref"), "--jobs", "1",
+        *SMOKE_GRID, "--journal", str(tmp_path / "ref"), "--jobs", "1",
         "--format", "json", "-o", str(reference_path),
     ]) == 0
     capsys.readouterr()
@@ -530,26 +568,44 @@ def test_sweep_interrupt_status_resume_roundtrip(tmp_path, capsys):
     )
 
 
-def test_sweep_run_refuses_existing_journal(tmp_path, capsys):
+def test_interrupt_hint_without_scale_names_the_driver_default(
+    tmp_path, capsys
+):
     sweep_dir = str(tmp_path / "grid")
     assert main([
-        "sweep", "run", "latency-grid", "--scale", "smoke",
-        "--dir", sweep_dir, "--jobs", "1",
-    ]) == 0
+        "run", "sweep-migration-grid", "--journal", sweep_dir,
+        "--jobs", "1", "--interrupt-after", "1",
+    ]) == 130
+    assert (
+        "resume with: quartz-repro run sweep-migration-grid --scale small "
+        f"--journal {sweep_dir}\n"
+    ) in capsys.readouterr().err
+
+
+def test_sweep_run_twice_resumes_the_journal(tmp_path, capsys):
+    argv = [*SMOKE_GRID, "--journal", str(tmp_path / "grid"), "--jobs", "1"]
+    assert main(argv) == 0
     capsys.readouterr()
+    assert main(argv) == 0
+    assert "4 reused from checkpoints" in capsys.readouterr().out
+
+
+def test_sweep_run_into_a_journal_of_another_scale_exits_two(tmp_path, capsys):
+    sweep_dir = _smoke_journal(tmp_path, capsys)
     assert main([
-        "sweep", "run", "latency-grid", "--scale", "smoke",
-        "--dir", sweep_dir, "--jobs", "1",
+        "run", "sweep-latency-grid", "--scale", "small",
+        "--journal", sweep_dir, "--jobs", "1",
     ]) == 2
-    assert "already exists" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: sweep journal does not match this grid" in err
+    assert "Traceback" not in err
 
 
 def test_sweep_run_into_an_uncreatable_directory_exits_two(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")
     assert main([
-        "sweep", "run", "latency-grid", "--scale", "smoke",
-        "--dir", str(blocker / "grid"), "--jobs", "1",
+        *SMOKE_GRID, "--journal", str(blocker / "grid"), "--jobs", "1",
     ]) == 2
     err = capsys.readouterr().err
     assert "error: cannot create sweep journal" in err
@@ -559,17 +615,19 @@ def test_sweep_run_into_an_uncreatable_directory_exits_two(tmp_path, capsys):
 def _smoke_journal(tmp_path, capsys) -> str:
     """A finished smoke-scale latency-grid sweep directory."""
     sweep_dir = str(tmp_path / "grid")
-    assert main([
-        "sweep", "run", "latency-grid", "--scale", "smoke",
-        "--dir", sweep_dir, "--jobs", "1",
-    ]) == 0
+    assert main([*SMOKE_GRID, "--journal", sweep_dir, "--jobs", "1"]) == 0
     capsys.readouterr()
     return sweep_dir
 
 
+def _resume(sweep_dir: str) -> list:
+    """The command that resumes *sweep_dir*: the one that made it."""
+    return [*SMOKE_GRID, "--journal", sweep_dir, "--jobs", "1"]
+
+
 def test_sweep_resume_of_a_finished_sweep_reports_the_reuse(tmp_path, capsys):
     sweep_dir = _smoke_journal(tmp_path, capsys)
-    assert main(["sweep", "resume", "--dir", sweep_dir, "--jobs", "1"]) == 0
+    assert main(_resume(sweep_dir)) == 0
     out = capsys.readouterr().out
     assert "runner: 0 runs" in out
     assert "4 spec(s), 0 executed, 4 reused from checkpoints" in out
@@ -581,9 +639,9 @@ def test_sweep_journal_done_line_that_is_not_an_object_is_skipped(
     sweep_dir = _smoke_journal(tmp_path, capsys)
     with open(f"{sweep_dir}/journal.jsonl", "a", encoding="utf-8") as handle:
         handle.write("[1]\n")
-    assert main(["sweep", "status", "--dir", sweep_dir]) == 0
+    assert main(["status", "--journal", sweep_dir]) == 0
     assert "4/4 spec(s) checkpointed" in capsys.readouterr().out
-    assert main(["sweep", "resume", "--dir", sweep_dir, "--jobs", "1"]) == 0
+    assert main(_resume(sweep_dir)) == 0
     assert "4 reused from checkpoints" in capsys.readouterr().out
 
 
@@ -608,7 +666,11 @@ def test_sweep_bad_journal_header_exits_two(
         dict(json.loads(header), total=total)
     )
     journal.write_text("\n".join([header, *records]) + "\n")
-    assert main(["sweep", command, "--dir", sweep_dir]) == 2
+    argv = (
+        ["status", "--journal", sweep_dir] if command == "status"
+        else _resume(sweep_dir)
+    )
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert f"error: {journal}: {message}" in err
     assert "Traceback" not in err
@@ -621,7 +683,7 @@ def test_sweep_resume_reexecutes_a_shard_record_that_is_not_an_object(
     shards = tmp_path / "grid" / "results.jsonl"
     *kept, _ = shards.read_text().splitlines()
     shards.write_text("\n".join([*kept, "[1]"]) + "\n")
-    assert main(["sweep", "resume", "--dir", sweep_dir, "--jobs", "1"]) == 0
+    assert main(_resume(sweep_dir)) == 0
     out = capsys.readouterr().out
     assert "4 spec(s), 1 executed, 3 reused from checkpoints" in out
     assert "1 tampered record(s) re-run" in out
@@ -635,8 +697,8 @@ def test_sweep_and_inline_run_export_one_experiment(tmp_path, capsys):
 
     inline = run_latency_grid("smoke", jobs=1)
     assert main([
-        "sweep", "run", "latency-grid", "--scale", "smoke",
-        "--dir", str(tmp_path / "grid"), "--jobs", "1", "--format", "json",
+        *SMOKE_GRID, "--journal", str(tmp_path / "grid"), "--jobs", "1",
+        "--format", "json",
     ]) == 0
     document = json.loads(capsys.readouterr().out)
     assert export.experiment_digest(document) == export.experiment_digest(
@@ -644,14 +706,43 @@ def test_sweep_and_inline_run_export_one_experiment(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("experiment_id", SWEEP_IDS)
+def test_journaled_run_exports_the_inline_document(
+    experiment_id, tmp_path, capsys
+):
+    """The journal changes where runs are kept, not what is exported."""
+    import json
+
+    from repro.validation import export
+
+    argv = [
+        "run", experiment_id, "--scale", "smoke", "--jobs", "1",
+        "--format", "json",
+    ]
+    assert main(argv) == 0
+    inline = json.loads(capsys.readouterr().out)
+    assert main([*argv, "--journal", str(tmp_path / "grid")]) == 0
+    journaled = json.loads(capsys.readouterr().out)
+    assert export.experiment_digest(journaled) == export.experiment_digest(
+        inline
+    )
+    assert (
+        journaled["manifest"]["content_digest"]
+        == inline["manifest"]["content_digest"]
+    )
+    assert journaled["manifest"]["knobs"]["scale"] == "smoke"
+
+
 def test_sweep_status_missing_directory_exits_two(tmp_path, capsys):
-    assert main(["sweep", "status", "--dir", str(tmp_path / "nope")]) == 2
+    assert main(["status", "--journal", str(tmp_path / "nope")]) == 2
     assert "error:" in capsys.readouterr().err
 
 
 def test_sweep_unknown_preset_rejected(tmp_path):
     with pytest.raises(SystemExit):
-        main(["sweep", "run", "no-such-grid", "--dir", str(tmp_path / "x")])
+        main([
+            "run", "sweep-no-such-grid", "--journal", str(tmp_path / "x"),
+        ])
 
 
 # ----------------------------------------------------------------------
@@ -821,15 +912,14 @@ def test_sweep_resume_refuses_an_old_journal_version(tmp_path, capsys):
 
     sweep_dir = tmp_path / "grid"
     assert main([
-        "sweep", "run", "latency-grid", "--scale", "smoke",
-        "--dir", str(sweep_dir), "--jobs", "1", "--interrupt-after", "1",
+        *_resume(str(sweep_dir)), "--interrupt-after", "1",
     ]) == 130
     capsys.readouterr()
     journal = sweep_dir / "journal.jsonl"
     header, *records = journal.read_text().splitlines()
     old = dict(json.loads(header), schema_version=1)
     journal.write_text("\n".join([json.dumps(old), *records]) + "\n")
-    assert main(["sweep", "resume", "--dir", str(sweep_dir), "--jobs", "1"]) == 2
+    assert main(_resume(str(sweep_dir))) == 2
     captured = capsys.readouterr()
     assert "unsupported journal version 1 (supported: 2)" in captured.err
     assert "Traceback" not in captured.err

@@ -23,7 +23,6 @@ from repro.units import MILLISECOND
 from repro.validation import export
 from repro.validation.experiments.sweeps import (
     SWEEP_PRESETS,
-    get_sweep_preset,
     run_latency_grid,
     sweep_status,
 )
@@ -224,7 +223,7 @@ def test_large_grid_streams_through_bounded_buffer():
     """The >=500-spec acceptance criterion: the engine never holds the
     grid's results in memory — the out-of-order merge buffer stays far
     below the grid size, and telemetry records its high-water mark."""
-    preset = get_sweep_preset("latency-grid")
+    preset = SWEEP_PRESETS["latency-grid"]
     specs = preset.build("large")
     assert len(specs) >= 500
     seen = []
@@ -277,7 +276,7 @@ def test_interrupted_then_resumed_sweep_exports_identical_digest(tmp_path):
     merged export digest is byte-identical to the uninterrupted run's —
     with only the unfinished specs re-executed."""
     scale = "small"
-    total = len(get_sweep_preset("latency-grid").build(scale))
+    total = len(SWEEP_PRESETS["latency-grid"].build(scale))
     assert total >= 100
     crash_after = 40
 
@@ -360,7 +359,7 @@ def test_resume_with_nothing_left_reuses_everything(tmp_path):
     first_digest, _ = _export_digest(first, stats, scale)
 
     again, stats = _journaled(scale, tmp_path / "done", jobs=1)
-    total = len(get_sweep_preset("latency-grid").build(scale))
+    total = len(SWEEP_PRESETS["latency-grid"].build(scale))
     assert stats.queue_depth == 0
     assert stats.runs == 0
     assert stats.specs_skipped == total
@@ -406,4 +405,4 @@ def test_preset_scales_are_ordered_by_size():
 
 def test_unknown_scale_rejected():
     with pytest.raises(ValidationError, match="unknown scale"):
-        get_sweep_preset("latency-grid").build("galactic")
+        SWEEP_PRESETS["latency-grid"].build("galactic")
