@@ -25,7 +25,7 @@ report to :attr:`RunOutcome.reports` under its name.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from repro.faults.engine import FaultEngine
 from repro.faults.invariants import InvariantMonitor
@@ -69,7 +69,10 @@ Drive = Callable[[SimOS], RunOutcome]
 
 
 def drive_body(
-    body_factory: BodyFactory, name: str = "main", report: Optional[str] = None
+    body_factory: BodyFactory,
+    name: str = "main",
+    report: Optional[str] = None,
+    daemons: Sequence[tuple[str, Callable]] = (),
 ) -> Drive:
     """Drive one main thread built by *body_factory* to completion.
 
@@ -77,11 +80,15 @@ def drive_body(
     Table 2 / Figure 8 measurement loops keep their historical unnamed
     (``""``) thread.  ``report`` files the workload result's
     ``report()`` under that name — the KV service's tail-latency summary.
+    ``daemons`` are ``(name, body)`` daemon threads started first, in
+    order (a background load the workload runs beside).
     """
 
     def drive(os: SimOS) -> RunOutcome:
         out: dict = {}
         start = os.sim.now
+        for daemon_name, body in daemons:
+            os.create_thread(body, name=daemon_name, daemon=True)
         os.create_thread(body_factory(out), name=name)
         os.run_to_completion()
         outcome = RunOutcome(
@@ -150,17 +157,21 @@ def run_testbed(
     trace_sink: Optional["JsonlTraceWriter"] = None,
     fault_plan: Optional[FaultPlan] = None,
     check_invariants: bool = False,
+    dvfs: bool = False,
+    **machine_options,
 ) -> RunOutcome:
     """Build one testbed, attach what is asked for, and *drive* it.
 
     ``mem_node`` binds memory to a node (``None``: first-touch local);
     ``latency_jitter`` draws per-access DRAM latencies from the measured
     range; ``throttle_register`` programs the node-0 controller before
-    the workload starts (Figure 8).  ``quartz_config`` attaches Quartz
-    with ``calibration`` (measured on first use when omitted), and
-    ``trace_sink`` (a :class:`~repro.quartz.trace.JsonlTraceWriter`)
-    streams every closed epoch to a JSONL file as the run executes —
-    free in simulated time, so tracing never changes results.
+    the workload starts (Figure 8); ``dvfs`` lets core frequencies wander
+    and ``machine_options`` go to :class:`Machine`.  ``quartz_config``
+    attaches Quartz with ``calibration`` (measured on first use when
+    omitted), and ``trace_sink`` (a
+    :class:`~repro.quartz.trace.JsonlTraceWriter`) streams every closed
+    epoch to a JSONL file as the run executes — free in simulated time,
+    so tracing never changes results.
 
     ``fault_plan`` runs the experiment under seeded fault injection;
     ``check_invariants`` attaches an :class:`InvariantMonitor` that
@@ -168,7 +179,9 @@ def run_testbed(
     runtime invariant.  Both file their reports on the outcome.
     """
     sim = Simulator(seed=seed)
-    machine = Machine(sim, arch, latency_jitter=latency_jitter)
+    machine = Machine(sim, arch, latency_jitter=latency_jitter, **machine_options)
+    if dvfs:
+        machine.dvfs.enable()
     if throttle_register is not None:
         machine.controller(0).program_throttle_register(
             throttle_register, privileged=True
@@ -248,7 +261,8 @@ def run_explore(
     workload once per schedule on private simulators (no Quartz, no
     latency jitter — scheduling nondeterminism is the subject under
     test, timing emulation is not), so fault plans and invariant
-    monitors, which act inside a single simulation, do not apply.
+    monitors, which act inside a single simulation, do not apply: the
+    runner rejects a fault plan on an explore spec.
     ``shard``/``shards`` partition the schedule tree at its first
     decision point, so shard outcomes merge to the identical whole for
     any job fan-out.

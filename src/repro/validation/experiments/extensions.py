@@ -15,20 +15,17 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.hw.arch import IVY_BRIDGE, ArchSpec
-from repro.hw.machine import Machine
-from repro.ops import JoinThread, MemBatch, PatternKind, SpawnThread
-from repro.os.system import SimOS
 from repro.quartz.calibration import calibrate_arch
 from repro.quartz.config import QuartzConfig
-from repro.quartz.emulator import Quartz
 from repro.quartz.presets import ALL_TECHNOLOGIES, NvmTechnology
-from repro.sim import Simulator
 from repro.units import MIB, MILLISECOND, ns_to_ms
 from repro.validation.metrics import relative_error
 from repro.validation.reporting import ExperimentResult
 from repro.validation.runner import RunSpec, emulated_runs, run_cells, run_specs
+from repro.workloads.ablations import RwStreamsConfig
 from repro.workloads.graphs import CsrGraph
 from repro.workloads.kvstore import KvStoreConfig
+from repro.workloads.memlat import MemLatConfig
 from repro.workloads.pagerank import PageRankConfig, default_graph
 from repro.workloads.pagerank_parallel import ParallelPageRankConfig
 
@@ -94,6 +91,7 @@ def run_asymmetric_bandwidth(
     read_bandwidth_gbps: float = 10.0,
     write_bandwidths_gbps: Sequence[float] = (1.0, 2.0, 5.0, 10.0),
     stream_bytes: int = 128 * MIB,
+    jobs: Optional[int] = None,
 ) -> ExperimentResult:
     """Asymmetric NVM bandwidth on rw-throttle-capable silicon."""
     calibration = calibrate_arch(arch)
@@ -104,53 +102,24 @@ def run_asymmetric_bandwidth(
             "write_target_gbps", "achieved_read_gbps", "achieved_write_gbps",
         ],
     )
-    for write_target in write_bandwidths_gbps:
-        sim = Simulator(seed=33)
-        machine = Machine(sim, arch, rw_throttle_supported=True)
-        os = SimOS(machine)
-        quartz = Quartz(
-            os,
-            QuartzConfig(
+    specs = [
+        RunSpec(
+            workload="rw-streams", config=RwStreamsConfig(stream_bytes),
+            arch_name=arch.name, mode="ablation", seed=33,
+            quartz=QuartzConfig(
                 nvm_read_latency_ns=calibration.dram_local_ns * 1.001,
                 nvm_read_bandwidth_gbps=read_bandwidth_gbps,
                 nvm_write_bandwidth_gbps=write_target,
             ),
-            calibration=calibration,
+            extras={"machine": {"rw_throttle_supported": True}},
         )
-        quartz.attach()
-        achieved = {}
-
-        def reader(ctx, region):
-            start = ctx.now_ns
-            yield MemBatch(
-                region, stream_bytes // 8, PatternKind.SEQUENTIAL,
-                stride_bytes=8, footprint_bytes=stream_bytes,
-            )
-            achieved["read"] = stream_bytes / (ctx.now_ns - start)
-
-        def writer(ctx, region):
-            start = ctx.now_ns
-            yield MemBatch(
-                region, stream_bytes // 8, PatternKind.SEQUENTIAL,
-                stride_bytes=8, is_store=True, non_temporal=True,
-                footprint_bytes=stream_bytes,
-            )
-            achieved["write"] = stream_bytes / (ctx.now_ns - start)
-
-        def main(ctx):
-            read_region = ctx.pmalloc(stream_bytes, label="r")
-            write_region = ctx.pmalloc(stream_bytes, label="w")
-            r = yield SpawnThread(reader, args=(read_region,))
-            w = yield SpawnThread(writer, args=(write_region,))
-            yield JoinThread(r)
-            yield JoinThread(w)
-
-        os.create_thread(main)
-        os.run_to_completion()
+        for write_target in write_bandwidths_gbps
+    ]
+    for write_target, run in zip(write_bandwidths_gbps, run_specs(specs, jobs=jobs)):
         result.add_row(
             write_target_gbps=write_target,
-            achieved_read_gbps=achieved["read"],
-            achieved_write_gbps=achieved["write"],
+            achieved_read_gbps=run.workload_result["read"],
+            achieved_write_gbps=run.workload_result["write"],
         )
     result.note(
         "extension (paper Section 2.1 footnote 2): the separate registers "
@@ -165,6 +134,7 @@ def run_loaded_latency_study(
     target_ns: float = 500.0,
     alphas: Sequence[float] = (0.0, 0.25, 0.5),
     iterations: int = 150_000,
+    jobs: Optional[int] = None,
 ) -> ExperimentResult:
     """Emulation accuracy when latency rises with memory load (Section 6).
 
@@ -173,50 +143,36 @@ def run_loaded_latency_study(
     latency inflation is a genuine model-error source the paper flags as
     future work.
     """
-    from repro.hw.topology import PageSize
-    from repro.units import GIB
-
-    calibration = calibrate_arch(arch)
+    calibrate_arch(arch)
     result = ExperimentResult(
         experiment_id="loaded-latency-study",
         title="Emulation accuracy under loaded memory latency",
         columns=["alpha", "measured_ns", "error_pct"],
     )
-    for alpha in alphas:
-        sim = Simulator(seed=44)
-        machine = Machine(sim, arch, loaded_latency_alpha=alpha)
-        os = SimOS(machine)
-        quartz = Quartz(
-            os,
-            QuartzConfig(
+    specs = [
+        RunSpec(
+            workload="memlat",
+            config=MemLatConfig(
+                iterations=iterations, persistent=True, initialize=False
+            ),
+            arch_name=arch.name, mode="ablation", seed=44,
+            quartz=QuartzConfig(
                 nvm_read_latency_ns=target_ns, max_epoch_ns=0.5 * MILLISECOND
             ),
-            calibration=calibration,
+            extras={
+                "machine": {"loaded_latency_alpha": alpha},
+                "beside": ("background-load",),
+                "thread": "probe",
+            },
         )
-        quartz.attach()
-        out = {}
-
-        def probe(ctx):
-            region = ctx.pmalloc(4 * GIB, page_size=PageSize.HUGE_2M)
-            start = ctx.now_ns
-            yield MemBatch(region, iterations, PatternKind.CHASE)
-            out["latency"] = (ctx.now_ns - start) / iterations
-
-        def streamer(ctx):
-            region = ctx.malloc(512 * MIB)
-            while True:
-                yield MemBatch(
-                    region, region.size_bytes // 8, PatternKind.SEQUENTIAL,
-                    stride_bytes=8, is_store=True, non_temporal=True,
-                )
-
-        os.create_thread(streamer, name="background-load", daemon=True)
-        os.create_thread(probe, name="probe")
-        os.run_to_completion()
+        for alpha in alphas
+    ]
+    for alpha, run in zip(alphas, run_specs(specs, jobs=jobs)):
+        measured = run.workload_result.measured_latency_ns
         result.add_row(
             alpha=alpha,
-            measured_ns=out["latency"],
-            error_pct=100.0 * relative_error(out["latency"], target_ns),
+            measured_ns=measured,
+            error_pct=100.0 * relative_error(measured, target_ns),
         )
     result.note(
         "extension (paper Section 6): the emulator injects on top of the "

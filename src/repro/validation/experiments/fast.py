@@ -16,7 +16,6 @@ the scales EXPERIMENTS.md quotes.
 
 from __future__ import annotations
 
-import inspect
 from typing import Callable, Optional
 
 from repro.errors import ValidationError
@@ -186,17 +185,9 @@ FAST_KWARGS: dict[str, Callable[[], dict]] = {
 
 
 def run_fast(experiment_id: str, jobs: Optional[int] = None) -> ExperimentResult:
-    """Run one experiment at its minimum scale.
-
-    ``jobs`` is forwarded only to drivers whose signature takes it (a few
-    ablation studies always run in-process).
-    """
+    """Run one experiment at its minimum scale on ``jobs`` workers."""
     if experiment_id not in REGISTRY:
         raise ValidationError(f"unknown experiment id: {experiment_id!r}")
     if experiment_id not in FAST_KWARGS:
         raise ValidationError(f"no fast preset for {experiment_id!r}")
-    driver = REGISTRY[experiment_id]
-    kwargs = FAST_KWARGS[experiment_id]()
-    if "jobs" in inspect.signature(driver).parameters:
-        kwargs["jobs"] = jobs
-    return driver(**kwargs)
+    return REGISTRY[experiment_id](**FAST_KWARGS[experiment_id](), jobs=jobs)

@@ -17,8 +17,6 @@ from typing import Optional, Sequence
 
 from repro.hw.arch import IVY_BRIDGE, ArchSpec
 from repro.hw.machine import Machine
-from repro.ops import Commit, Compute
-from repro.os.system import SimOS
 from repro.quartz.calibration import calibrate_arch
 from repro.quartz.config import (
     EPOCH_BASE_COST_CYCLES,
@@ -27,13 +25,13 @@ from repro.quartz.config import (
     WriteModel,
 )
 from repro.quartz.counters import PAPI_BACKEND, RDPMC_BACKEND
-from repro.quartz.emulator import Quartz
 from repro.sim import Simulator
-from repro.units import MIB, MILLISECOND
+from repro.units import MILLISECOND
 from repro.validation.metrics import relative_error
 from repro.validation.reporting import ExperimentResult
 from repro.validation.runner import RunSpec, emulated_runs, run_specs
-from repro.workloads.memlat import MemLatConfig, memlat_body
+from repro.workloads.ablations import PersistBarriersConfig
+from repro.workloads.memlat import MemLatConfig
 
 
 def run_overhead_study(
@@ -124,6 +122,7 @@ def run_pcommit_ablation(
     independent_writes: int = 16,
     barriers: int = 200,
     write_latency_ns: float = 1000.0,
+    jobs: Optional[int] = None,
 ) -> ExperimentResult:
     """Section 6: pflush serialises independent writes; pcommit overlaps.
 
@@ -137,49 +136,31 @@ def run_pcommit_ablation(
         title="pflush vs clflushopt+pcommit write models",
         columns=["write_model", "elapsed_us", "ns_per_barrier"],
     )
-    elapsed_by_model = {}
-    for model in (WriteModel.PFLUSH, WriteModel.PCOMMIT):
-        sim = Simulator(seed=1)
-        machine = Machine(sim, arch)
-        os = SimOS(machine)
-        quartz = Quartz(
-            os,
-            QuartzConfig(
+    models = (WriteModel.PFLUSH, WriteModel.PCOMMIT)
+    specs = [
+        RunSpec(
+            workload="persist-barriers",
+            config=PersistBarriersConfig(independent_writes, barriers),
+            arch_name=arch.name, mode="ablation", seed=1,
+            quartz=QuartzConfig(
                 nvm_read_latency_ns=calibration.dram_local_ns * 1.001,
                 nvm_write_latency_ns=write_latency_ns,
                 write_model=model,
             ),
-            calibration=calibration,
         )
-        quartz.attach()
-        timing: dict = {}
-
-        def body(ctx):
-            region = ctx.pmalloc(16 * MIB)
-            start = ctx.now_ns
-            for _ in range(barriers):
-                # Persist independent fields of one object, then barrier.
-                for _ in range(independent_writes):
-                    yield from ctx.pflush(region, lines=1)
-                yield Commit()
-                yield Compute(200.0)
-            timing["elapsed"] = ctx.now_ns - start
-
-        os.create_thread(body)
-        os.run_to_completion()
-        elapsed_by_model[model] = timing["elapsed"]
+        for model in models
+    ]
+    elapsed = [run.workload_result for run in run_specs(specs, jobs=jobs)]
+    for model, elapsed_ns in zip(models, elapsed):
         result.add_row(
             write_model=model.value,
-            elapsed_us=timing["elapsed"] / 1000.0,
-            ns_per_barrier=timing["elapsed"] / barriers,
+            elapsed_us=elapsed_ns / 1000.0,
+            ns_per_barrier=elapsed_ns / barriers,
         )
-    speedup = (
-        elapsed_by_model[WriteModel.PFLUSH]
-        / elapsed_by_model[WriteModel.PCOMMIT]
-    )
     result.note(
         f"pcommit model speedup on {independent_writes} independent writes: "
-        f"{speedup:.1f}x (pflush pessimistically serializes, Section 6)"
+        f"{elapsed[0] / elapsed[1]:.1f}x (pflush pessimistically serializes, "
+        "Section 6)"
     )
     return result
 
@@ -189,6 +170,7 @@ def run_dvfs_ablation(
     target_ns: float = 600.0,
     iterations: int = 300_000,
     compute_cycles_per_access: float = 100.0,
+    jobs: Optional[int] = None,
 ) -> ExperimentResult:
     """Section 6: DVFS breaks the cycle<->ns translation.
 
@@ -196,32 +178,26 @@ def run_dvfs_ablation(
     with DVFS enabled, stall-cycle counters accrue at a wandering
     frequency while Quartz converts with the nominal one.
     """
-    calibration = calibrate_arch(arch)
+    calibrate_arch(arch)
     result = ExperimentResult(
         experiment_id="dvfs-ablation",
         title="Emulation error with DVFS enabled vs disabled",
         columns=["dvfs", "measured_ns", "error_pct"],
     )
-    for dvfs_enabled in (False, True):
-        sim = Simulator(seed=4)
-        machine = Machine(sim, arch)
-        if dvfs_enabled:
-            machine.dvfs.enable()
-        os = SimOS(machine)
-        quartz = Quartz(
-            os,
-            QuartzConfig(
+    settings = (False, True)
+    specs = [
+        RunSpec(
+            workload="memlat", config=MemLatConfig(iterations=iterations),
+            arch_name=arch.name, mode="ablation", seed=4,
+            quartz=QuartzConfig(
                 nvm_read_latency_ns=target_ns, max_epoch_ns=0.5 * MILLISECOND
             ),
-            calibration=calibration,
+            extras={"machine": {"dvfs": dvfs_enabled}},
         )
-        quartz.attach()
-        out: dict = {}
-        os.create_thread(
-            memlat_body(MemLatConfig(iterations=iterations), out)
-        )
-        os.run_to_completion()
-        measured = out["result"].measured_latency_ns
+        for dvfs_enabled in settings
+    ]
+    for dvfs_enabled, run in zip(settings, run_specs(specs, jobs=jobs)):
+        measured = run.workload_result.measured_latency_ns
         result.add_row(
             dvfs="enabled" if dvfs_enabled else "disabled",
             measured_ns=measured,

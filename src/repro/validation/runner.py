@@ -60,6 +60,7 @@ from repro.validation.configs import (
     run_explore,
     run_testbed,
 )
+from repro.workloads import ablations
 from repro.workloads.graph500 import graph500_body
 from repro.workloads.kvstore import kvstore_main_body
 from repro.workloads.memlat import memlat_body
@@ -108,6 +109,13 @@ WORKLOADS: dict[str, Callable[[Any, dict], Callable]] = {
     "kvservice": lambda config, extras: (
         lambda out: kvservice_main_body(config, out)
     ),
+    "persist-barriers": lambda config, extras: (
+        lambda out: ablations.persist_barriers_body(config, out)
+    ),
+    "rw-streams": lambda config, extras: (lambda out: ablations.rw_streams_body(config, out)),
+    "background-load": lambda config, extras: (
+        lambda out: ablations.background_load_body(config, out)
+    ),
 }
 
 
@@ -130,9 +138,14 @@ class Mode:
 
 
 def _body(name: str = "main", report: Optional[str] = None):
-    """Drive the spec's workload body on one thread called *name*."""
+    """Drive the spec's workload body on one thread called *name* (or
+    ``extras["thread"]``), after a daemon thread per workload id in
+    ``extras["beside"]``, named after it."""
     return lambda spec: drive_body(
-        WORKLOADS[spec.workload](spec.config, spec.extras), name, report
+        WORKLOADS[spec.workload](spec.config, spec.extras),
+        spec.extras.get("thread", name),
+        report,
+        [(w, WORKLOADS[w](None, spec.extras)({})) for w in spec.extras.get("beside", ())],
     )
 
 
@@ -140,10 +153,12 @@ def _body(name: str = "main", report: Optional[str] = None):
 #: ``chase`` is the Table 2 latency loop (memory on ``mem_node``) and
 #: ``throttled`` the Figure 8 bandwidth loop (no jitter, ``register``
 #: programmed); both predate the named configurations and keep an
-#: unnamed main thread.  ``crash`` is Conf_1 plus the crash-consistency
-#: checker (``repro.pmem``), ``service`` is Conf_1 driving the
-#: multi-tenant KV service (``repro.service``), and ``explore`` is the
-#: model-checking mode (``repro.explore``).  A ``crash`` or ``explore``
+#: unnamed main thread, as does ``ablation``, the Section 6 studies'
+#: jitter-free Conf_1 on a machine built with ``extras["machine"]``.
+#: ``crash`` is Conf_1 plus the crash-consistency checker (``repro.pmem``),
+#: ``service`` is Conf_1 driving the multi-tenant KV service
+#: (``repro.service``), and ``explore`` is the model-checking mode
+#: (``repro.explore``), which takes no fault plan.  A ``crash`` or ``explore``
 #: spec's extras are the keyword arguments of its attachment
 #: (:func:`drive_crash_check`, :func:`run_explore`): the plan plus
 #: optional ``shard``/``shards``/``mutant``.
@@ -161,6 +176,11 @@ MODES: dict[str, Mode] = {
             "latency_jitter": False,
             "throttle_register": extras.get("register", 0),
         },
+    ),
+    "ablation": Mode(
+        emulated=True,
+        drive=_body(name=""),
+        testbed=lambda extras: {"latency_jitter": False, **extras.get("machine", {})},
     ),
     "crash": Mode(
         emulated=True,
@@ -457,6 +477,11 @@ def _run_grid(
     reuse = reuse or {}
     total = len(specs)
     faults = _fault_payload()
+    plan = faults[0][0] if faults else None
+    if plan and not plan.is_empty and any(MODES[s.mode].drive is None for s in specs):
+        raise ValidationError(
+            "explore runs take no fault plan: the explorer builds its own simulators"
+        )
     todo = [
         (index, spec, *faults)
         for index, spec in enumerate(specs)

@@ -9,7 +9,8 @@ Microbenchmarks:
 * :mod:`repro.workloads.multithreaded` — N threads x K critical sections
   (Section 4.5);
 * :mod:`repro.workloads.multilat` — two-array DRAM/NVM chase with
-  configurable access patterns (Section 4.6).
+  configurable access patterns (Section 4.6);
+* :mod:`repro.workloads.ablations` — the Section 6 ablation benchmarks.
 
 Applications (Section 4.7):
 

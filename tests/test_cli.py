@@ -468,6 +468,33 @@ def test_malformed_fault_parameter_exits_2(capsys):
     assert "expected: drift, rel" in captured.err
 
 
+def test_faulted_dvfs_ablation_runs_under_the_plan(capsys):
+    """The DVFS ablation runs under the plan and the invariant monitor."""
+    import json
+
+    argv = ["run", "dvfs-ablation", "--fast", "--jobs", "1", "--format", "json"]
+    assert main(argv) == 0
+    clean = json.loads(capsys.readouterr().out)
+    assert main([
+        *argv, "--check-invariants",
+        "--faults", "seed(7); signal-delay(ns=2e6, p=1.0); timer-jitter(rel=0.05)",
+    ]) == 0
+    faulted = json.loads(capsys.readouterr().out)
+    assert faulted["experiment"]["rows"] != clean["experiment"]["rows"]
+    assert faulted["telemetry"]["faults"]["injections"]
+    assert faulted["telemetry"]["invariants"]["violations"] == 0
+
+
+def test_faulted_explore_check_is_rejected_by_name(capsys):
+    assert main([
+        "run", "explore-check", "--fast", "--jobs", "1",
+        "--faults", "seed(7); signal-delay(ns=2e6, p=1.0)",
+    ]) == 2
+    captured = capsys.readouterr()
+    assert "error: explore runs take no fault plan" in captured.err
+    assert captured.out == ""
+
+
 def test_invariant_violation_exits_3_without_traceback(monkeypatch, capsys):
     from repro.quartz import epoch as epoch_module
 

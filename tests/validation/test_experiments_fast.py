@@ -5,9 +5,12 @@ schemas, note generation) at minimum scale; the full-scale shape
 assertions live in ``benchmarks/``.
 """
 
+import inspect
+
 import pytest
 
 from repro.hw import HASWELL, IVY_BRIDGE
+from repro.validation import export
 from repro.validation.experiments import (
     REGISTRY,
     run_dvfs_ablation,
@@ -27,6 +30,7 @@ from repro.validation.experiments import (
     run_pcommit_ablation,
     run_table2,
 )
+from repro.validation.experiments.fast import run_fast
 from repro.workloads.graph500 import Graph500Config
 from repro.workloads.graphs import synthetic_scale_free
 from repro.workloads.kvstore import KvStoreConfig
@@ -216,6 +220,30 @@ def test_dvfs_ablation_fast():
     result = run_dvfs_ablation(iterations=150_000)
     by_state = {row["dvfs"]: row["error_pct"] for row in result.rows}
     assert by_state["enabled"] > by_state["disabled"]
+
+
+def test_every_driver_takes_jobs():
+    for experiment_id, driver in REGISTRY.items():
+        assert "jobs" in inspect.signature(driver).parameters, experiment_id
+
+
+@pytest.mark.parametrize(
+    "experiment_id",
+    [
+        "pcommit-ablation", "dvfs-ablation", "asymmetric-bandwidth",
+        "loaded-latency-study",
+    ],
+)
+def test_ablation_testbed_is_job_count_invariant(experiment_id):
+    # Two specs on two workers: the process pool path and the specs'
+    # picklability, against the in-process digest.
+    digests = [
+        export.experiment_digest(
+            {"experiment": run_fast(experiment_id, jobs=jobs).to_dict()}
+        )
+        for jobs in (1, 2)
+    ]
+    assert digests[0] == digests[1]
 
 
 def test_model_ablation_fast():

@@ -135,8 +135,8 @@ def test_every_experiment_roundtrips(experiment_id, tmp_path):
     assert rebuilt.notes == result.notes
     assert len(rebuilt.rows) == len(result.rows)
     # The manifest names every testbed the grid touched.
-    if stats is not None and stats.arch_names:
-        assert set(loaded["manifest"]["archs"]) == stats.arch_names
+    assert stats is not None and stats.arch_names
+    assert set(loaded["manifest"]["archs"]) == stats.arch_names
 
 
 def test_jobs_count_does_not_change_canonical_export(tmp_path):

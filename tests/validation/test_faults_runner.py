@@ -9,11 +9,13 @@ Two guarantees beyond the clean-path runner tests:
 * **Registry acceptance** — every registered experiment runs to
   completion under a light fault plan with invariant checking on, and no
   run violates a single invariant: the model degrades gracefully, it
-  does not silently corrupt its accounting.
+  does not silently corrupt its accounting.  ``explore-check``, whose
+  explorer builds its own simulators, rejects the plan by name instead.
 """
 
 import pytest
 
+from repro.errors import ValidationError
 from repro.faults import FaultPlan, active_faults
 from repro.hw import IVY_BRIDGE
 from repro.quartz.config import QuartzConfig
@@ -136,11 +138,29 @@ def test_per_run_seeding_differs_between_runs():
 @pytest.mark.parametrize("experiment_id", sorted(REGISTRY))
 def test_registry_experiment_runs_faulted_without_violations(experiment_id):
     reset_run_stats()
+    if experiment_id == "explore-check":
+        # The explorer builds its own simulators: a plan is rejected by
+        # name before the first run rather than silently not applied.
+        with active_faults(SWEEP_PLAN, check_invariants=True):
+            with pytest.raises(ValidationError, match="take no fault plan"):
+                run_fast(experiment_id, jobs=1)
+        return
     with active_faults(SWEEP_PLAN, check_invariants=True):
         result = run_fast(experiment_id, jobs=1)
     assert result.rows, f"{experiment_id}: no rows produced under faults"
     stats = consume_run_stats()
-    if stats is not None:
-        assert stats.count("invariants", "violations") == 0, (
-            f"{experiment_id}: invariant violation(s) under light faults"
-        )
+    assert stats is not None, f"{experiment_id}: no runner stats window"
+    assert stats.invariant_epoch_checks + stats.invariant_sim_checks > 0, (
+        f"{experiment_id}: no invariant checks under light faults"
+    )
+    assert stats.count("invariants", "violations") == 0, (
+        f"{experiment_id}: invariant violation(s) under light faults"
+    )
+
+
+def test_explore_mode_accepts_invariant_checking_without_a_plan():
+    reset_run_stats()
+    with active_faults(check_invariants=True):
+        result = run_fast("explore-check", jobs=1)
+    assert result.rows
+    assert consume_run_stats().explore_schedules > 0
