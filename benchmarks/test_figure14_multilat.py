@@ -1,4 +1,4 @@
-"""Figure 14: MultiLat under the two-memory (DRAM + virtual NVM) mode."""
+"""Figure 14: MultiLat on DRAM + virtual NVM, emulated as a two-tier ladder."""
 
 from conftest import regenerate
 

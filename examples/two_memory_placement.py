@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Data placement on a DRAM + NVM system (Section 3.3).
 
-The question the two-memory mode exists to answer: *given fast-small DRAM
-and slow-large NVM, where should each data structure live?*  A KV-store
+The question a DRAM + NVM system raises: *given fast-small DRAM and
+slow-large NVM, where should each data structure live?*  A KV-store
 shaped workload keeps a hot index and a cold value heap; we compare three
-placements under Quartz's virtual topology on Ivy Bridge:
+placements under Quartz's virtual topology on Ivy Bridge, emulated as a
+two-tier ladder (tier 0 local DRAM, tier 1 NVM on the sibling socket):
 
   1. everything in DRAM (malloc)        — the infeasible-at-scale ideal;
   2. index in DRAM, values in NVM       — the paper's guidance: "use
@@ -28,6 +29,7 @@ from repro import (
     Simulator,
     calibrate_arch,
 )
+from repro.quartz.tiers import MemoryTier
 from repro.units import GIB, MIB
 
 NVM_LATENCY_NS = 600.0
@@ -40,12 +42,18 @@ def run_placement(index_in_nvm: bool, values_in_nvm: bool) -> float:
     sim = Simulator(seed=11)
     machine = Machine(sim, IVY_BRIDGE)
     os = SimOS(machine)
+    calibration = calibrate_arch(IVY_BRIDGE)
+    dram_ns = calibration.dram_local_ns
     quartz = Quartz(
         os,
         QuartzConfig(
-            nvm_read_latency_ns=NVM_LATENCY_NS, mode=EmulationMode.TWO_MEMORY
+            mode=EmulationMode.MULTI_TIER,
+            tiers=(
+                MemoryTier("dram", dram_ns, dram_ns),
+                MemoryTier("nvm", NVM_LATENCY_NS, NVM_LATENCY_NS),
+            ),
         ),
-        calibration=calibrate_arch(IVY_BRIDGE),
+        calibration=calibration,
     )
     quartz.attach()
     elapsed = {}

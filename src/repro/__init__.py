@@ -11,7 +11,7 @@ The package layers, bottom to top:
   signals, NUMA policy, and ``LD_PRELOAD``-style interposition;
 * :mod:`repro.quartz` — **the paper's contribution**: the epoch-based
   latency emulator, bandwidth throttling, the persistent-memory API, and
-  the two-memory virtual topology;
+  the virtual topology's tier ladder (DRAM + NVM is its two-tier case);
 * :mod:`repro.workloads` — MemLat, STREAM, Multi-Threaded, MultiLat, a
   B+-tree KV store, PageRank, and Graph500-style BFS;
 * :mod:`repro.validation` — the Conf_1/Conf_2 methodology and one driver

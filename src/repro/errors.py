@@ -23,8 +23,8 @@ class UnsupportedFeatureError(HardwareError):
     """The requested feature does not exist on this processor family.
 
     Mirrors real-world gaps the paper calls out: e.g. Sandy Bridge lacks
-    separate local/remote LLC-miss events (Table 1), so the two-memory
-    emulation mode of Section 3.3 cannot run there.
+    separate local/remote LLC-miss events (Table 1), so the DRAM + NVM
+    tier ladder of Section 3.3 cannot run there.
     """
 
 

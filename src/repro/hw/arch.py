@@ -30,8 +30,8 @@ class CounterEventSet:
     """The hardware performance events Quartz uses on one family (Table 1).
 
     ``l3_miss_local``/``l3_miss_remote`` are ``None`` on Sandy Bridge, which
-    only offers a combined LLC-miss event — the reason the two-memory
-    emulation mode (Section 3.3) needs Ivy Bridge or Haswell.
+    only offers a combined LLC-miss event — the reason tiered DRAM + NVM
+    emulation (Section 3.3) needs Ivy Bridge or Haswell.
     """
 
     l2_stalls: str
@@ -149,7 +149,7 @@ class ArchSpec:
         if not self.counter_events.has_local_remote_split:
             raise UnsupportedFeatureError(
                 f"{self.name} lacks separate local/remote LLC-miss events "
-                "(Table 1); two-memory emulation requires Ivy Bridge or "
+                "(Table 1); tiered emulation requires Ivy Bridge or "
                 "Haswell"
             )
 

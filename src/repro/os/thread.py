@@ -145,7 +145,7 @@ class ThreadContext:
     ) -> MemoryRegion:
         """Allocate persistent memory.
 
-        Interposed by Quartz: in two-memory mode the allocation lands on
+        Interposed by Quartz: in tiered mode the allocation lands on
         the sibling socket's DRAM (virtual NVM, Section 3.3).  Without an
         interposer it falls back to local memory marked persistent.
         """

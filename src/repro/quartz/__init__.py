@@ -16,8 +16,9 @@ The package mirrors the structure of Section 3:
   bandwidth throttling and the offline calibration tables;
 * :mod:`repro.quartz.pm` — pmalloc/pflush and the pcommit write model
   (Section 6);
-* :mod:`repro.quartz.virtual_topology` — two-memory (DRAM + NVM)
-  emulation (Section 3.3).
+* :mod:`repro.quartz.virtual_topology` / :mod:`repro.quartz.tiers` —
+  the tier ladder on the sibling socket; the paper's DRAM + NVM system
+  (Section 3.3) is its two-tier case.
 """
 
 from repro.quartz.calibration import CalibrationData, calibrate_arch

@@ -6,7 +6,7 @@ target rate.  The register value for a requested bandwidth comes from the
 calibration table (register -> measured bandwidth), inverting the linear
 relationship Figure 8 validates.
 
-In PM mode every node is throttled (all memory *is* NVM); in two-memory
+In PM mode every node is throttled (all memory *is* NVM); in tiered
 mode only the virtual-NVM node is throttled, leaving local DRAM at full
 speed (Section 3.3).
 """
@@ -107,9 +107,6 @@ class BandwidthThrottler:
         return tightest
 
     def _throttled_nodes(self) -> list[int]:
-        if self.config.mode in (
-            EmulationMode.TWO_MEMORY,
-            EmulationMode.MULTI_TIER,
-        ):
+        if self.config.mode is EmulationMode.MULTI_TIER:
             return [self.nvm_node]
         return list(range(len(self.kernel_module.machine.controllers)))

@@ -29,12 +29,10 @@ class EmulationMode(enum.Enum):
 
     #: All application memory is NVM (Sections 2-3.2).
     PM = "pm"
-    #: Two memory types: local DRAM (fast) + virtual NVM on the sibling
-    #: socket (Section 3.3).
-    TWO_MEMORY = "two-memory"
     #: N memory tiers: local DRAM plus an ordered list of emulated
     #: memories on the sibling socket, each with independent read/write
-    #: latencies (the hybrid-memory generalization of Section 3.3).
+    #: latencies.  The paper's DRAM + virtual NVM system (Section 3.3) is
+    #: the two-tier case.
     MULTI_TIER = "multi-tier"
 
 
@@ -73,7 +71,7 @@ class QuartzConfig:
     nvm_write_bandwidth_gbps: Optional[float] = None
     #: Target NVM write latency for pflush (ns); None = no write delay.
     nvm_write_latency_ns: Optional[float] = None
-    #: Emulation mode: PM everywhere, DRAM + virtual NVM, or N tiers.
+    #: Emulation mode: PM everywhere, or a DRAM + NVM tier ladder.
     mode: EmulationMode = EmulationMode.PM
     #: Ordered tier list for MULTI_TIER mode.  Tier 0 is the local DRAM;
     #: tiers >= 1 are emulated memories (fastest first by convention).
@@ -167,9 +165,9 @@ class QuartzConfig:
                 f"unknown latency model: {self.latency_model!r} "
                 "(expected 'stalls' or 'simple')"
             )
-        if self.latency_model == "simple" and self.mode in (
-            EmulationMode.TWO_MEMORY,
-            EmulationMode.MULTI_TIER,
+        if (
+            self.latency_model == "simple"
+            and self.mode is EmulationMode.MULTI_TIER
         ):
             raise QuartzError(
                 "the Eq. 1 simple model has no local/remote split; "

@@ -41,7 +41,7 @@ from repro.quartz.kernel_module import QuartzKernelModule
 from repro.quartz.pm import PmWriteEmulator
 from repro.quartz.stats import EpochTrigger, QuartzStats
 from repro.quartz.tiers import TierAccountant, build_policy
-from repro.quartz.virtual_topology import TieredTopology, VirtualTopology
+from repro.quartz.virtual_topology import TieredTopology
 
 if TYPE_CHECKING:
     from repro.os.thread import ThreadContext
@@ -69,7 +69,7 @@ class Quartz:
         self.calibration = calibration
         self.kernel_module = QuartzKernelModule(self.machine)
         self.stats = QuartzStats()
-        self.virtual_topology: Optional[VirtualTopology] = None
+        self.virtual_topology: Optional[TieredTopology] = None
         self.tier_accountant: Optional[TierAccountant] = None
         self.write_emulator: Optional[PmWriteEmulator] = None
         self._engine: Optional[EpochEngine] = None
@@ -93,16 +93,12 @@ class Quartz:
                 f"calibration is for {self.calibration.arch_name}, "
                 f"machine is {self.machine.arch.name}"
             )
-        backing_latency = (
-            self.calibration.dram_remote_ns
-            if config.mode in (EmulationMode.TWO_MEMORY, EmulationMode.MULTI_TIER)
-            else self.calibration.dram_local_ns
-        )
         if config.mode is EmulationMode.MULTI_TIER:
             # Every emulated tier is backed by the sibling socket's DRAM:
             # each per-direction target must be reachable by slowing it
             # down (equal latencies are the zero-delay degenerate case).
             assert config.tiers is not None
+            backing_latency = self.calibration.dram_remote_ns
             for tier in config.tiers[1:]:
                 for direction, target in (
                     ("read", tier.read_latency_ns),
@@ -115,10 +111,11 @@ class Quartz:
                             f"DRAM latency {backing_latency} ns; "
                             "DRAM can only be slowed down"
                         )
-        elif config.nvm_read_latency_ns < backing_latency:
+        elif config.nvm_read_latency_ns < self.calibration.dram_local_ns:
             raise QuartzError(
                 f"target NVM latency {config.nvm_read_latency_ns} ns is "
-                f"below the backing DRAM latency {backing_latency} ns; "
+                f"below the backing DRAM latency "
+                f"{self.calibration.dram_local_ns} ns; "
                 "DRAM can only be slowed down"
             )
 
@@ -126,35 +123,20 @@ class Quartz:
         self.kernel_module.setup_counters()
 
         nvm_node = 0
-        if config.mode is EmulationMode.TWO_MEMORY:
-            self.virtual_topology = VirtualTopology(self.machine)
-        elif config.mode is EmulationMode.MULTI_TIER:
-            assert config.tiers is not None
+        if config.mode is EmulationMode.MULTI_TIER:
             policy = build_policy(
                 config.placement_policy,
                 order=config.placement_order,
                 promote_threshold_accesses=config.promote_threshold_accesses,
             )
-            self.virtual_topology = TieredTopology(
-                self.machine, config.tiers, policy
-            )
-        if self.virtual_topology is not None:
-            self.os.default_cpu_node = self.virtual_topology.compute_sockets[0]
-            nvm_node = self.virtual_topology.nvm_node_for(
-                self.virtual_topology.compute_sockets[0]
-            )
-            self.os.interpose.register_sync_hook(
-                "pmalloc", self.virtual_topology.pmalloc_hook
-            )
-            self.os.interpose.register_sync_hook(
-                "pfree", self.virtual_topology.pfree_hook
-            )
-        if isinstance(self.virtual_topology, TieredTopology):
+            topology = TieredTopology(self.machine, config.tiers, policy)
+            self.virtual_topology = topology
+            self.os.default_cpu_node = topology.compute_sockets[0]
+            nvm_node = topology.nvm_node_for(topology.compute_sockets[0])
+            self.os.interpose.register_sync_hook("pmalloc", topology.pmalloc_hook)
+            self.os.interpose.register_sync_hook("pfree", topology.pfree_hook)
             # Per-tier reference accounting watches every executed op.
-            self.tier_accountant = TierAccountant(
-                self.virtual_topology.directory,
-                self.virtual_topology.policy,
-            )
+            self.tier_accountant = TierAccountant(topology.directory, policy)
             self.os.hooks.subscribe("op", self.tier_accountant)
         self._throttler = BandwidthThrottler(
             self.kernel_module, self.calibration, config, nvm_node
@@ -168,26 +150,16 @@ class Quartz:
             self.calibration,
             backend,
             self.stats,
-            tiered=(
-                self.virtual_topology
-                if isinstance(self.virtual_topology, TieredTopology)
-                else None
-            ),
             accountant=self.tier_accountant,
         )
 
-        if config.nvm_write_latency_ns is not None or (
-            config.mode is EmulationMode.MULTI_TIER
-        ):
+        topology = self.virtual_topology
+        if topology is not None or config.nvm_write_latency_ns is not None:
             self.write_emulator = PmWriteEmulator(
                 self.machine,
                 config,
                 self.calibration,
-                directory=(
-                    self.virtual_topology.directory
-                    if isinstance(self.virtual_topology, TieredTopology)
-                    else None
-                ),
+                directory=topology.directory if topology is not None else None,
             )
             self.os.interpose.register_op_hook(
                 "pflush", self.write_emulator.pflush_hook

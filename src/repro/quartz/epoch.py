@@ -5,7 +5,7 @@ An *epoch* is the interval between two delay injections.  Closing one:
 1. reads the Table 1 counters through the configured backend (cost in
    cycles depends on rdpmc vs. PAPI, Section 3.2);
 2. derives the memory-bound stall time via Eq. (3) — split local/remote
-   with Eq. (4) in two-memory mode;
+   across the memory tiers with the generalised Eq. (4) in tiered mode;
 3. converts stalls to the required delay via Eq. (2);
 4. amortises accumulated epoch-processing overhead by shaving it off the
    delay (carrying any excess to future epochs, Section 3.2);
@@ -40,7 +40,6 @@ from repro.quartz.model import (
     eq1_simple_delay,
     eq2_delay_from_stalls,
     eq3_ldm_stall,
-    eq4_remote_stall_split,
     eqN_tier_stall_split,
     tier_direction_delay,
 )
@@ -49,7 +48,6 @@ from repro.quartz.stats import EpochTrigger, QuartzStats, ThreadQuartzStats
 if TYPE_CHECKING:
     from repro.os.thread import SimThread
     from repro.quartz.tiers import TierAccountant
-    from repro.quartz.virtual_topology import TieredTopology
 
 #: Cycles for the timestamp bookkeeping at a sync boundary (two rdtscp
 #: plus arithmetic) — far cheaper than a full epoch close, which is what
@@ -168,7 +166,6 @@ class EpochEngine:
         calibration: CalibrationData,
         backend: CounterBackend,
         stats: QuartzStats,
-        tiered: Optional["TieredTopology"] = None,
         accountant: Optional["TierAccountant"] = None,
     ):
         self.machine = machine
@@ -176,7 +173,6 @@ class EpochEngine:
         self.calibration = calibration
         self.backend = backend
         self.stats = stats
-        self.tiered = tiered
         self.accountant = accountant
         self._events = machine.arch.counter_events
         self._freq_ghz = machine.arch.freq_ghz  # nominal (DVFS assumed off)
@@ -220,14 +216,10 @@ class EpochEngine:
         #: (multi-tier mode only) — stashed here so the close paths can
         #: hand it to ``close`` subscribers.
         self._last_tier_delays: Optional[tuple[float, ...]] = None
-        if config.mode in (EmulationMode.TWO_MEMORY, EmulationMode.MULTI_TIER):
+        if config.mode is EmulationMode.MULTI_TIER:
             machine.arch.require_local_remote_counters()
-        if config.mode is EmulationMode.MULTI_TIER and (
-            tiered is None or accountant is None
-        ):
-            raise QuartzError(
-                "multi-tier mode needs the tiered topology and accountant"
-            )
+            if accountant is None:
+                raise QuartzError("multi-tier mode needs the tier accountant")
 
     # ------------------------------------------------------------------
     # Epoch lifecycle
@@ -533,35 +525,7 @@ class EpochEngine:
                 self.config.nvm_read_latency_ns,
                 self.calibration.dram_local_ns,
             )
-        if self.config.mode is EmulationMode.MULTI_TIER:
-            return self._multi_tier_delay(deltas, tier_deltas)
-        # Two-memory mode (Section 3.3): apportion stalls, slow only the
-        # remote (virtual NVM) share.
-        local_misses = deltas[self._i_local]
-        remote_misses = deltas[self._i_remote]
-        misses = local_misses + remote_misses
-        if misses <= 0:
-            if stall_cycles > 0:
-                self.stats.model_warnings += 1
-            return 0.0
-        w_effective = (
-            local_misses * self.calibration.w_local
-            + remote_misses * self.calibration.w_remote
-        ) / misses
-        ldm_stall_cycles = eq3_ldm_stall(stall_cycles, hits, misses, w_effective)
-        ldm_stall_ns = ldm_stall_cycles / self._freq_ghz
-        remote_stall_ns = eq4_remote_stall_split(
-            ldm_stall_ns,
-            local_misses,
-            remote_misses,
-            self.calibration.dram_local_ns,
-            self.calibration.dram_remote_ns,
-        )
-        return eq2_delay_from_stalls(
-            remote_stall_ns,
-            self.config.nvm_read_latency_ns,
-            self.calibration.dram_remote_ns,
-        )
+        return self._multi_tier_delay(deltas, tier_deltas)
 
     def _multi_tier_delay(
         self, deltas: list[float], tier_deltas: Optional[list]
@@ -579,8 +543,8 @@ class EpochEngine:
         """
         tiers = self.config.tiers
         assert tiers is not None and tier_deltas is not None
-        if self.tiered is not None:
-            self.stats.tier_report = self.tiered.directory.report()
+        assert self.accountant is not None
+        self.stats.tier_report = self.accountant.directory.report()
         stall_cycles = deltas[self._i_stalls]
         hits = deltas[self._i_hits]
         local_misses = deltas[self._i_local]

@@ -1,7 +1,7 @@
 """The N-tier hybrid-memory model: tier specs, placement, accounting.
 
-The paper's two-memory mode (Section 3.3) is one point in a larger
-design space: "Emulating Hybrid Memory on NUMA Hardware" models DRAM +
+The paper's DRAM + NVM system (Section 3.3) is the two-tier point of a
+larger design space: "Emulating Hybrid Memory on NUMA Hardware" models DRAM +
 NVM tiers with OS paging/migration, and Koshiba et al. model independent
 read vs. write NVM latencies.  This module generalises the machinery so
 a machine hosts an ordered list of :class:`MemoryTier` specs — tier 0 is

@@ -1,11 +1,15 @@
-"""The Virtual Topology of the two-memory mode (Section 3.3, Figure 7).
+"""The Virtual Topology of Section 3.3 (Figure 7), as a tier ladder.
 
 The emulator partitions sockets into *sibling sets* of two.  Application
 threads run on the first socket of each set and use its local DRAM via
-plain ``malloc``; the sibling socket's DRAM becomes *virtual NVM*, reached
-through ``pmalloc`` (implemented with ``numa_alloc_onnode``).  The sibling
-socket's cores do no computation — the price paid for being able to split
-LLC misses into local vs. remote via hardware counters.
+plain ``malloc``; the sibling socket's DRAM backs every emulated memory
+tier, reached through ``pmalloc`` (implemented with ``numa_alloc_onnode``).
+The sibling socket's cores do no computation — the price paid for being
+able to split LLC misses into local vs. remote via hardware counters.
+
+The paper's DRAM + virtual NVM system is the two-tier case of the ladder
+(tier 0 the local DRAM, tier 1 the NVM); more tiers share the same
+sibling DRAM and differ only in their emulated latencies.
 """
 
 from __future__ import annotations
@@ -26,22 +30,40 @@ if TYPE_CHECKING:
     from repro.os.thread import SimThread
 
 
-class VirtualTopology:
-    """Sibling-set socket partitioning with a virtual-NVM allocator."""
+class TieredTopology:
+    """Sibling-set socket partitioning with a tiered virtual-NVM allocator.
 
-    def __init__(self, machine: Machine):
+    Every emulated tier lives on the sibling socket's DRAM, because that
+    is the only memory whose LLC misses the local/remote counters can
+    separate.  A placement policy assigns each pmalloc'd region to one of
+    the emulated tiers, the :class:`~repro.quartz.tiers.TierDirectory`
+    remembers the assignment, and the epoch engine charges each tier's
+    share of the measured remote stalls at that tier's own read/write
+    latencies.
+    """
+
+    def __init__(
+        self,
+        machine: Machine,
+        tiers: Sequence[MemoryTier],
+        policy: PlacementPolicy,
+    ):
         sockets = machine.arch.sockets
         if sockets < 2 or sockets % 2 != 0:
             raise QuartzError(
-                f"two-memory emulation needs an even number of sockets "
+                f"tiered emulation needs an even number of sockets "
                 f"(>= 2), got {sockets}"
             )
         machine.arch.require_local_remote_counters()
+        validate_tier_list(tiers)
         self.machine = machine
         #: (compute socket, virtual-NVM socket) pairs.
         self.sibling_sets = tuple(
             (socket, socket + 1) for socket in range(0, sockets, 2)
         )
+        self.tiers = tuple(tiers)
+        self.policy = policy
+        self.directory = TierDirectory(tiers=self.tiers)
         self.pmalloc_count = 0
 
     @property
@@ -67,68 +89,23 @@ class VirtualTopology:
         page_size: PageSize,
         label: str,
     ) -> MemoryRegion:
-        """Allocate virtual NVM on the caller's sibling socket."""
+        """Allocate on the caller's sibling socket and file under a tier."""
+        tier_index = self.policy.place(size_bytes, self.directory)
         node = self.nvm_node_for(thread.core.socket)
         self.pmalloc_count += 1
-        return self.machine.allocate(
+        region = self.machine.allocate(
             size_bytes,
             node=node,
             page_size=page_size,
-            label=label or "virtual-nvm",
+            label=label or f"tier-{self.tiers[tier_index].name}",
             persistent=True,
-        )
-
-    def pfree_hook(self, thread: "SimThread", region: MemoryRegion) -> None:
-        """Release a virtual-NVM region."""
-        if not region.persistent:
-            raise QuartzError("pfree of a non-persistent region")
-        self.machine.free(region)
-
-
-class TieredTopology(VirtualTopology):
-    """The N-tier generalization of the virtual topology.
-
-    Physically identical to the two-memory layout — every emulated tier
-    lives on the sibling socket's DRAM, because that is the only memory
-    whose LLC misses the local/remote counters can separate.  What
-    differs is the *logical* mapping: a placement policy assigns each
-    pmalloc'd region to one of the emulated tiers, the
-    :class:`~repro.quartz.tiers.TierDirectory` remembers the assignment,
-    and the epoch engine charges each tier's share of the measured
-    remote stalls at that tier's own read/write latencies.
-    """
-
-    def __init__(
-        self,
-        machine: Machine,
-        tiers: Sequence[MemoryTier],
-        policy: PlacementPolicy,
-    ):
-        super().__init__(machine)
-        validate_tier_list(tiers)
-        self.tiers = tuple(tiers)
-        self.policy = policy
-        self.directory = TierDirectory(tiers=self.tiers)
-
-    def pmalloc_hook(
-        self,
-        thread: "SimThread",
-        size_bytes: int,
-        page_size: PageSize,
-        label: str,
-    ) -> MemoryRegion:
-        """Allocate on the sibling socket and file under a tier."""
-        tier_index = self.policy.place(size_bytes, self.directory)
-        region = super().pmalloc_hook(
-            thread,
-            size_bytes,
-            page_size,
-            label or f"tier-{self.tiers[tier_index].name}",
         )
         self.directory.register(region, tier_index)
         return region
 
     def pfree_hook(self, thread: "SimThread", region: MemoryRegion) -> None:
         """Release a tiered region and drop its directory entry."""
+        if not region.persistent:
+            raise QuartzError("pfree of a non-persistent region")
         self.directory.unregister(region)
-        super().pfree_hook(thread, region)
+        self.machine.free(region)

@@ -169,14 +169,13 @@ def run_dvfs_ablation(
     arch: ArchSpec = IVY_BRIDGE,
     target_ns: float = 600.0,
     iterations: int = 300_000,
-    compute_cycles_per_access: float = 100.0,
     jobs: Optional[int] = None,
 ) -> ExperimentResult:
     """Section 6: DVFS breaks the cycle<->ns translation.
 
-    The workload mixes compute with memory so frequency actually matters;
-    with DVFS enabled, stall-cycle counters accrue at a wandering
-    frequency while Quartz converts with the nominal one.
+    The workload is a pure MemLat pointer chase, no compute between
+    accesses: with DVFS enabled, stall-cycle counters accrue at a
+    wandering frequency while Quartz converts with the nominal one.
     """
     calibrate_arch(arch)
     result = ExperimentResult(

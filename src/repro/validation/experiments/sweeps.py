@@ -317,7 +317,7 @@ def _build_service_grid(scale: str) -> list:
         clients_per_tenant=2,
     )
     # Two cell families: the store placed across a scaled tier ladder,
-    # and a two-memory NVM with a throttled write-bandwidth ceiling.
+    # and PM mode (all memory is NVM) under a throttled bandwidth ceiling.
     quartz_cells = []
     for factor in kwargs["factors"]:
         quartz_cells.append(

@@ -1,7 +1,7 @@
 """N-tier hybrid-memory experiments: the tier sweep and policy study.
 
-Two drivers exercising the multi-tier generalization of the two-memory
-mode (see :mod:`repro.quartz.tiers`):
+Two drivers exercising tier ladders longer than the two-tier DRAM + NVM
+case of Section 3.3 (see :mod:`repro.quartz.tiers`):
 
 * ``tier-sweep`` — the Figure 14 methodology lifted to N tiers: tiered
   MultiLat with one array pinned per emulated tier (static placement

@@ -1,10 +1,11 @@
-"""Figure 14: MultiLat under the two-memory (DRAM + virtual NVM) mode.
+"""Figure 14: MultiLat on a DRAM + virtual NVM system (Section 3.3).
 
-Each run executes MultiLat under Quartz's virtual topology: the DRAM
-array is malloc'd on the compute socket, the NVM array pmalloc'd on the
-sibling socket, and Quartz splits the measured stalls via Eq. (4) to
-slow only the NVM share.  Validation is against the Section 4.6 closed
-form ``CT = Num_DRAM x DRAM_lat + Num_NVM x NVM_lat``; the paper reports
+Each run executes MultiLat under Quartz's virtual topology as a two-tier
+ladder: the DRAM array is malloc'd on the compute socket (tier 0), the
+NVM array pmalloc'd on the sibling socket (tier 1), and Quartz splits
+the measured stalls with Eq. (4) to slow only the NVM share.  Validation
+is against the Section 4.6 closed form
+``CT = Num_DRAM x DRAM_lat + Num_NVM x NVM_lat``; the paper reports
 average errors below 1.2% across patterns, configurations, and target
 latencies on Ivy Bridge and Haswell.
 """
@@ -16,6 +17,7 @@ from typing import Optional, Sequence
 from repro.hw.arch import HASWELL, IVY_BRIDGE, ArchSpec
 from repro.quartz.calibration import calibrate_arch
 from repro.quartz.config import EmulationMode, QuartzConfig
+from repro.quartz.tiers import MemoryTier
 from repro.units import MILLISECOND
 from repro.validation.metrics import summarize
 from repro.validation.reporting import ExperimentResult
@@ -60,12 +62,16 @@ def run_figure14(
                 # indistinguishable from a forgotten grid point.
                 skipped.append((arch, target, calibration.dram_remote_ns))
                 continue
+            dram_ns = calibration.dram_local_ns
             config = QuartzConfig(
-                nvm_read_latency_ns=target,
-                mode=EmulationMode.TWO_MEMORY,
+                mode=EmulationMode.MULTI_TIER,
+                tiers=(
+                    MemoryTier("dram", dram_ns, dram_ns),
+                    MemoryTier("nvm", target, target),
+                ),
                 max_epoch_ns=1.0 * MILLISECOND,
             )
-            keys.append((arch, target, calibration.dram_local_ns))
+            keys.append((arch, target, dram_ns))
             cells.append([
                 RunSpec(
                     workload="multilat",

@@ -38,7 +38,7 @@ class MemLatConfig:
     chains: int = 1
     #: Back the array with 2 MB hugepages (the paper's setting).
     hugepages: bool = True
-    #: Allocate the array with pmalloc (virtual NVM in two-memory mode).
+    #: Allocate the array with pmalloc (virtual NVM in tiered mode).
     persistent: bool = False
     #: Write the chain before chasing it (cold-start realism).
     initialize: bool = True

@@ -1,4 +1,4 @@
-"""MultiLat — the two-memory validation benchmark of Section 4.6.
+"""MultiLat — the DRAM + NVM validation benchmark of Section 4.6.
 
 A tailored MemLat extension: one pointer chain spread over *two* arrays,
 the first in DRAM (``malloc``) and the second in NVM (``pmalloc``,

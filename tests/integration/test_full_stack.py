@@ -23,6 +23,7 @@ from repro.quartz import (
     WriteModel,
     calibrate_arch,
 )
+from repro.quartz.tiers import MemoryTier
 from repro.sim import Simulator
 from repro.units import GIB, MIB, MILLISECOND
 
@@ -44,15 +45,17 @@ def calibration():
 
 
 def test_everything_at_once():
-    """Two-memory mode + multithreading + write emulation + bandwidth."""
+    """DRAM + NVM tiers + multithreading + write emulation + bandwidth."""
     machine, osys = make_stack()
     quartz = Quartz(
         osys,
         QuartzConfig(
-            nvm_read_latency_ns=500.0,
-            nvm_write_latency_ns=900.0,
             nvm_bandwidth_gbps=10.0,
-            mode=EmulationMode.TWO_MEMORY,
+            mode=EmulationMode.MULTI_TIER,
+            tiers=(
+                MemoryTier("dram", 87.0, 87.0),
+                MemoryTier("nvm", 500.0, 900.0),
+            ),
             write_model=WriteModel.PCOMMIT,
             max_epoch_ns=0.5 * MILLISECOND,
         ),
@@ -120,7 +123,13 @@ def test_use_after_pfree_detected_under_emulation():
     machine, osys = make_stack()
     quartz = Quartz(
         osys,
-        QuartzConfig(nvm_read_latency_ns=300.0, mode=EmulationMode.TWO_MEMORY),
+        QuartzConfig(
+            mode=EmulationMode.MULTI_TIER,
+            tiers=(
+                MemoryTier("dram", 87.0, 87.0),
+                MemoryTier("nvm", 300.0, 300.0),
+            ),
+        ),
         calibration=calibration(),
     )
     quartz.attach()

@@ -9,6 +9,7 @@ from repro.quartz.bandwidth import BandwidthThrottler
 from repro.quartz.calibration import calibrate_arch
 from repro.quartz.config import EmulationMode, QuartzConfig
 from repro.quartz.kernel_module import QuartzKernelModule
+from repro.quartz.tiers import MemoryTier
 from repro.sim import Simulator
 
 
@@ -45,9 +46,12 @@ def test_pm_mode_throttles_every_node():
 def test_two_memory_mode_throttles_only_the_nvm_node():
     machine, throttler = make_throttler(
         QuartzConfig(
-            nvm_read_latency_ns=250.0,
             nvm_bandwidth_gbps=8.0,
-            mode=EmulationMode.TWO_MEMORY,
+            mode=EmulationMode.MULTI_TIER,
+            tiers=(
+                MemoryTier("dram", 87.0, 87.0),
+                MemoryTier("nvm", 250.0, 250.0),
+            ),
         )
     )
     throttler.apply()

@@ -23,6 +23,7 @@ from repro.quartz import (
     WriteModel,
     calibrate_arch,
 )
+from repro.quartz.tiers import MemoryTier
 from repro.sim import Simulator
 from repro.units import GIB, MIB, MILLISECOND
 
@@ -111,7 +112,13 @@ def test_two_memory_mode_rejected_on_sandy_bridge():
     machine, osys = make_stack(arch=SANDY_BRIDGE)
     quartz = Quartz(
         osys,
-        QuartzConfig(nvm_read_latency_ns=400.0, mode=EmulationMode.TWO_MEMORY),
+        QuartzConfig(
+            mode=EmulationMode.MULTI_TIER,
+            tiers=(
+                MemoryTier("dram", 87.0, 87.0),
+                MemoryTier("nvm", 400.0, 400.0),
+            ),
+        ),
         calibration=calibrate_arch(SANDY_BRIDGE),
     )
     with pytest.raises(UnsupportedFeatureError):
@@ -386,13 +393,19 @@ def test_pcommit_discounts_elapsed_program_time():
 
 
 # ----------------------------------------------------------------------
-# Two-memory mode basics
+# DRAM + NVM (two-tier ladder) basics
 # ----------------------------------------------------------------------
 def test_two_memory_pmalloc_lands_on_sibling_socket():
     machine, osys = make_stack()
     quartz = Quartz(
         osys,
-        QuartzConfig(nvm_read_latency_ns=400.0, mode=EmulationMode.TWO_MEMORY),
+        QuartzConfig(
+            mode=EmulationMode.MULTI_TIER,
+            tiers=(
+                MemoryTier("dram", 87.0, 87.0),
+                MemoryTier("nvm", 400.0, 400.0),
+            ),
+        ),
         calibration=calibrate_arch(IVY_BRIDGE),
     )
     quartz.attach()
@@ -418,8 +431,11 @@ def test_two_memory_slows_only_nvm_accesses():
     quartz = Quartz(
         osys,
         QuartzConfig(
-            nvm_read_latency_ns=target,
-            mode=EmulationMode.TWO_MEMORY,
+            mode=EmulationMode.MULTI_TIER,
+            tiers=(
+                MemoryTier("dram", 87.0, 87.0),
+                MemoryTier("nvm", target, target),
+            ),
             max_epoch_ns=MILLISECOND,
         ),
         calibration=calibrate_arch(IVY_BRIDGE),

@@ -9,7 +9,8 @@ from repro.quartz.calibration import calibrate_arch
 from repro.quartz.config import QuartzConfig, WriteModel
 from repro.quartz.pm import PmWriteEmulator
 from repro.quartz.stats import QuartzStats, ThreadQuartzStats
-from repro.quartz.virtual_topology import VirtualTopology
+from repro.quartz.tiers import MemoryTier, StaticPlacement
+from repro.quartz.virtual_topology import TieredTopology
 from repro.sim import Simulator
 from repro.units import MIB
 
@@ -114,11 +115,19 @@ def test_extra_write_delay_never_negative():
 
 
 # ----------------------------------------------------------------------
-# Virtual topology (Section 3.3)
+# Virtual topology (Section 3.3): DRAM + NVM as a two-tier ladder
 # ----------------------------------------------------------------------
+def two_tier_topology(machine):
+    return TieredTopology(
+        machine,
+        (MemoryTier("dram", 87.0, 87.0), MemoryTier("nvm", 400.0, 400.0)),
+        StaticPlacement(),
+    )
+
+
 def test_sibling_sets_pair_sockets():
     machine = Machine(Simulator(seed=1), IVY_BRIDGE)
-    vt = VirtualTopology(machine)
+    vt = two_tier_topology(machine)
     assert vt.sibling_sets == ((0, 1),)
     assert vt.compute_sockets == (0,)
     assert vt.nvm_node_for(0) == 1
@@ -126,7 +135,7 @@ def test_sibling_sets_pair_sockets():
 
 def test_nvm_socket_cannot_compute():
     machine = Machine(Simulator(seed=1), IVY_BRIDGE)
-    vt = VirtualTopology(machine)
+    vt = two_tier_topology(machine)
     with pytest.raises(QuartzError, match="virtual-NVM socket"):
         vt.nvm_node_for(1)
 
@@ -136,12 +145,12 @@ def test_virtual_topology_needs_split_counters():
     from repro.errors import UnsupportedFeatureError
 
     with pytest.raises(UnsupportedFeatureError):
-        VirtualTopology(machine)
+        two_tier_topology(machine)
 
 
 def test_pmalloc_hook_allocates_on_sibling():
     machine = Machine(Simulator(seed=1), IVY_BRIDGE)
-    vt = VirtualTopology(machine)
+    vt = two_tier_topology(machine)
     from types import SimpleNamespace
 
     thread = SimpleNamespace(core=machine.core(0))
@@ -155,7 +164,7 @@ def test_pmalloc_hook_allocates_on_sibling():
 
 def test_pfree_rejects_volatile_region():
     machine = Machine(Simulator(seed=1), IVY_BRIDGE)
-    vt = VirtualTopology(machine)
+    vt = two_tier_topology(machine)
     from types import SimpleNamespace
 
     thread = SimpleNamespace(core=machine.core(0))
