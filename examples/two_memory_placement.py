@@ -17,19 +17,19 @@ Run:  python examples/two_memory_placement.py
 """
 
 from repro import (
-    EmulationMode,
     IVY_BRIDGE,
     Machine,
     MemBatch,
+    MemoryTier,
     PageSize,
     PatternKind,
     Quartz,
     QuartzConfig,
     SimOS,
     Simulator,
+    TierLadder,
     calibrate_arch,
 )
-from repro.quartz.tiers import MemoryTier
 from repro.units import GIB, MIB
 
 NVM_LATENCY_NS = 600.0
@@ -47,11 +47,10 @@ def run_placement(index_in_nvm: bool, values_in_nvm: bool) -> float:
     quartz = Quartz(
         os,
         QuartzConfig(
-            mode=EmulationMode.MULTI_TIER,
-            tiers=(
+            ladder=TierLadder((
                 MemoryTier("dram", dram_ns, dram_ns),
                 MemoryTier("nvm", NVM_LATENCY_NS, NVM_LATENCY_NS),
-            ),
+            )),
         ),
         calibration=calibration,
     )

@@ -82,10 +82,11 @@ from repro.ops import (
 from repro.os import Barrier, CondVar, Mutex, SimOS, SimThread, ThreadContext
 from repro.quartz import (
     CalibrationData,
-    EmulationMode,
+    MemoryTier,
     Quartz,
     QuartzConfig,
     QuartzStats,
+    TierLadder,
     WriteModel,
     calibrate_arch,
 )
@@ -106,7 +107,6 @@ __all__ = [
     "CondVar",
     "CondWait",
     "DeadlockError",
-    "EmulationMode",
     "Flush",
     "FlushOpt",
     "HASWELL",
@@ -116,6 +116,7 @@ __all__ = [
     "Machine",
     "MemBatch",
     "MemoryRegion",
+    "MemoryTier",
     "Mutex",
     "MutexLock",
     "MutexUnlock",
@@ -136,6 +137,7 @@ __all__ = [
     "SpawnThread",
     "Spin",
     "ThreadContext",
+    "TierLadder",
     "UnsupportedFeatureError",
     "ValidationError",
     "WorkloadError",

@@ -17,12 +17,13 @@ The package mirrors the structure of Section 3:
 * :mod:`repro.quartz.pm` — pmalloc/pflush and the pcommit write model
   (Section 6);
 * :mod:`repro.quartz.virtual_topology` / :mod:`repro.quartz.tiers` —
-  the tier ladder on the sibling socket; the paper's DRAM + NVM system
-  (Section 3.3) is its two-tier case.
+  the tier ladder on the sibling socket (``QuartzConfig(ladder=
+  TierLadder(...))``); the paper's DRAM + NVM system (Section 3.3) is
+  its two-tier case.
 """
 
 from repro.quartz.calibration import CalibrationData, calibrate_arch
-from repro.quartz.config import EmulationMode, QuartzConfig, WriteModel
+from repro.quartz.config import QuartzConfig, WriteModel
 from repro.quartz.emulator import Quartz
 from repro.quartz.presets import (
     ALL_TECHNOLOGIES,
@@ -35,15 +36,16 @@ from repro.quartz.presets import (
 )
 from repro.quartz.report import render_report
 from repro.quartz.stats import EpochTrigger, QuartzStats
+from repro.quartz.tiers import MemoryTier, TierLadder
 from repro.quartz.trace import EpochTrace, attach_trace
 
 __all__ = [
     "ALL_TECHNOLOGIES",
     "CalibrationData",
-    "EmulationMode",
     "EpochTrace",
     "EpochTrigger",
     "MEMRISTOR",
+    "MemoryTier",
     "NvmTechnology",
     "PCM",
     "Quartz",
@@ -51,6 +53,7 @@ __all__ = [
     "QuartzStats",
     "SLOW_NVM",
     "STT_MRAM",
+    "TierLadder",
     "WriteModel",
     "attach_trace",
     "calibrate_arch",

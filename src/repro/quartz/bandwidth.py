@@ -17,7 +17,7 @@ from typing import Optional
 
 from repro.errors import QuartzError
 from repro.quartz.calibration import CalibrationData
-from repro.quartz.config import EmulationMode, QuartzConfig
+from repro.quartz.config import QuartzConfig
 from repro.quartz.kernel_module import QuartzKernelModule
 
 
@@ -37,7 +37,7 @@ class BandwidthThrottler:
         self.nvm_node = nvm_node
         self.applied_register: Optional[int] = None
         #: Tier name -> register value each tier's bandwidth target maps
-        #: to (multi-tier mode).  The sibling node only has one physical
+        #: to (tier ladder only).  The sibling node only has one physical
         #: throttle register, so the *tightest* (lowest-bandwidth) tier's
         #: register is the one actually programmed; the rest are recorded
         #: so exports can show what each tier asked for.
@@ -46,7 +46,7 @@ class BandwidthThrottler:
     def apply(self) -> None:
         """Program the registers for the configured target bandwidth."""
         target = self.config.nvm_bandwidth_gbps
-        if self.config.mode is EmulationMode.MULTI_TIER and self.config.tiers:
+        if self.config.ladder is not None:
             tier_target = self._tightest_tier_bandwidth()
             if tier_target is not None:
                 target = (
@@ -90,7 +90,7 @@ class BandwidthThrottler:
         """Lowest per-tier bandwidth target; fills ``tier_registers``."""
         tightest: Optional[float] = None
         self.tier_registers = {}
-        for tier in self.config.tiers or ():
+        for tier in self.config.ladder.tiers:
             if tier.bandwidth_gbps is None:
                 continue
             if tier.bandwidth_gbps > self.calibration.peak_bandwidth:
@@ -107,6 +107,6 @@ class BandwidthThrottler:
         return tightest
 
     def _throttled_nodes(self) -> list[int]:
-        if self.config.mode is EmulationMode.MULTI_TIER:
+        if self.config.ladder is not None:
             return [self.nvm_node]
         return list(range(len(self.kernel_module.machine.controllers)))

@@ -6,6 +6,15 @@ configuration surface: target NVM latency and bandwidth, epoch sizes
 the monitor wake interval, the counter-access backend (Section 3.2), the
 "switched-off delay injection" diagnostic mode, and the write-emulation
 model (pflush of Section 3.1 vs. the pcommit extension of Section 6).
+
+``ladder`` picks the memory system.  None emulates PM: all application
+memory is NVM at ``nvm_read_latency_ns`` (Sections 2-3.2).  A
+:class:`~repro.quartz.tiers.TierLadder` emulates local DRAM plus
+emulated tiers on the sibling socket, each at its own read/write
+latency; the paper's DRAM + virtual NVM system (Section 3.3) is the
+two-tier case.  Every other field is read with or without a ladder,
+save ``nvm_read_latency_ns``, which a ladder config must leave at its
+default.
 """
 
 from __future__ import annotations
@@ -16,24 +25,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import QuartzError
-from repro.quartz.tiers import (
-    PLACEMENT_POLICIES,
-    MemoryTier,
-    validate_tier_list,
-)
+from repro.quartz.tiers import TierLadder
 from repro.units import MILLISECOND
-
-
-class EmulationMode(enum.Enum):
-    """What kind of memory system Quartz emulates."""
-
-    #: All application memory is NVM (Sections 2-3.2).
-    PM = "pm"
-    #: N memory tiers: local DRAM plus an ordered list of emulated
-    #: memories on the sibling socket, each with independent read/write
-    #: latencies.  The paper's DRAM + virtual NVM system (Section 3.3) is
-    #: the two-tier case.
-    MULTI_TIER = "multi-tier"
 
 
 class WriteModel(enum.Enum):
@@ -59,7 +52,8 @@ class QuartzConfig:
     """Full configuration of one Quartz attachment."""
 
     #: Target average NVM read latency (ns).  Must be >= the latency of
-    #: the DRAM standing in for NVM.
+    #: the DRAM standing in for NVM.  PM only: a ladder's tiers carry
+    #: their own read latencies.
     nvm_read_latency_ns: float = 400.0
     #: Target NVM bandwidth in bytes/ns (GB/s); None = unthrottled.
     nvm_bandwidth_gbps: Optional[float] = None
@@ -71,20 +65,8 @@ class QuartzConfig:
     nvm_write_bandwidth_gbps: Optional[float] = None
     #: Target NVM write latency for pflush (ns); None = no write delay.
     nvm_write_latency_ns: Optional[float] = None
-    #: Emulation mode: PM everywhere, or a DRAM + NVM tier ladder.
-    mode: EmulationMode = EmulationMode.PM
-    #: Ordered tier list for MULTI_TIER mode.  Tier 0 is the local DRAM;
-    #: tiers >= 1 are emulated memories (fastest first by convention).
-    tiers: Optional[tuple[MemoryTier, ...]] = None
-    #: Page-placement policy between emulated tiers ("static",
-    #: "round-robin", or "hot-promote").
-    placement_policy: str = "static"
-    #: Static/hot-promote placement order: tier indices cycled across
-    #: successive pmallocs (None = everything starts in the slowest tier).
-    placement_order: Optional[tuple[int, ...]] = None
-    #: Hot-page promotion threshold (cumulative accesses) for the
-    #: "hot-promote" policy.
-    promote_threshold_accesses: Optional[int] = None
+    #: The DRAM + emulated-tier ladder; None = PM (all memory is NVM).
+    ladder: Optional[TierLadder] = None
     #: Write emulation model.
     write_model: WriteModel = WriteModel.PFLUSH
     #: Maximum (static) epoch length; the monitor interrupts threads whose
@@ -165,50 +147,18 @@ class QuartzConfig:
                 f"unknown latency model: {self.latency_model!r} "
                 "(expected 'stalls' or 'simple')"
             )
-        if (
-            self.latency_model == "simple"
-            and self.mode is EmulationMode.MULTI_TIER
-        ):
-            raise QuartzError(
-                "the Eq. 1 simple model has no local/remote split; "
-                f"{self.mode.value} mode requires the stall model"
-            )
-        self._validate_tiers()
-
-    def _validate_tiers(self) -> None:
-        if self.mode is not EmulationMode.MULTI_TIER:
-            if self.tiers is not None:
+        if self.ladder is not None:
+            if self.latency_model == "simple":
                 raise QuartzError(
-                    "a tier list requires multi-tier mode "
-                    f"(mode is {self.mode.value!r})"
+                    "the Eq. 1 simple model has no local/remote split; "
+                    "a tier ladder requires the stall model"
                 )
-            return
-        if self.tiers is None:
-            raise QuartzError("multi-tier mode needs a tier list")
-        validate_tier_list(self.tiers)
-        if self.placement_policy not in PLACEMENT_POLICIES:
-            raise QuartzError(
-                f"unknown placement policy: {self.placement_policy!r} "
-                f"(expected one of {PLACEMENT_POLICIES})"
-            )
-        if self.placement_policy == "hot-promote":
-            if self.promote_threshold_accesses is None:
+            if self.nvm_read_latency_ns != QuartzConfig.nvm_read_latency_ns:
                 raise QuartzError(
-                    "hot-promote placement needs promote_threshold_accesses"
+                    "nvm_read_latency_ns is not read with a tier ladder "
+                    "(each tier carries its own read latency): "
+                    f"{self.nvm_read_latency_ns}"
                 )
-            if self.promote_threshold_accesses <= 0:
-                raise QuartzError(
-                    "promotion threshold must be positive: "
-                    f"{self.promote_threshold_accesses}"
-                )
-        if self.placement_order is not None:
-            valid = range(1, len(self.tiers))
-            for index in self.placement_order:
-                if index not in valid:
-                    raise QuartzError(
-                        f"placement order names tier {index}; emulated "
-                        f"tiers are {tuple(valid)}"
-                    )
 
     @property
     def effective_monitor_interval_ns(self) -> float:

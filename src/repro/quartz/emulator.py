@@ -30,7 +30,6 @@ from repro.os.thread import Signal, SimThread
 from repro.quartz.bandwidth import BandwidthThrottler
 from repro.quartz.calibration import CalibrationData, calibrate_arch
 from repro.quartz.config import (
-    EmulationMode,
     QuartzConfig,
     THREAD_REGISTRATION_COST_CYCLES,
     WriteModel,
@@ -40,7 +39,7 @@ from repro.quartz.epoch import BOUNDARY_COST_CYCLES, EpochEngine
 from repro.quartz.kernel_module import QuartzKernelModule
 from repro.quartz.pm import PmWriteEmulator
 from repro.quartz.stats import EpochTrigger, QuartzStats
-from repro.quartz.tiers import TierAccountant, build_policy
+from repro.quartz.tiers import TierAccountant
 from repro.quartz.virtual_topology import TieredTopology
 
 if TYPE_CHECKING:
@@ -93,13 +92,12 @@ class Quartz:
                 f"calibration is for {self.calibration.arch_name}, "
                 f"machine is {self.machine.arch.name}"
             )
-        if config.mode is EmulationMode.MULTI_TIER:
+        if config.ladder is not None:
             # Every emulated tier is backed by the sibling socket's DRAM:
             # each per-direction target must be reachable by slowing it
             # down (equal latencies are the zero-delay degenerate case).
-            assert config.tiers is not None
             backing_latency = self.calibration.dram_remote_ns
-            for tier in config.tiers[1:]:
+            for tier in config.ladder.tiers[1:]:
                 for direction, target in (
                     ("read", tier.read_latency_ns),
                     ("write", tier.write_latency_ns),
@@ -123,20 +121,15 @@ class Quartz:
         self.kernel_module.setup_counters()
 
         nvm_node = 0
-        if config.mode is EmulationMode.MULTI_TIER:
-            policy = build_policy(
-                config.placement_policy,
-                order=config.placement_order,
-                promote_threshold_accesses=config.promote_threshold_accesses,
-            )
-            topology = TieredTopology(self.machine, config.tiers, policy)
+        if config.ladder is not None:
+            topology = TieredTopology(self.machine, config.ladder)
             self.virtual_topology = topology
             self.os.default_cpu_node = topology.compute_sockets[0]
             nvm_node = topology.nvm_node_for(topology.compute_sockets[0])
             self.os.interpose.register_sync_hook("pmalloc", topology.pmalloc_hook)
             self.os.interpose.register_sync_hook("pfree", topology.pfree_hook)
             # Per-tier reference accounting watches every executed op.
-            self.tier_accountant = TierAccountant(topology.directory, policy)
+            self.tier_accountant = TierAccountant(topology.directory, topology.policy)
             self.os.hooks.subscribe("op", self.tier_accountant)
         self._throttler = BandwidthThrottler(
             self.kernel_module, self.calibration, config, nvm_node

@@ -34,7 +34,7 @@ from repro.errors import QuartzError
 from repro.hw.machine import Machine
 from repro.ops import Compute, Spin
 from repro.quartz.calibration import CalibrationData
-from repro.quartz.config import EPOCH_BASE_COST_CYCLES, EmulationMode, QuartzConfig
+from repro.quartz.config import EPOCH_BASE_COST_CYCLES, QuartzConfig
 from repro.quartz.counters import CounterBackend
 from repro.quartz.model import (
     eq1_simple_delay,
@@ -116,7 +116,7 @@ class EpochCloseInfo:
     #: observers (trace, crash injector) a total, deterministic identity.
     close_seq: int = 0
     #: Per-tier delay decomposition of a multi-tier close (index 0 is the
-    #: DRAM tier, always 0.0); None outside multi-tier mode.  The
+    #: DRAM tier, always 0.0); None without a tier ladder.  The
     #: invariant monitor checks these sum to ``delay_computed_ns``.
     tier_delays_ns: Optional[tuple[float, ...]] = None
 
@@ -139,7 +139,7 @@ class ThreadEpochState:
     #: Critical-section nesting depth.
     cs_depth: int = 0
     #: Per-tier (reads, writes) accountant snapshot at epoch start —
-    #: the software analogue of ``counter_base`` (multi-tier mode only).
+    #: the software analogue of ``counter_base`` (tier ladder only).
     tier_base: Optional[list] = None
 
 
@@ -213,13 +213,13 @@ class EpochEngine:
         #: Total closes so far (stamps ``close_seq``).
         self.closes_notified = 0
         #: Per-tier decomposition of the most recent close's delay
-        #: (multi-tier mode only) — stashed here so the close paths can
+        #: (tier ladder only) — stashed here so the close paths can
         #: hand it to ``close`` subscribers.
         self._last_tier_delays: Optional[tuple[float, ...]] = None
-        if config.mode is EmulationMode.MULTI_TIER:
+        if config.ladder is not None:
             machine.arch.require_local_remote_counters()
             if accountant is None:
-                raise QuartzError("multi-tier mode needs the tier accountant")
+                raise QuartzError("a tier ladder needs the tier accountant")
 
     # ------------------------------------------------------------------
     # Epoch lifecycle
@@ -495,7 +495,7 @@ class EpochEngine:
 
         *deltas* is positional, aligned with ``self._event_names``;
         *tier_deltas* carries the accountant's per-tier (reads, writes)
-        deltas in multi-tier mode.
+        deltas with a tier ladder.
         """
         stall_cycles = deltas[self._i_stalls]
         hits = deltas[self._i_hits]
@@ -507,7 +507,7 @@ class EpochEngine:
                 self.config.nvm_read_latency_ns,
                 self.calibration.dram_local_ns,
             )
-        if self.config.mode is EmulationMode.PM:
+        if self.config.ladder is None:
             misses = self._total_misses(deltas)
             if hits + misses <= 0:
                 # Eq. (3) rejects a positive stall count with no LLC
@@ -541,8 +541,8 @@ class EpochEngine:
         conservation), and mirrors the directory's placement/migration
         report into the run statistics.
         """
-        tiers = self.config.tiers
-        assert tiers is not None and tier_deltas is not None
+        tiers = self.config.ladder.tiers
+        assert tier_deltas is not None
         assert self.accountant is not None
         self.stats.tier_report = self.accountant.directory.report()
         stall_cycles = deltas[self._i_stalls]

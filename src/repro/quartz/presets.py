@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.errors import QuartzError
-from repro.quartz.config import EmulationMode, QuartzConfig, WriteModel
+from repro.quartz.config import QuartzConfig, WriteModel
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,6 @@ class NvmTechnology:
 
     def quartz_config(
         self,
-        mode: EmulationMode = EmulationMode.PM,
         write_model: WriteModel = WriteModel.PFLUSH,
         **overrides,
     ) -> QuartzConfig:
@@ -46,7 +45,6 @@ class NvmTechnology:
             nvm_read_latency_ns=self.read_latency_ns,
             nvm_write_latency_ns=self.write_latency_ns,
             nvm_bandwidth_gbps=self.bandwidth_gbps,
-            mode=mode,
             write_model=write_model,
         )
         if overrides:

@@ -7,7 +7,7 @@ whether the epoch configuration suited the workload.
 
 from __future__ import annotations
 
-from repro.quartz.config import EmulationMode, QuartzConfig
+from repro.quartz.config import QuartzConfig
 from repro.quartz.stats import QuartzStats
 from repro.units import ns_to_ms
 
@@ -33,12 +33,12 @@ def render_report(stats: QuartzStats, config: QuartzConfig | None = None) -> str
     """Render a full emulation report."""
     lines = ["=== Quartz emulation report ==="]
     if config is not None:
-        if config.mode is EmulationMode.MULTI_TIER and config.tiers:
+        if config.ladder is not None:
             # The tier ladder replaces the single NVM read target.
             target = "tiers " + ", ".join(
                 f"{tier.name} {tier.read_latency_ns:.0f}/"
                 f"{tier.write_latency_ns:.0f} ns"
-                for tier in config.tiers
+                for tier in config.ladder.tiers
             ) + " (read/write latency)"
         else:
             target = f"{config.nvm_read_latency_ns:.0f} ns read latency"

@@ -9,8 +9,11 @@ always the local DRAM, every further tier is a progressively slower
 memory physically backed by the sibling socket's DRAM (the same virtual
 topology trick; the *emulated* latency differs per tier).
 
-Three cooperating pieces:
+Four cooperating pieces:
 
+* :class:`TierLadder` — the configuration (``QuartzConfig.ladder``): the
+  tier list plus the placement policy and the fields it reads, checked
+  once when the ladder is built.
 * :class:`TierDirectory` — the page table of the tier model: which
   pmalloc'd region lives in which tier, per-tier occupancy against the
   declared capacities, per-region access counts, and migrations.
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, TYPE_CHECKING
+from typing import Optional, TYPE_CHECKING
 
 from repro.errors import QuartzError
 from repro.ops import MemBatch
@@ -44,7 +47,7 @@ if TYPE_CHECKING:
     from repro.hw.topology import MemoryRegion
     from repro.os.thread import SimThread
 
-#: Placement policy names accepted by ``QuartzConfig.placement_policy``.
+#: Placement policy names accepted by ``TierLadder.placement``.
 PLACEMENT_POLICIES = ("static", "round-robin", "hot-promote")
 
 
@@ -84,18 +87,6 @@ class MemoryTier:
                 f"tier {self.name!r}: capacity must be positive: "
                 f"{self.capacity_bytes}"
             )
-
-
-def validate_tier_list(tiers: Sequence[MemoryTier]) -> None:
-    """Shared tier-list validation (config and topology both call it)."""
-    if len(tiers) < 2:
-        raise QuartzError(
-            f"multi-tier emulation needs at least 2 tiers (DRAM + one "
-            f"emulated memory), got {len(tiers)}"
-        )
-    names = [tier.name for tier in tiers]
-    if len(set(names)) != len(names):
-        raise QuartzError(f"tier names must be unique: {names}")
 
 
 @dataclass
@@ -281,10 +272,6 @@ class HotPromotePlacement(StaticPlacement):
         order: Optional[tuple[int, ...]] = None,
     ):
         super().__init__(order)
-        if threshold_accesses <= 0:
-            raise QuartzError(
-                f"promotion threshold must be positive: {threshold_accesses}"
-            )
         self.threshold_accesses = threshold_accesses
 
     def maybe_promote(
@@ -302,26 +289,73 @@ class HotPromotePlacement(StaticPlacement):
         return target
 
 
-def build_policy(
-    policy: str,
-    order: Optional[tuple[int, ...]] = None,
-    promote_threshold_accesses: Optional[int] = None,
-) -> PlacementPolicy:
-    """Construct a placement policy from its picklable config fields."""
-    if policy == "static":
-        return StaticPlacement(order)
-    if policy == "round-robin":
-        return RoundRobinPlacement()
-    if policy == "hot-promote":
-        if promote_threshold_accesses is None:
+@dataclass(frozen=True)
+class TierLadder:
+    """The memory system Quartz emulates in tier mode: tiers plus placement.
+
+    Tier 0 of ``tiers`` is the local DRAM; tiers >= 1 are emulated
+    memories (fastest first by convention).  ``placement`` names the
+    policy that files each pmalloc under an emulated tier: ``static``
+    cycles ``order`` (None = everything starts in the slowest tier),
+    ``round-robin`` rotates over every emulated tier, and
+    ``hot-promote`` places like ``static`` and then promotes a region
+    one tier up once it has seen ``promote_threshold_accesses``.  Every
+    ladder rule is checked here, so a ladder that exists is valid, and
+    a field its policy would not read cannot be set.
+    """
+
+    tiers: tuple[MemoryTier, ...]
+    placement: str = "static"
+    order: Optional[tuple[int, ...]] = None
+    promote_threshold_accesses: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        if len(self.tiers) < 2:
             raise QuartzError(
-                "hot-promote placement needs promote_threshold_accesses"
+                f"a tier ladder needs at least 2 tiers (DRAM + one "
+                f"emulated memory), got {len(self.tiers)}"
             )
-        return HotPromotePlacement(promote_threshold_accesses, order)
-    raise QuartzError(
-        f"unknown placement policy: {policy!r} "
-        f"(expected one of {PLACEMENT_POLICIES})"
-    )
+        names = [tier.name for tier in self.tiers]
+        if len(set(names)) != len(names):
+            raise QuartzError(f"tier names must be unique: {names}")
+        if self.placement not in PLACEMENT_POLICIES:
+            raise QuartzError(
+                f"unknown placement policy: {self.placement!r} "
+                f"(expected one of {PLACEMENT_POLICIES})"
+            )
+        threshold = self.promote_threshold_accesses
+        if self.placement == "hot-promote":
+            if threshold is None or threshold <= 0:
+                raise QuartzError(
+                    "hot-promote placement needs a positive "
+                    f"promote_threshold_accesses, got {threshold}"
+                )
+        elif threshold is not None:
+            raise QuartzError(
+                f"{self.placement} placement never promotes; "
+                f"promote_threshold_accesses={threshold} would be ignored"
+            )
+        if self.order is not None:
+            if self.placement == "round-robin":
+                raise QuartzError(
+                    "round-robin placement rotates over every emulated "
+                    f"tier; order={self.order} would be ignored"
+                )
+            valid = range(1, len(self.tiers))
+            for index in self.order:
+                if index not in valid:
+                    raise QuartzError(
+                        f"placement order names tier {index}; emulated "
+                        f"tiers are {tuple(valid)}"
+                    )
+
+    def new_policy(self) -> PlacementPolicy:
+        """A fresh policy (policies carry per-run rotation state)."""
+        if self.placement == "round-robin":
+            return RoundRobinPlacement()
+        if self.placement == "hot-promote":
+            return HotPromotePlacement(self.promote_threshold_accesses, self.order)
+        return StaticPlacement(self.order)
 
 
 class TierAccountant:

@@ -14,17 +14,12 @@ sibling DRAM and differ only in their emulated latencies.
 
 from __future__ import annotations
 
-from typing import Sequence, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
 from repro.errors import QuartzError
 from repro.hw.machine import Machine
 from repro.hw.topology import MemoryRegion, PageSize
-from repro.quartz.tiers import (
-    MemoryTier,
-    PlacementPolicy,
-    TierDirectory,
-    validate_tier_list,
-)
+from repro.quartz.tiers import TierDirectory, TierLadder
 
 if TYPE_CHECKING:
     from repro.os.thread import SimThread
@@ -35,19 +30,14 @@ class TieredTopology:
 
     Every emulated tier lives on the sibling socket's DRAM, because that
     is the only memory whose LLC misses the local/remote counters can
-    separate.  A placement policy assigns each pmalloc'd region to one of
-    the emulated tiers, the :class:`~repro.quartz.tiers.TierDirectory`
-    remembers the assignment, and the epoch engine charges each tier's
-    share of the measured remote stalls at that tier's own read/write
-    latencies.
+    separate.  The ladder's placement policy assigns each pmalloc'd
+    region to one of the emulated tiers, the
+    :class:`~repro.quartz.tiers.TierDirectory` remembers the assignment,
+    and the epoch engine charges each tier's share of the measured
+    remote stalls at that tier's own read/write latencies.
     """
 
-    def __init__(
-        self,
-        machine: Machine,
-        tiers: Sequence[MemoryTier],
-        policy: PlacementPolicy,
-    ):
+    def __init__(self, machine: Machine, ladder: TierLadder):
         sockets = machine.arch.sockets
         if sockets < 2 or sockets % 2 != 0:
             raise QuartzError(
@@ -55,14 +45,13 @@ class TieredTopology:
                 f"(>= 2), got {sockets}"
             )
         machine.arch.require_local_remote_counters()
-        validate_tier_list(tiers)
         self.machine = machine
         #: (compute socket, virtual-NVM socket) pairs.
         self.sibling_sets = tuple(
             (socket, socket + 1) for socket in range(0, sockets, 2)
         )
-        self.tiers = tuple(tiers)
-        self.policy = policy
+        self.tiers = ladder.tiers
+        self.policy = ladder.new_policy()
         self.directory = TierDirectory(tiers=self.tiers)
         self.pmalloc_count = 0
 

@@ -28,7 +28,8 @@ from typing import Callable, Optional, Union
 from repro.errors import ValidationError
 from repro.hw.arch import IVY_BRIDGE
 from repro.quartz.calibration import calibrate_arch
-from repro.quartz.config import EmulationMode, QuartzConfig
+from repro.quartz.config import QuartzConfig
+from repro.quartz.tiers import TierLadder
 from repro.units import MILLISECOND
 from repro.validation.experiments.tiers import (
     DEFAULT_TIER_SETS,
@@ -155,6 +156,14 @@ def _scaled_tiers(factor: float, dram_local_ns: float) -> tuple:
     )
 
 
+def _pinned_ladder(factor: float, dram_local_ns: float) -> TierLadder:
+    """The scaled base ladder, the i-th pmalloc pinned to tier i."""
+    return TierLadder(
+        _scaled_tiers(factor, dram_local_ns),
+        order=tuple(range(1, len(_BASE_LADDER) + 1)),
+    )
+
+
 def _build_tier_grid(scale: str) -> list:
     from repro.workloads.multilat import MultiLatConfig
 
@@ -163,12 +172,8 @@ def _build_tier_grid(scale: str) -> list:
     elements = kwargs["elements"]
     specs = []
     for factor in kwargs["factors"]:
-        tiers = _scaled_tiers(factor, calibration.dram_local_ns)
         config = QuartzConfig(
-            mode=EmulationMode.MULTI_TIER,
-            tiers=tiers,
-            placement_policy="static",
-            placement_order=tuple(range(1, len(_BASE_LADDER) + 1)),
+            ladder=_pinned_ladder(factor, calibration.dram_local_ns),
             max_epoch_ns=1.0 * MILLISECOND,
         )
         workload = MultiLatConfig(
@@ -187,7 +192,7 @@ def _build_tier_grid(scale: str) -> list:
 
 
 def _tier_grid_row(spec: RunSpec, result: RunResult) -> dict:
-    tiers = spec.quartz.tiers
+    tiers = spec.quartz.ladder.tiers
     dram_local_ns = tiers[0].read_latency_ns
     read_targets = tuple(tier.read_latency_ns for tier in tiers[1:])
     error = result.workload_result.tiered_emulation_error(
@@ -231,25 +236,19 @@ def _build_migration_grid(scale: str) -> list:
         dram_elements=elements,
         tier_elements=(elements,) * len(_BASE_LADDER),
     )
-    # Threshold only means something to hot-promote; enumerating it for
-    # the static policies would just duplicate spec fingerprints.
+    # Only hot-promote reads a threshold (a TierLadder rejects one on
+    # the other policies), so the thresholds enumerate under it alone.
     cells = [("static", None), ("round-robin", None)]
     cells.extend(
         ("hot-promote", threshold) for threshold in kwargs["thresholds"]
     )
     specs = []
     for policy, threshold in cells:
-        policy_kwargs = (
-            {"promote_threshold_accesses": threshold}
-            if threshold is not None
-            else {}
-        )
         config = QuartzConfig(
-            mode=EmulationMode.MULTI_TIER,
-            tiers=tiers,
-            placement_policy=policy,
+            ladder=TierLadder(
+                tiers, policy, promote_threshold_accesses=threshold
+            ),
             max_epoch_ns=1.0 * MILLISECOND,
-            **policy_kwargs,
         )
         for seed_offset in range(kwargs["seeds"]):
             specs.append(
@@ -264,13 +263,11 @@ def _build_migration_grid(scale: str) -> list:
 
 def _migration_grid_row(spec: RunSpec, result: RunResult) -> dict:
     report = tier_report(result)
-    threshold = spec.quartz.promote_threshold_accesses
+    ladder = spec.quartz.ladder
     return {
         "arch": spec.arch_name,
-        "policy": spec.quartz.placement_policy,
-        "promote_threshold": (
-            threshold if spec.quartz.placement_policy == "hot-promote" else 0
-        ),
+        "policy": ladder.placement,
+        "promote_threshold": ladder.promote_threshold_accesses or 0,
         "seed": spec.seed,
         "completion_ms": result.workload_result.elapsed_ns / 1e6,
         "migrations": report["migrations"],
@@ -322,10 +319,7 @@ def _build_service_grid(scale: str) -> list:
     for factor in kwargs["factors"]:
         quartz_cells.append(
             QuartzConfig(
-                mode=EmulationMode.MULTI_TIER,
-                tiers=_scaled_tiers(factor, calibration.dram_local_ns),
-                placement_policy="static",
-                placement_order=tuple(range(1, len(_BASE_LADDER) + 1)),
+                ladder=_pinned_ladder(factor, calibration.dram_local_ns),
                 max_epoch_ns=1.0 * MILLISECOND,
             )
         )
@@ -352,10 +346,10 @@ def _build_service_grid(scale: str) -> list:
 
 def _service_grid_row(spec: RunSpec, result: RunResult) -> dict:
     quartz = spec.quartz
-    if quartz.mode is EmulationMode.MULTI_TIER:
+    if quartz.ladder is not None:
         cell = "tiered"
-        tiers = len(quartz.tiers)
-        read_ns = quartz.tiers[-1].read_latency_ns
+        tiers = len(quartz.ladder.tiers)
+        read_ns = quartz.ladder.tiers[-1].read_latency_ns
         bandwidth = 0.0
     else:
         cell = "throttled"

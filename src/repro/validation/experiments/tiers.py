@@ -21,8 +21,8 @@ from typing import Optional, Sequence
 
 from repro.hw.arch import IVY_BRIDGE, ArchSpec
 from repro.quartz.calibration import calibrate_arch
-from repro.quartz.config import EmulationMode, QuartzConfig
-from repro.quartz.tiers import MemoryTier
+from repro.quartz.config import QuartzConfig
+from repro.quartz.tiers import MemoryTier, TierLadder
 from repro.units import MILLISECOND
 from repro.validation.reporting import ExperimentResult
 from repro.validation.runner import RunResult, RunSpec, run_specs
@@ -77,10 +77,7 @@ def run_tier_sweep(
             tiers = _build_tiers(read_write_ns, calibration.dram_local_ns)
             tier_count = len(read_write_ns)
             config = QuartzConfig(
-                mode=EmulationMode.MULTI_TIER,
-                tiers=tiers,
-                placement_policy="static",
-                placement_order=tuple(range(1, tier_count + 1)),
+                ladder=TierLadder(tiers, order=tuple(range(1, tier_count + 1))),
                 max_epoch_ns=1.0 * MILLISECOND,
             )
             workload = MultiLatConfig(
@@ -139,13 +136,10 @@ def run_migration_policy(
             "migrations", "migrated_mib",
         ],
     )
-    policies: tuple[tuple[str, dict], ...] = (
-        ("static", {}),
-        ("round-robin", {}),
-        (
-            "hot-promote",
-            {"promote_threshold_accesses": promote_threshold_accesses},
-        ),
+    policies: tuple[tuple[str, Optional[int]], ...] = (
+        ("static", None),
+        ("round-robin", None),
+        ("hot-promote", promote_threshold_accesses),
     )
     keys, specs = [], []
     for arch in archs:
@@ -156,13 +150,12 @@ def run_migration_policy(
             dram_elements=elements_per_tier,
             tier_elements=(elements_per_tier,) * tier_count,
         )
-        for policy_name, policy_kwargs in policies:
+        for policy_name, threshold in policies:
             config = QuartzConfig(
-                mode=EmulationMode.MULTI_TIER,
-                tiers=tiers,
-                placement_policy=policy_name,
+                ladder=TierLadder(
+                    tiers, policy_name, promote_threshold_accesses=threshold
+                ),
                 max_epoch_ns=1.0 * MILLISECOND,
-                **policy_kwargs,
             )
             specs.append(
                 RunSpec(

@@ -16,8 +16,8 @@ from typing import Optional, Sequence
 
 from repro.hw.arch import HASWELL, IVY_BRIDGE, ArchSpec
 from repro.quartz.calibration import calibrate_arch
-from repro.quartz.config import EmulationMode, QuartzConfig
-from repro.quartz.tiers import MemoryTier
+from repro.quartz.config import QuartzConfig
+from repro.quartz.tiers import MemoryTier, TierLadder
 from repro.units import MILLISECOND
 from repro.validation.metrics import summarize
 from repro.validation.reporting import ExperimentResult
@@ -64,11 +64,10 @@ def run_figure14(
                 continue
             dram_ns = calibration.dram_local_ns
             config = QuartzConfig(
-                mode=EmulationMode.MULTI_TIER,
-                tiers=(
+                ladder=TierLadder((
                     MemoryTier("dram", dram_ns, dram_ns),
                     MemoryTier("nvm", target, target),
-                ),
+                )),
                 max_epoch_ns=1.0 * MILLISECOND,
             )
             keys.append((arch, target, dram_ns))

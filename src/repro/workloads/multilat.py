@@ -31,7 +31,7 @@ class MultiLatConfig:
     The default form is the paper's two-array benchmark.  Setting
     ``tier_elements`` switches to the N-tier generalization: one
     pmalloc'd array per emulated tier (allocation order matters — pin
-    placement with a static ``placement_order`` of ``(1, 2, ..., K)``
+    placement with a static ladder ``order`` of ``(1, 2, ..., K)``
     so array *i* lands in tier *i*), with the recursive pattern cycling
     DRAM then each tier in turn.  ``nvm_elements`` is ignored in that
     form; the closed form becomes

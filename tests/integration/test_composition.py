@@ -21,8 +21,8 @@ from repro.faults.plan import FaultPlan
 from repro.hw import IVY_BRIDGE
 from repro.pmem.crash import CrashPlan
 from repro.quartz.calibration import calibrate_arch
-from repro.quartz.config import EmulationMode, QuartzConfig, WriteModel
-from repro.quartz.tiers import MemoryTier, TierAccountant
+from repro.quartz.config import QuartzConfig, WriteModel
+from repro.quartz.tiers import MemoryTier, TierAccountant, TierLadder
 from repro.quartz.trace import JsonlTraceWriter
 from repro.service.cache import CacheConfig
 from repro.service.kvservice import ServiceConfig
@@ -70,11 +70,10 @@ def _quartz_config(multi_tier: bool) -> QuartzConfig:
         )
     dram_ns = calibrate_arch(IVY_BRIDGE).dram_local_ns
     return QuartzConfig(
-        mode=EmulationMode.MULTI_TIER,
-        tiers=(
+        ladder=TierLadder((
             MemoryTier("dram", dram_ns, dram_ns),
             MemoryTier("nvm", 400.0, 500.0),
-        ),
+        )),
         write_model=WriteModel.PCOMMIT,
     )
 

@@ -17,13 +17,12 @@ from repro.ops import (
 )
 from repro.os import Mutex, SimOS
 from repro.quartz import (
-    EmulationMode,
     Quartz,
     QuartzConfig,
     WriteModel,
     calibrate_arch,
 )
-from repro.quartz.tiers import MemoryTier
+from repro.quartz.tiers import MemoryTier, TierLadder
 from repro.sim import Simulator
 from repro.units import GIB, MIB, MILLISECOND
 
@@ -51,11 +50,10 @@ def test_everything_at_once():
         osys,
         QuartzConfig(
             nvm_bandwidth_gbps=10.0,
-            mode=EmulationMode.MULTI_TIER,
-            tiers=(
+            ladder=TierLadder((
                 MemoryTier("dram", 87.0, 87.0),
                 MemoryTier("nvm", 500.0, 900.0),
-            ),
+            )),
             write_model=WriteModel.PCOMMIT,
             max_epoch_ns=0.5 * MILLISECOND,
         ),
@@ -124,11 +122,10 @@ def test_use_after_pfree_detected_under_emulation():
     quartz = Quartz(
         osys,
         QuartzConfig(
-            mode=EmulationMode.MULTI_TIER,
-            tiers=(
+            ladder=TierLadder((
                 MemoryTier("dram", 87.0, 87.0),
                 MemoryTier("nvm", 300.0, 300.0),
-            ),
+            )),
         ),
         calibration=calibration(),
     )

@@ -7,9 +7,9 @@ from repro.hw import IVY_BRIDGE, Machine
 from repro.hw.memory import THROTTLE_REGISTER_MAX
 from repro.quartz.bandwidth import BandwidthThrottler
 from repro.quartz.calibration import calibrate_arch
-from repro.quartz.config import EmulationMode, QuartzConfig
+from repro.quartz.config import QuartzConfig
 from repro.quartz.kernel_module import QuartzKernelModule
-from repro.quartz.tiers import MemoryTier
+from repro.quartz.tiers import MemoryTier, TierLadder
 from repro.sim import Simulator
 
 
@@ -47,11 +47,10 @@ def test_two_memory_mode_throttles_only_the_nvm_node():
     machine, throttler = make_throttler(
         QuartzConfig(
             nvm_bandwidth_gbps=8.0,
-            mode=EmulationMode.MULTI_TIER,
-            tiers=(
+            ladder=TierLadder((
                 MemoryTier("dram", 87.0, 87.0),
                 MemoryTier("nvm", 250.0, 250.0),
-            ),
+            )),
         )
     )
     throttler.apply()

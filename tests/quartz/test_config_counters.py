@@ -7,7 +7,7 @@ import pytest
 from repro.errors import QuartzError
 from repro.hw import IVY_BRIDGE
 from repro.hw.pmc import PmcFile
-from repro.quartz.config import EmulationMode, QuartzConfig, WriteModel
+from repro.quartz.config import QuartzConfig, WriteModel
 from repro.quartz.counters import PAPI_BACKEND, RDPMC_BACKEND, backend_by_name
 from repro.sim import Simulator
 from repro.units import MILLISECOND
@@ -15,7 +15,7 @@ from repro.units import MILLISECOND
 
 def test_default_config_is_valid():
     config = QuartzConfig()
-    assert config.mode is EmulationMode.PM
+    assert config.ladder is None
     assert config.write_model is WriteModel.PFLUSH
     assert config.max_epoch_ns == 10 * MILLISECOND
 

@@ -17,13 +17,12 @@ from repro.ops import (
 )
 from repro.os import Mutex, SimOS
 from repro.quartz import (
-    EmulationMode,
     Quartz,
     QuartzConfig,
     WriteModel,
     calibrate_arch,
 )
-from repro.quartz.tiers import MemoryTier
+from repro.quartz.tiers import MemoryTier, TierLadder
 from repro.sim import Simulator
 from repro.units import GIB, MIB, MILLISECOND
 
@@ -113,11 +112,10 @@ def test_two_memory_mode_rejected_on_sandy_bridge():
     quartz = Quartz(
         osys,
         QuartzConfig(
-            mode=EmulationMode.MULTI_TIER,
-            tiers=(
+            ladder=TierLadder((
                 MemoryTier("dram", 87.0, 87.0),
                 MemoryTier("nvm", 400.0, 400.0),
-            ),
+            )),
         ),
         calibration=calibrate_arch(SANDY_BRIDGE),
     )
@@ -400,11 +398,10 @@ def test_two_memory_pmalloc_lands_on_sibling_socket():
     quartz = Quartz(
         osys,
         QuartzConfig(
-            mode=EmulationMode.MULTI_TIER,
-            tiers=(
+            ladder=TierLadder((
                 MemoryTier("dram", 87.0, 87.0),
                 MemoryTier("nvm", 400.0, 400.0),
-            ),
+            )),
         ),
         calibration=calibrate_arch(IVY_BRIDGE),
     )
@@ -431,11 +428,10 @@ def test_two_memory_slows_only_nvm_accesses():
     quartz = Quartz(
         osys,
         QuartzConfig(
-            mode=EmulationMode.MULTI_TIER,
-            tiers=(
+            ladder=TierLadder((
                 MemoryTier("dram", 87.0, 87.0),
                 MemoryTier("nvm", target, target),
-            ),
+            )),
             max_epoch_ns=MILLISECOND,
         ),
         calibration=calibrate_arch(IVY_BRIDGE),

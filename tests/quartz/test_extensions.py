@@ -6,7 +6,7 @@ from repro.errors import QuartzError, UnsupportedFeatureError
 from repro.hw import IVY_BRIDGE, Machine
 from repro.ops import JoinThread, MemBatch, PatternKind, SpawnThread
 from repro.os import SimOS
-from repro.quartz import EmulationMode, Quartz, QuartzConfig, calibrate_arch
+from repro.quartz import Quartz, QuartzConfig, calibrate_arch
 from repro.quartz.presets import (
     ALL_TECHNOLOGIES,
     MEMRISTOR,
@@ -45,7 +45,7 @@ def test_preset_to_quartz_config():
     assert config.nvm_read_latency_ns == 300.0
     assert config.nvm_write_latency_ns == 1000.0
     assert config.nvm_bandwidth_gbps == 5.0
-    assert config.mode is EmulationMode.PM
+    assert config.ladder is None
 
 
 def test_preset_config_accepts_overrides():

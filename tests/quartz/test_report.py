@@ -4,10 +4,10 @@ from repro.hw import IVY_BRIDGE, Machine
 from repro.hw.topology import PageSize
 from repro.ops import MemBatch, PatternKind
 from repro.os import SimOS
-from repro.quartz import EmulationMode, Quartz, QuartzConfig, calibrate_arch
+from repro.quartz import Quartz, QuartzConfig, calibrate_arch
 from repro.quartz.report import render_report
 from repro.quartz.stats import QuartzStats
-from repro.quartz.tiers import MemoryTier
+from repro.quartz.tiers import MemoryTier, TierLadder
 from repro.sim import Simulator
 from repro.units import GIB, MILLISECOND
 
@@ -56,11 +56,10 @@ def test_report_prints_the_tier_ladder_of_a_tiered_run():
     machine = Machine(sim, IVY_BRIDGE)
     osys = SimOS(machine)
     config = QuartzConfig(
-        mode=EmulationMode.MULTI_TIER,
-        tiers=(
+        ladder=TierLadder((
             MemoryTier("dram", 87.0, 87.0),
             MemoryTier("nvm", 600.0, 900.0),
-        ),
+        )),
         max_epoch_ns=0.2 * MILLISECOND,
     )
     quartz = Quartz(osys, config, calibration=calibrate_arch(IVY_BRIDGE))

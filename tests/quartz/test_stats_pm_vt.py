@@ -9,7 +9,7 @@ from repro.quartz.calibration import calibrate_arch
 from repro.quartz.config import QuartzConfig, WriteModel
 from repro.quartz.pm import PmWriteEmulator
 from repro.quartz.stats import QuartzStats, ThreadQuartzStats
-from repro.quartz.tiers import MemoryTier, StaticPlacement
+from repro.quartz.tiers import MemoryTier, TierLadder
 from repro.quartz.virtual_topology import TieredTopology
 from repro.sim import Simulator
 from repro.units import MIB
@@ -120,8 +120,7 @@ def test_extra_write_delay_never_negative():
 def two_tier_topology(machine):
     return TieredTopology(
         machine,
-        (MemoryTier("dram", 87.0, 87.0), MemoryTier("nvm", 400.0, 400.0)),
-        StaticPlacement(),
+        TierLadder((MemoryTier("dram", 87.0, 87.0), MemoryTier("nvm", 400.0, 400.0))),
     )
 
 

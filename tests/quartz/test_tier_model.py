@@ -11,7 +11,7 @@ from repro.hw import IVY_BRIDGE, Machine
 from repro.hw.topology import PageSize
 from repro.ops import MemBatch, PatternKind
 from repro.os import SimOS
-from repro.quartz import EmulationMode, Quartz, QuartzConfig, calibrate_arch
+from repro.quartz import Quartz, QuartzConfig, calibrate_arch
 from repro.quartz.model import (
     eq1_simple_delay,
     eq2_delay_from_stalls,
@@ -26,8 +26,7 @@ from repro.quartz.tiers import (
     RoundRobinPlacement,
     StaticPlacement,
     TierDirectory,
-    build_policy,
-    validate_tier_list,
+    TierLadder,
 )
 from repro.sim import Simulator
 from repro.units import GIB, MIB, MILLISECOND
@@ -215,10 +214,10 @@ def test_memory_tier_validation():
 
 def test_tier_list_validation():
     with pytest.raises(QuartzError, match="at least 2"):
-        validate_tier_list(_tiers()[:1])
+        TierLadder(_tiers()[:1])
     duplicate = (_tiers()[0], _tiers()[0])
     with pytest.raises(QuartzError, match="unique"):
-        validate_tier_list(duplicate)
+        TierLadder(duplicate)
 
 
 def test_directory_tracks_occupancy_and_migrations():
@@ -292,36 +291,77 @@ def test_hot_promote_promotes_after_threshold():
 
 
 def test_build_policy_validates():
-    assert build_policy("static").name == "static"
-    assert build_policy("round-robin").name == "round-robin"
-    assert build_policy("hot-promote", promote_threshold_accesses=5).name == (
-        "hot-promote"
+    assert TierLadder(_tiers()).new_policy().name == "static"
+    assert TierLadder(_tiers(), "round-robin").new_policy().name == (
+        "round-robin"
     )
+    hot = TierLadder(_tiers(), "hot-promote", promote_threshold_accesses=5)
+    assert hot.new_policy().name == "hot-promote"
+    assert hot.new_policy() is not hot.new_policy()  # fresh rotation state
     with pytest.raises(QuartzError, match="promote_threshold"):
-        build_policy("hot-promote")
+        TierLadder(_tiers(), "hot-promote")
     with pytest.raises(QuartzError, match="unknown placement"):
-        build_policy("lru")
+        TierLadder(_tiers(), "lru")
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"tiers": _tiers()[:1]}, "at least 2 tiers"),
+        ({"tiers": (_tiers()[0], _tiers()[0])}, "unique"),
+        ({"placement": "bogus"}, "unknown placement policy"),
+        ({"placement": "hot-promote"}, "positive promote_threshold"),
+        (
+            {"placement": "hot-promote", "promote_threshold_accesses": 0},
+            "positive promote_threshold",
+        ),
+        (
+            {"placement": "hot-promote", "promote_threshold_accesses": -3},
+            "positive promote_threshold",
+        ),
+        ({"promote_threshold_accesses": 10}, "static placement never promotes"),
+        (
+            {"placement": "round-robin", "promote_threshold_accesses": 10},
+            "round-robin placement never promotes",
+        ),
+        ({"placement": "round-robin", "order": (1,)}, "rotates over every"),
+        ({"order": (7,)}, "placement order names tier 7"),
+        ({"order": (1, 0)}, "placement order names tier 0"),
+        (
+            {"placement": "hot-promote", "promote_threshold_accesses": 5,
+             "order": (3,)},
+            "placement order names tier 3",
+        ),
+    ],
+)
+def test_tier_ladder_rejects(kwargs, message):
+    """Every ladder rule, each checked once when the ladder is built."""
+    kwargs = {"tiers": _tiers(), **kwargs}
+    with pytest.raises(QuartzError, match=message):
+        TierLadder(**kwargs)
+
+
+def test_config_validates_placement_order_indices():
+    with pytest.raises(QuartzError, match="placement order"):
+        TierLadder(_tiers(3), order=(3,))
 
 
 # ----------------------------------------------------------------------
 # Config validation
 # ----------------------------------------------------------------------
-def test_config_rejects_tiers_outside_multi_tier_mode():
-    with pytest.raises(QuartzError, match="multi-tier"):
-        QuartzConfig(tiers=_tiers())
-
-
-def test_config_requires_tiers_in_multi_tier_mode():
-    with pytest.raises(QuartzError, match="tier list"):
-        QuartzConfig(mode=EmulationMode.MULTI_TIER)
-
-
-def test_config_validates_placement_order_indices():
-    with pytest.raises(QuartzError, match="placement order"):
+def test_config_rejects_nvm_read_latency_with_a_ladder():
+    """A ladder's tiers carry the read latencies; a PM read target next to
+    one would be dropped without a word, so the config refuses it."""
+    with pytest.raises(QuartzError, match="nvm_read_latency_ns"):
         QuartzConfig(
-            mode=EmulationMode.MULTI_TIER, tiers=_tiers(3),
-            placement_order=(3,),
+            nvm_read_latency_ns=5000.0,
+            ladder=TierLadder((
+                MemoryTier("dram", 87.0, 87.0),
+                MemoryTier("nvm", 400.0, 400.0),
+            )),
         )
+    # The field's default is what a ladder config carries.
+    QuartzConfig(ladder=TierLadder(_tiers()))
 
 
 # ----------------------------------------------------------------------
@@ -367,11 +407,10 @@ def test_two_tier_multi_tier_equals_two_memory_exactly():
     golden digest."""
     elapsed, _ = _run_mixed_chase(
         QuartzConfig(
-            mode=EmulationMode.MULTI_TIER,
-            tiers=(
+            ladder=TierLadder((
                 MemoryTier("dram", 87.0, 87.0),
                 MemoryTier("nvm", 600.0, 600.0),
-            ),
+            )),
             max_epoch_ns=MILLISECOND,
         )
     )
@@ -381,14 +420,14 @@ def test_two_tier_multi_tier_equals_two_memory_exactly():
 def test_three_tier_latencies_hit_targets():
     machine, osys = _make_stack()
     config = QuartzConfig(
-        mode=EmulationMode.MULTI_TIER,
-        tiers=(
-            MemoryTier("dram", 87.0, 87.0),
-            MemoryTier("fast", 300.0, 400.0),
-            MemoryTier("slow", 600.0, 900.0),
+        ladder=TierLadder(
+            (
+                MemoryTier("dram", 87.0, 87.0),
+                MemoryTier("fast", 300.0, 400.0),
+                MemoryTier("slow", 600.0, 900.0),
+            ),
+            order=(1, 2),
         ),
-        placement_policy="static",
-        placement_order=(1, 2),
         max_epoch_ns=MILLISECOND,
     )
     quartz = Quartz(osys, config, calibration=calibrate_arch(IVY_BRIDGE))
@@ -416,11 +455,10 @@ def test_three_tier_latencies_hit_targets():
 def test_multi_tier_rejects_target_below_backing():
     machine, osys = _make_stack()
     config = QuartzConfig(
-        mode=EmulationMode.MULTI_TIER,
-        tiers=(
+        ladder=TierLadder((
             MemoryTier("dram", 87.0, 87.0),
             MemoryTier("toofast", 100.0, 500.0),
-        ),
+        )),
     )
     quartz = Quartz(osys, config, calibration=calibrate_arch(IVY_BRIDGE))
     with pytest.raises(QuartzError, match="toofast.*read"):
@@ -430,14 +468,14 @@ def test_multi_tier_rejects_target_below_backing():
 def test_per_tier_write_latency_prices_pflush():
     machine, osys = _make_stack()
     config = QuartzConfig(
-        mode=EmulationMode.MULTI_TIER,
-        tiers=(
-            MemoryTier("dram", 87.0, 87.0),
-            MemoryTier("fast", 300.0, 500.0),
-            MemoryTier("slow", 600.0, 1500.0),
+        ladder=TierLadder(
+            (
+                MemoryTier("dram", 87.0, 87.0),
+                MemoryTier("fast", 300.0, 500.0),
+                MemoryTier("slow", 600.0, 1500.0),
+            ),
+            order=(1, 2),
         ),
-        placement_policy="static",
-        placement_order=(1, 2),
     )
     quartz = Quartz(osys, config, calibration=calibrate_arch(IVY_BRIDGE))
     quartz.attach()
@@ -467,13 +505,14 @@ def test_tier_delay_conservation_invariant_holds():
 
     machine, osys = _make_stack()
     config = QuartzConfig(
-        mode=EmulationMode.MULTI_TIER,
-        tiers=(
-            MemoryTier("dram", 87.0, 87.0),
-            MemoryTier("fast", 300.0, 400.0),
-            MemoryTier("slow", 600.0, 900.0),
+        ladder=TierLadder(
+            (
+                MemoryTier("dram", 87.0, 87.0),
+                MemoryTier("fast", 300.0, 400.0),
+                MemoryTier("slow", 600.0, 900.0),
+            ),
+            placement="round-robin",
         ),
-        placement_policy="round-robin",
         max_epoch_ns=MILLISECOND,
     )
     monitor = InvariantMonitor()
@@ -497,12 +536,11 @@ def test_tier_delay_conservation_invariant_holds():
 def test_tiered_bandwidth_programs_tightest_register():
     machine, osys = _make_stack()
     config = QuartzConfig(
-        mode=EmulationMode.MULTI_TIER,
-        tiers=(
+        ladder=TierLadder((
             MemoryTier("dram", 87.0, 87.0),
             MemoryTier("fast", 300.0, 400.0, bandwidth_gbps=20.0),
             MemoryTier("slow", 600.0, 900.0, bandwidth_gbps=5.0),
-        ),
+        )),
     )
     quartz = Quartz(osys, config, calibration=calibrate_arch(IVY_BRIDGE))
     quartz.attach()
