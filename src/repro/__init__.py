@@ -19,24 +19,25 @@ The package layers, bottom to top:
 
 Quickstart::
 
-    from repro import (IVY_BRIDGE, Machine, MemBatch, PatternKind,
-                       Quartz, QuartzConfig, SimOS, Simulator,
-                       calibrate_arch)
-
-    sim = Simulator(seed=1)
-    machine = Machine(sim, IVY_BRIDGE)
-    os = SimOS(machine)
-    quartz = Quartz(os, QuartzConfig(nvm_read_latency_ns=400.0),
-                    calibration=calibrate_arch(IVY_BRIDGE))
-    quartz.attach()
+    from repro import (IVY_BRIDGE, MemBatch, PatternKind, Quartz,
+                       QuartzConfig, Testbed, calibrate_arch)
 
     def app(ctx):
         region = ctx.pmalloc(1 << 32)
         yield MemBatch(region, 100_000, PatternKind.CHASE)
 
-    os.create_thread(app)
-    os.run_to_completion()
-    print(sim.now, "ns of emulated NVM time")
+    with Testbed(IVY_BRIDGE, seed=1) as testbed:
+        quartz = Quartz(testbed.os, QuartzConfig(nvm_read_latency_ns=400.0),
+                        calibration=calibrate_arch(IVY_BRIDGE))
+        quartz.attach()
+        testbed.os.create_thread(app)
+        testbed.os.run_to_completion()
+        print(testbed.sim.now, "ns of emulated NVM time")
+
+A :class:`Testbed` builds Simulator → Machine → SimOS for one run; leaving
+the ``with`` block closes it, which breaks the run's reference cycles so
+reference counting frees the whole run at once.  Read what you need
+(the clock, stats, results) before it closes.
 """
 
 from repro.errors import (
@@ -79,7 +80,15 @@ from repro.ops import (
     SpawnThread,
     Spin,
 )
-from repro.os import Barrier, CondVar, Mutex, SimOS, SimThread, ThreadContext
+from repro.os import (
+    Barrier,
+    CondVar,
+    Mutex,
+    SimOS,
+    SimThread,
+    Testbed,
+    ThreadContext,
+)
 from repro.quartz import (
     CalibrationData,
     MemoryTier,
@@ -136,6 +145,7 @@ __all__ = [
     "Sleep",
     "SpawnThread",
     "Spin",
+    "Testbed",
     "ThreadContext",
     "TierLadder",
     "UnsupportedFeatureError",

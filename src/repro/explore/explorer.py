@@ -52,12 +52,10 @@ from repro.explore.scheduler import (
     independent,
 )
 from repro.hw.arch import ArchSpec
-from repro.hw.machine import Machine
-from repro.os.system import SimOS
+from repro.os.testbed import Testbed
 from repro.pmem.checker import MAX_RECORDED_VIOLATIONS
 from repro.pmem.crash import CrashInjector, CrashPlan
 from repro.pmem.domain import PersistenceDomain
-from repro.sim import Simulator
 
 #: The crash plan explore mode defaults to: exhaustive coverage of every
 #: durability transition (no Quartz engine is attached, so epoch closes
@@ -214,9 +212,14 @@ class Explorer:
             raise _ExecutionBudget()
         self.executions += 1
         workload = build_explorable(self.workload_id, self.config, self.mutant)
-        sim = Simulator(seed=self.plan.seed)
-        machine = Machine(sim, self.arch, latency_jitter=False)
-        os = SimOS(machine, default_cpu_node=0)
+        with Testbed(self.arch, self.plan.seed) as testbed:
+            return self._drive(workload, testbed, choices, strict)
+
+    def _drive(
+        self, workload, testbed: Testbed, choices: list, strict: bool
+    ) -> ExecutionRecord:
+        """The body of :meth:`_execute` on its freshly built testbed."""
+        sim, os = testbed.sim, testbed.os
         domain = PersistenceDomain()
         domain.install(sim.hooks)
         injector = CrashInjector(

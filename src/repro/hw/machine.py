@@ -1,14 +1,16 @@
 """Assembly of a full simulated testbed machine.
 
 A :class:`Machine` wires together the pieces of one of the paper's
-dual-socket servers (Figure 9): per-socket cores with PMC files, one
-memory controller + DRAM node per socket, a shared DVFS governor, and
-per-socket analytic cache models.  NUMA node *i* is the DRAM directly
-attached to socket *i*; accesses from socket *s* to node *n != s* pay the
-remote latency of Table 2.
+dual-socket servers (Figure 9): per-socket cores with PMC files (each
+built on first use), one memory controller + DRAM node per socket, a
+shared DVFS governor, and per-socket analytic cache models.  NUMA node
+*i* is the DRAM directly attached to socket *i*; accesses from socket
+*s* to node *n != s* pay the remote latency of Table 2.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 from repro.errors import HardwareError
 from repro.hw.arch import ArchSpec
@@ -81,11 +83,25 @@ class Machine:
         self.dvfs.disable()  # the paper's required configuration
         self._cache_models = [AnalyticCacheModel(arch) for _ in range(arch.sockets)]
         # One Core/PmcFile per *logical* CPU (hyperthread); the paper's
-        # testbeds are all two-way hyper-threaded (Section 4.1).  A core
-        # keeps its socket's cache model, so the models come first.
+        # testbeds are all two-way hyper-threaded (Section 4.1).  Each is
+        # built on first use: a run touches only the cores its threads are
+        # pinned to, often 2 or 3 of 40.
         total_logical = arch.sockets * arch.cores_per_socket * arch.smt
-        self.pmcs = [PmcFile(sim, arch, core_id) for core_id in range(total_logical)]
-        self.cores = [Core(self, core_id) for core_id in range(total_logical)]
+        self._cores: list[Optional[Core]] = [None] * total_logical
+        self._pmcs: list[Optional[PmcFile]] = [None] * total_logical
+        #: Events a PMC file built after :meth:`program_counters` starts with.
+        self._counter_events: tuple[str, ...] = ()
+
+    def close(self) -> None:
+        """End the run: drop the cores' references back to the machine and
+        the flows still in service, which would otherwise keep the
+        finished run alive as a cycle.  Core stats and PMC counts stay
+        readable."""
+        for controller in self.controllers:
+            controller.close()
+        for core in self._cores:
+            if core is not None:
+                core.machine = None
 
     # ------------------------------------------------------------------
     # Component lookup
@@ -95,9 +111,23 @@ class Machine:
         """Hardware thread contexts per socket (cores x SMT)."""
         return self.arch.cores_per_socket * self.arch.smt
 
+    @property
+    def cores(self) -> list[Core]:
+        """Every logical core in id order (builds those not yet used)."""
+        return [self.core(core_id) for core_id in range(len(self._cores))]
+
+    @property
+    def pmcs(self) -> list[PmcFile]:
+        """Every core's PMC file in id order (builds those not yet used)."""
+        return [self.pmc(core_id) for core_id in range(len(self._pmcs))]
+
     def core(self, core_id: int) -> Core:
         """Logical core by global id."""
-        return self.cores[core_id]
+        core = self._cores[core_id]
+        if core is None:
+            core_id = range(len(self._cores))[core_id]  # a negative id counts from the end
+            core = self._cores[core_id] = Core(self, core_id)
+        return core
 
     def physical_core_of(self, core_id: int) -> int:
         """Physical core index behind a logical core id."""
@@ -106,7 +136,25 @@ class Machine:
 
     def pmc(self, core_id: int) -> PmcFile:
         """PMC file of one core."""
-        return self.pmcs[core_id]
+        pmc = self._pmcs[core_id]
+        if pmc is None:
+            core_id = range(len(self._pmcs))[core_id]
+            pmc = self._pmcs[core_id] = PmcFile(self.sim, self.arch, core_id)
+            if self._counter_events:
+                pmc.program(self._counter_events, privileged=True)
+        return pmc
+
+    def program_counters(self, events: tuple[str, ...], *, privileged: bool) -> None:
+        """Select *events* on every core's PMC file, built now or later.
+
+        Core 0's file is programmed first, so an unprivileged caller or an
+        event the family lacks raises before any file changes.
+        """
+        self.pmc(0).program(events, privileged=privileged)
+        for pmc in self._pmcs[1:]:
+            if pmc is not None:
+                pmc.program(events, privileged=privileged)
+        self._counter_events = tuple(events)
 
     def controller(self, node: int) -> MemoryController:
         """Memory controller of one NUMA node."""
@@ -119,7 +167,7 @@ class Machine:
     def cores_of_socket(self, socket: int) -> list[Core]:
         """All logical cores on one socket."""
         per = self.logical_cores_per_socket
-        return self.cores[socket * per : (socket + 1) * per]
+        return [self.core(core_id) for core_id in range(socket * per, (socket + 1) * per)]
 
     # ------------------------------------------------------------------
     # Memory

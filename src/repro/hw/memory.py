@@ -43,8 +43,9 @@ class MemoryFlow:
     """A byte stream being serviced by a controller.
 
     ``rate_cap`` (bytes/ns) bounds how fast the issuer can consume data;
-    the controller may assign any rate up to the cap.  ``done`` fires when
-    all bytes have been transferred.
+    the controller may assign any rate up to the cap.  ``done`` fires (with
+    no value, so the condition does not refer back to the flow) when all
+    bytes have been transferred.
     """
 
     def __init__(self, sim: Simulator, total_bytes: float, rate_cap: float,
@@ -70,7 +71,8 @@ class MemoryFlow:
         self._last_update_ns = sim.now
         self._completion_event: Optional["ScheduledEvent"] = None
         #: The controller's completion callback for this flow, bound once
-        #: when it is admitted and reused by every reschedule.
+        #: when it is admitted, reused by every reschedule and dropped
+        #: when the flow completes or is withdrawn.
         self._on_complete: Optional[Callable[[], None]] = None
         self.withdrawn = False
 
@@ -227,7 +229,7 @@ class MemoryController:
         """Start servicing a new flow; returns immediately."""
         flow = MemoryFlow(self.sim, total_bytes, rate_cap, label=label, kind=kind)
         if flow.remaining_bytes <= 0.0:
-            flow.done.fire(flow)
+            flow.done.fire()
             return flow
         flow._on_complete = partial(self._complete, flow)
         self._flows.append(flow)
@@ -277,10 +279,20 @@ class MemoryController:
             flow._last_update_ns = now
 
     def _detach(self, flow: MemoryFlow) -> None:
+        """Stop servicing *flow* and drop its completion callback and
+        event, which refer back to it, so a finished flow is freed by
+        reference counting."""
         if flow._completion_event is not None:
             flow._completion_event.cancel()
             flow._completion_event = None
+        flow._on_complete = None
         self._flows.remove(flow)
+
+    def close(self) -> None:
+        """Drop the flows still in service when the run ends."""
+        for flow in self._flows:
+            flow._completion_event = flow._on_complete = None
+        self._flows.clear()
 
     @staticmethod
     def _water_fill(
@@ -348,6 +360,6 @@ class MemoryController:
         self.total_bytes_served += flow.remaining_bytes
         flow.transferred = flow.total_bytes
         self._detach(flow)
-        flow.done.fire(flow)
+        flow.done.fire()
         if self._flows:
             self._reallocate()

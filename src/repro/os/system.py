@@ -375,6 +375,22 @@ class SimOS:
     # ------------------------------------------------------------------
     # Running
     # ------------------------------------------------------------------
+    def close(self) -> None:
+        """End the run: drop interposers and signal handlers, finalize the
+        threads it left suspended and let go of every thread.
+
+        Threads, their contexts and bodies (often bound to an object that
+        keeps the thread, like the Quartz monitor) and the bound
+        interposers and handlers all refer back to this OS; dropping them
+        lets reference counting free the run once nothing outside holds it.
+        """
+        self.interpose.unregister_all()
+        self.signal_handlers.clear()
+        threads, self.threads = self.threads, []
+        for thread in threads:
+            thread.process.close()
+            thread.context = thread.body = None
+
     def run_to_completion(self, max_events: int = 200_000_000) -> None:
         """Run the simulation until every non-daemon thread finished.
 

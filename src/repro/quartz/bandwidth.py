@@ -87,10 +87,10 @@ class BandwidthThrottler:
         self.applied_register = None
 
     def _tightest_tier_bandwidth(self) -> Optional[float]:
-        """Lowest per-tier bandwidth target; fills ``tier_registers``."""
+        """Lowest emulated-tier bandwidth target; fills ``tier_registers``."""
         tightest: Optional[float] = None
         self.tier_registers = {}
-        for tier in self.config.ladder.tiers:
+        for tier in self.config.ladder.tiers[1:]:
             if tier.bandwidth_gbps is None:
                 continue
             if tier.bandwidth_gbps > self.calibration.peak_bandwidth:

@@ -37,12 +37,11 @@ from typing import Optional
 
 from repro.errors import CalibrationError
 from repro.hw.arch import ArchSpec
-from repro.hw.machine import Machine
 from repro.hw.memory import THROTTLE_REGISTER_MAX
 from repro.hw.topology import PageSize
 from repro.ops import MemBatch, PatternKind
 from repro.os.system import SimOS
-from repro.sim import Simulator
+from repro.os.testbed import Testbed
 from repro.units import GIB, MIB
 
 
@@ -111,9 +110,6 @@ def _measure_chase_latency(
     arch: ArchSpec, node: int, footprint_bytes: int, accesses: int, seed: int
 ) -> float:
     """Pointer-chase latency measurement (the MemLat idea, Section 4.4)."""
-    sim = Simulator(seed=seed)
-    machine = Machine(sim, arch, latency_jitter=True)
-    os = SimOS(machine)
     durations: dict[str, float] = {}
 
     def body(ctx):
@@ -124,8 +120,9 @@ def _measure_chase_latency(
         yield MemBatch(region, accesses, PatternKind.CHASE)
         durations["elapsed"] = ctx.now_ns - start
 
-    os.create_thread(body, cpu_node=0, mem_node=node)
-    os.run_to_completion()
+    with Testbed(arch, seed, latency_jitter=True) as testbed:
+        testbed.os.create_thread(body, cpu_node=0, mem_node=node)
+        testbed.os.run_to_completion()
     return durations["elapsed"] / accesses
 
 
@@ -135,10 +132,6 @@ def _measure_bandwidth(arch: ArchSpec, register: int, seed: int) -> float:
     Forks several threads, each streaming through part of a region with
     non-temporal stores — the paper's SSE-streaming helper (Section 3.1).
     """
-    sim = Simulator(seed=seed)
-    machine = Machine(sim, arch)
-    machine.controller(0).program_throttle_register(register, privileged=True)
-    os = SimOS(machine)
     stream_threads = 4
     bytes_per_thread = 64 * MIB
     lines = bytes_per_thread // 64
@@ -154,7 +147,11 @@ def _measure_bandwidth(arch: ArchSpec, register: int, seed: int) -> float:
             non_temporal=True,
         )
 
-    elapsed = _run_threads(os, [body] * stream_threads)
+    with Testbed(arch, seed) as testbed:
+        testbed.machine.controller(0).program_throttle_register(
+            register, privileged=True
+        )
+        elapsed = _run_threads(testbed.os, [body] * stream_threads)
     if elapsed <= 0:
         raise CalibrationError("streaming measurement produced zero duration")
     return stream_threads * bytes_per_thread / elapsed

@@ -61,8 +61,7 @@ class QuartzKernelModule:
         """Program the Table 1 events on every core and enable rdpmc."""
         self._require_loaded()
         events = self.machine.arch.counter_events.all_events()
-        for pmc in self.machine.pmcs:
-            pmc.program(events, privileged=True)
+        self.machine.program_counters(events, privileged=True)
         self._user_rdpmc_enabled = True
 
     @property

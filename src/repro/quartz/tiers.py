@@ -60,7 +60,8 @@ class MemoryTier:
     emulated memories whose targets must be reachable by slowing the
     backing DRAM down.  ``bandwidth_gbps`` programs the tier's throttle
     register (None = unthrottled); ``capacity_bytes`` bounds placement
-    (None = unbounded).
+    (None = unbounded).  Neither applies to tier 0, and
+    :class:`TierLadder` rejects them there.
     """
 
     name: str
@@ -318,6 +319,16 @@ class TierLadder:
         names = [tier.name for tier in self.tiers]
         if len(set(names)) != len(names):
             raise QuartzError(f"tier names must be unique: {names}")
+        local = self.tiers[0]
+        for name, value in (
+            ("bandwidth_gbps", local.bandwidth_gbps),
+            ("capacity_bytes", local.capacity_bytes),
+        ):
+            if value is not None:
+                raise QuartzError(
+                    f"tier 0 ({local.name!r}) is the local DRAM, which Quartz "
+                    f"neither throttles nor fills; {name}={value} would be ignored"
+                )
         if self.placement not in PLACEMENT_POLICIES:
             raise QuartzError(
                 f"unknown placement policy: {self.placement!r} "

@@ -69,8 +69,7 @@ class Hooks:
     __slots__ = EVENTS
 
     def __init__(self):
-        for name in EVENTS:
-            setattr(self, name, ())
+        self.clear()
 
     def subscribe(self, name: str, fn: Callable) -> None:
         """Append *fn* to the subscribers of event *name*."""
@@ -90,6 +89,11 @@ class Hooks:
                 )
                 return
         raise SimulationError(f"{fn!r} is not subscribed to {name!r}")
+
+    def clear(self) -> None:
+        """Drop every subscriber of every event (the run is over)."""
+        for name in EVENTS:
+            setattr(self, name, ())
 
     def _subscribers(self, name: str) -> tuple:
         if name not in EVENTS:

@@ -312,6 +312,21 @@ class Simulator:
         :meth:`run` exits, like :attr:`pending_event_count`)."""
         return self._events_dispatched
 
+    def close(self) -> None:
+        """End the run: drop every queued event, the event pool and every
+        hook subscriber.
+
+        Queued and pooled events point back at the simulator, and
+        subscribers are bound to objects that hold it, so these are the
+        references that would keep a finished run alive as a cycle.  The
+        clock, the counters and the random streams stay readable.
+        """
+        self._heap.clear()
+        self._free.clear()
+        self._pending = 0
+        self._cancelled_in_heap = 0
+        self.hooks.clear()
+
     def spawn(self, generator: Iterator, name: str = "process"):
         """Create and start a :class:`~repro.sim.process.Process`.
 

@@ -218,6 +218,15 @@ class Process:
         self._schedule_resume(exc=Interrupt(payload))
         return True
 
+    def close(self) -> None:
+        """Finalize a process its run left suspended (a daemon, or a thread
+        of a deadlocked run): close the generator, which runs its
+        ``finally`` blocks, and drop the pending wait and the resume
+        callback, the references that point back at the process."""
+        if not self.done:
+            self._generator.close()
+        self._pending_event = self._waiting_on = self._resume = None
+
     @property
     def interruptible(self) -> bool:
         """True if the process is suspended and can receive an interrupt."""

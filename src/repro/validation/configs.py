@@ -1,11 +1,12 @@
 """The validation testbed configurations of Section 4.3 (Figure 10).
 
-Every run is built by one function, :func:`run_testbed`: Simulator →
-Machine → SimOS → fault engine and invariant monitor → optional Quartz
-(calibrate, perturb, attach, epoch trace) → a *drive* that runs the
-workload and returns the outcome.  The testbeds differ only in where
-memory lives and whether the emulator is attached; the paper's named
-configurations are one call each:
+Every run is built by one function, :func:`run_testbed`: a
+:class:`~repro.os.testbed.Testbed` (Simulator → Machine → SimOS) → fault
+engine and invariant monitor → optional Quartz (calibrate, perturb,
+attach, epoch trace) → a *drive* that runs the workload and returns the
+outcome.  The testbeds differ only in where memory lives and whether
+the emulator is attached; the paper's named configurations are one call
+each:
 
 * :func:`run_conf1` — computation and memory on socket 0, Quartz attached
   and emulating a higher latency (Figure 10a);
@@ -20,6 +21,13 @@ body to completion, and returns the workload result plus emulator
 statistics.  Each attachment that reports (``faults``, ``invariants``,
 ``crash``, ``service``; ``explore`` from :func:`run_explore`) adds its
 report to :attr:`RunOutcome.reports` under its name.
+
+The testbed lives for one run.  Once the drive has returned and the
+outcome has taken the event count, the Quartz stats and the reports,
+:func:`run_testbed` closes the testbed (on error too), which breaks
+the run's reference cycles, so the whole run is freed by reference
+counting as soon as the call returns.  The outcome holds no reference
+into it.
 """
 
 from __future__ import annotations
@@ -31,13 +39,12 @@ from repro.faults.engine import FaultEngine
 from repro.faults.invariants import InvariantMonitor
 from repro.faults.plan import FaultPlan
 from repro.hw.arch import ArchSpec
-from repro.hw.machine import Machine
 from repro.os.system import SimOS
+from repro.os.testbed import Testbed
 from repro.quartz.calibration import CalibrationData, calibrate_arch
 from repro.quartz.config import QuartzConfig
 from repro.quartz.emulator import Quartz
 from repro.quartz.stats import QuartzStats
-from repro.sim import Simulator
 
 if TYPE_CHECKING:
     from repro.explore import ExplorePlan
@@ -52,7 +59,9 @@ class RunOutcome:
     workload_result: Any
     elapsed_ns: float
     quartz_stats: Optional[QuartzStats] = None
-    machine: Optional[Machine] = None
+    #: Events the run's simulator dispatched (0 for an exploration, which
+    #: runs many private simulators).
+    events: int = 0
     #: Attachment name -> its JSON-safe report: ``faults``
     #: (:meth:`FaultEngine.report`), ``invariants``
     #: (:meth:`InvariantMonitor.report`), ``crash``
@@ -92,9 +101,7 @@ def drive_body(
         os.create_thread(body_factory(out), name=name)
         os.run_to_completion()
         outcome = RunOutcome(
-            workload_result=out.get("result"),
-            elapsed_ns=os.sim.now - start,
-            machine=os.machine,
+            workload_result=out.get("result"), elapsed_ns=os.sim.now - start
         )
         if report is not None and outcome.workload_result is not None:
             outcome.reports[report] = outcome.workload_result.report()
@@ -138,7 +145,6 @@ def drive_crash_check(
         return RunOutcome(
             workload_result=result,
             elapsed_ns=elapsed,
-            machine=os.machine,
             reports={"crash": report.to_dict()},
         )
 
@@ -166,9 +172,9 @@ def run_testbed(
     ``latency_jitter`` draws per-access DRAM latencies from the measured
     range; ``throttle_register`` programs the node-0 controller before
     the workload starts (Figure 8); ``dvfs`` lets core frequencies wander
-    and ``machine_options`` go to :class:`Machine`.  ``quartz_config``
-    attaches Quartz with ``calibration`` (measured on first use when
-    omitted), and ``trace_sink`` (a
+    and ``machine_options`` go to :class:`~repro.hw.machine.Machine`.
+    ``quartz_config`` attaches Quartz with ``calibration`` (measured on
+    first use when omitted), and ``trace_sink`` (a
     :class:`~repro.quartz.trace.JsonlTraceWriter`) streams every closed
     epoch to a JSONL file as the run executes — free in simulated time,
     so tracing never changes results.
@@ -177,46 +183,57 @@ def run_testbed(
     ``check_invariants`` attaches an :class:`InvariantMonitor` that
     raises :class:`~repro.errors.InvariantViolation` at the first broken
     runtime invariant.  Both file their reports on the outcome.
-    """
-    sim = Simulator(seed=seed)
-    machine = Machine(sim, arch, latency_jitter=latency_jitter, **machine_options)
-    if dvfs:
-        machine.dvfs.enable()
-    if throttle_register is not None:
-        machine.controller(0).program_throttle_register(
-            throttle_register, privileged=True
-        )
-    os = SimOS(machine, default_cpu_node=0, default_mem_node=mem_node)
-    engine = None
-    if fault_plan is not None and not fault_plan.is_empty:
-        engine = FaultEngine(fault_plan, run_seed=seed)
-        engine.install(machine=machine, os=os)
-    monitor = None
-    if check_invariants:
-        monitor = InvariantMonitor()
-        monitor.attach_sim(sim)
-    quartz = None
-    if quartz_config is not None:
-        calibration = calibration or calibrate_arch(arch)
-        if engine is not None:
-            # Perturbed calibration models a mis-measured testbed; it must
-            # be in place before the emulator derives its latency model.
-            calibration = engine.perturb_calibration(calibration)
-        quartz = Quartz(os, quartz_config, calibration=calibration)
-        quartz.attach()
-        if trace_sink is not None:
-            # Local import: repro.quartz.trace imports validation.metrics.
-            from repro.quartz.trace import attach_trace
 
-            attach_trace(quartz, sink=trace_sink)
-    outcome = drive(os)
-    if quartz is not None:
-        outcome.quartz_stats = quartz.stats
-    if engine is not None:
-        outcome.reports["faults"] = engine.report()
-    if monitor is not None:
-        outcome.reports["invariants"] = monitor.report()
-    return outcome
+    The testbed is closed when the drive returns or raises, after the
+    outcome has taken what it reports, so a drive must read everything
+    it needs from the run before it returns.
+    """
+    testbed = Testbed(
+        arch, seed, mem_node=mem_node, latency_jitter=latency_jitter, **machine_options
+    )
+    machine, os = testbed.machine, testbed.os
+    engine = None
+    try:
+        if dvfs:
+            machine.dvfs.enable()
+        if throttle_register is not None:
+            machine.controller(0).program_throttle_register(
+                throttle_register, privileged=True
+            )
+        if fault_plan is not None and not fault_plan.is_empty:
+            engine = FaultEngine(fault_plan, run_seed=seed)
+            engine.install(machine=machine, os=os)
+        monitor = None
+        if check_invariants:
+            monitor = InvariantMonitor()
+            monitor.attach_sim(testbed.sim)
+        quartz = None
+        if quartz_config is not None:
+            calibration = calibration or calibrate_arch(arch)
+            if engine is not None:
+                # Perturbed calibration models a mis-measured testbed; it
+                # must be in place before the emulator derives its model.
+                calibration = engine.perturb_calibration(calibration)
+            quartz = Quartz(os, quartz_config, calibration=calibration)
+            quartz.attach()
+            if trace_sink is not None:
+                # Local import: repro.quartz.trace imports validation.metrics.
+                from repro.quartz.trace import attach_trace
+
+                attach_trace(quartz, sink=trace_sink)
+        outcome = drive(os)
+        outcome.events = testbed.sim.events_dispatched
+        if quartz is not None:
+            outcome.quartz_stats = quartz.stats
+        if engine is not None:
+            outcome.reports["faults"] = engine.report()
+        if monitor is not None:
+            outcome.reports["invariants"] = monitor.report()
+        return outcome
+    finally:
+        if engine is not None:
+            engine.uninstall()  # its subscriber list holds its own methods
+        testbed.close()
 
 
 def run_conf1(

@@ -315,16 +315,13 @@ def _run_one(payload: tuple) -> RunResult:
     )
     wall = time.perf_counter() - started
     mem1, disk1, meas1, _ = cache_counters.snapshot()
-    events = (
-        outcome.machine.sim.events_dispatched if outcome.machine is not None else 0
-    )
     return RunResult(
         index=index,
         workload_result=outcome.workload_result,
         elapsed_ns=outcome.elapsed_ns,
         quartz_stats=outcome.quartz_stats,
         wall_s=wall,
-        events=events,
+        events=outcome.events,
         calib_memory_hits=mem1 - mem0,
         calib_disk_hits=disk1 - disk0,
         calib_measurements=meas1 - meas0,

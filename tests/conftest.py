@@ -1,5 +1,6 @@
 """Suite-wide fixtures."""
 
+import gc
 import os
 
 import pytest
@@ -20,3 +21,16 @@ def _isolated_calibration_cache(tmp_path_factory):
         os.environ.pop("QUARTZ_REPRO_CACHE_DIR", None)
     else:
         os.environ["QUARTZ_REPRO_CACHE_DIR"] = previous
+
+
+@pytest.fixture
+def no_cyclic_gc():
+    """Run the test with the cyclic garbage collector off.
+
+    What the test then sees freed was freed by reference counting alone,
+    as soon as its last reference went: the lifetime oracle of testbeds
+    and memory flows.
+    """
+    gc.disable()
+    yield
+    gc.enable()

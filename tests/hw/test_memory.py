@@ -1,6 +1,7 @@
 """Tests for the memory controller: throttling and fluid flow sharing."""
 
 import math
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,7 @@ from repro.hw.memory import (
     MemoryController,
     MemoryFlow,
 )
-from repro.sim import Simulator
+from repro.sim import Interrupt, Simulator
 
 
 def make_controller(sim=None, peak=10.0, channels=4):
@@ -109,6 +110,31 @@ def test_withdraw_returns_remaining_bytes():
     assert not flow.done.fired
     sim.run()
     assert not flow.done.fired  # withdrawn flows never complete
+
+
+def test_finished_flows_are_freed_without_the_cyclic_gc(no_cyclic_gc):
+    # A flow refers to its completion callback and event while in
+    # service; completing or withdrawing it must drop them, so neither
+    # flow outlives the wait on it.
+    sim, ctrl = make_controller(peak=10.0)
+    completed = ctrl.submit(100.0, rate_cap=10.0)
+    withdrawn = ctrl.submit(1000.0, rate_cap=10.0)
+    refs = [weakref.ref(completed), weakref.ref(withdrawn)]
+
+    def wait_for(flow):
+        try:
+            yield flow.done
+        except Interrupt:
+            ctrl.withdraw(flow)
+
+    sim.spawn(wait_for(completed))
+    waiter = sim.spawn(wait_for(withdrawn))
+    del completed, withdrawn
+    sim.run(until_ns=30.0)  # the first flow completes at 20 ns
+    waiter.interrupt()
+    sim.run()
+    assert waiter.done and ctrl.active_flow_count == 0
+    assert [ref() for ref in refs] == [None, None]
 
 
 def test_withdraw_unknown_flow_rejected():

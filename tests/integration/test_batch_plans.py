@@ -14,6 +14,7 @@ import pytest
 
 from repro.hw import IVY_BRIDGE, Machine
 from repro.hw.core import Core
+from repro.os import testbed
 from repro.quartz import QuartzConfig, calibrate_arch
 from repro.service import CacheConfig, ServiceConfig, TraceConfig
 from repro.service.kvservice import kvservice_main_body
@@ -88,7 +89,7 @@ def record(monkeypatch, name, clear_plans):
                     interrupted.elapsed_ns))
         return interrupted
 
-    monkeypatch.setattr(configs, "Machine", build)
+    monkeypatch.setattr(testbed, "Machine", build)
     monkeypatch.setattr(Core, "execute", logged_execute)
     monkeypatch.setattr(Core, "finish", logged_finish)
     monkeypatch.setattr(Core, "abort", logged_abort)

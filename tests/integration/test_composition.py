@@ -6,6 +6,9 @@ emulation, crash checking, an epoch-trace sink, and the KV service.  All
 of them observe the run through the simulator's one ordered hook
 registry, so each pair must either run with every subscriber seeing its
 events, or be rejected with a named error before the first event fires.
+Each runnable pair must also leave nothing behind: once
+:func:`run_testbed` returns, its simulator, machine and OS are freed by
+reference counting alone (the lifetime oracle).
 
 Explore mode is deliberately not in the matrix: the explorer builds its
 own simulators (no Quartz, no latency jitter) and ignores fault plans by
@@ -13,6 +16,7 @@ design, so there is no shared run for it to compose with.
 """
 
 import itertools
+import weakref
 
 import pytest
 
@@ -78,8 +82,30 @@ def _quartz_config(multi_tier: bool) -> QuartzConfig:
     )
 
 
+def _observed(drive, layers: list):
+    """Wrap *drive*: as it returns, while the testbed is still open, keep
+    weak references to the run's simulator, machine and OS in *layers*,
+    and file the references the multi-tier accountant counted to emulated
+    tiers as the outcome's ``tier-accesses`` report."""
+
+    def observed(os):
+        outcome = drive(os)
+        layers.extend(weakref.ref(layer) for layer in (os.sim, os.machine, os))
+        for accountant in os.hooks.op:
+            if isinstance(accountant, TierAccountant):
+                outcome.reports["tier-accesses"] = sum(
+                    reads + writes
+                    for thread in os.threads
+                    for reads, writes in accountant.snapshot(thread.tid)[1:]
+                )
+        return outcome
+
+    return observed
+
+
 def _run(pair, tmp_path):
-    """Run one pair; returns the outcome and the trace sink (if any)."""
+    """Run one pair; returns the outcome, the trace sink (if any) and weak
+    references to the run's simulator, machine and OS."""
     faulted = "faults+invariants" in pair
     config = _quartz_config("multi-tier" in pair)
     sink = JsonlTraceWriter(tmp_path / "trace.jsonl") if "trace" in pair else None
@@ -89,10 +115,11 @@ def _run(pair, tmp_path):
         drive = drive_body(WORKLOADS["kvservice"](SERVICE, {}), report="service")
     else:
         drive = drive_body(WORKLOADS["memlat"](MEMLAT, {}))
+    layers: list = []
     try:
         outcome = run_testbed(
             IVY_BRIDGE,
-            drive,
+            _observed(drive, layers),
             seed=3,
             quartz_config=config,
             trace_sink=sink,
@@ -102,21 +129,12 @@ def _run(pair, tmp_path):
     finally:
         if sink is not None:
             sink.close()
-    return outcome, sink
+    return outcome, sink, layers
 
 
 def _tier_accesses(outcome) -> float:
     """References the multi-tier accountant counted to emulated tiers."""
-    (accountant,) = [
-        subscriber
-        for subscriber in outcome.machine.sim.hooks.op
-        if isinstance(subscriber, TierAccountant)
-    ]
-    return sum(
-        reads + writes
-        for tid in outcome.quartz_stats.per_thread
-        for reads, writes in accountant.snapshot(tid)[1:]
-    )
+    return outcome.reports["tier-accesses"]
 
 
 RUNNABLE = [
@@ -127,8 +145,11 @@ RUNNABLE = [
 
 
 @pytest.mark.parametrize("pair", RUNNABLE, ids="x".join)
-def test_pair_runs_and_every_subscriber_sees_events(pair, tmp_path):
-    outcome, sink = _run(pair, tmp_path)
+def test_pair_runs_and_every_subscriber_sees_events(pair, tmp_path, no_cyclic_gc):
+    outcome, sink, layers = _run(pair, tmp_path)
+    # Lifetime oracle: with the outcome still held, reference counting
+    # alone has freed the run's testbed.
+    assert [layer() for layer in layers] == [None, None, None]
     assert outcome.quartz_stats.epochs_total > 0
     if "faults+invariants" in pair:
         assert sum(outcome.reports["faults"]["injections"].values()) > 0
@@ -164,8 +185,11 @@ def test_multi_tier_crash_check_at_the_default_plan():
     # on one run, at the crash-check experiment's own plan and seed.
     outcome = run_testbed(
         IVY_BRIDGE,
-        drive_crash_check(
-            "kvstore", default_pm_config("kvstore"), 411, DEFAULT_CRASH_PLAN
+        _observed(
+            drive_crash_check(
+                "kvstore", default_pm_config("kvstore"), 411, DEFAULT_CRASH_PLAN
+            ),
+            [],
         ),
         seed=411,
         quartz_config=_quartz_config(True),

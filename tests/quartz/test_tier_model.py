@@ -341,6 +341,18 @@ def test_tier_ladder_rejects(kwargs, message):
         TierLadder(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "field, value", [("bandwidth_gbps", 2.0), ("capacity_bytes", 1 << 30)]
+)
+def test_tier_ladder_rejects_what_tier_0_never_reads(field, value):
+    """Quartz throttles and fills only the emulated tiers: a 2 GB/s target
+    on the DRAM tier would leave that node unthrottled and throttle the
+    NVM node instead, and a DRAM capacity bounds nothing."""
+    local = MemoryTier("dram", 87.0, 87.0, **{field: value})
+    with pytest.raises(QuartzError, match=f"tier 0 .*{field}="):
+        TierLadder((local, MemoryTier("nvm", 400.0, 400.0)))
+
+
 def test_config_validates_placement_order_indices():
     with pytest.raises(QuartzError, match="placement order"):
         TierLadder(_tiers(3), order=(3,))
