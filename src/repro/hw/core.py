@@ -189,7 +189,9 @@ class Core:
         """Start *op* for *thread*: the hardware half of one op step.
 
         Returns ``(wait, token)``.  A ``wait`` of None means the op is
-        done and ``token`` is its :class:`OpResult`.  Otherwise the caller
+        done and ``token`` is its :class:`OpResult`; a batch on an idle
+        controller may end this way with the clock moved to its end
+        (:meth:`MemoryController.serve_alone`).  Otherwise the caller
         yields ``wait`` (a :class:`Timeout` or a memory flow's ``done``
         condition) and then passes ``token`` to :meth:`finish`, or to
         :meth:`abort` when an :class:`Interrupt` lands instead.
@@ -216,6 +218,8 @@ class Core:
             controller = plan.controller
             if controller is None:
                 return plan.timeout, (kind, plan, now, None)
+            if controller.serve_alone(plan.dram_bytes, plan.rate_cap, plan.flow_kind):
+                return None, self.finish((kind, plan, now, None))
             flow = controller.submit(
                 plan.dram_bytes, plan.rate_cap, label=plan.label, kind=plan.flow_kind
             )

@@ -37,6 +37,23 @@ THROTTLE_REGISTER_BITS = 12
 THROTTLE_REGISTER_MAX = (1 << THROTTLE_REGISTER_BITS) - 1
 
 _flow_ids = itertools.count(1)
+_INF = math.inf
+
+
+def _check_flow(total_bytes: float, rate_cap: float, kind: str) -> None:
+    """Reject a flow no controller can serve.
+
+    NaN fails both range checks: a NaN size would fire ``done`` at once
+    with nothing served, a NaN cap a NaN completion time.
+    """
+    if not 0 <= total_bytes < _INF:
+        raise HardwareError(
+            f"flow size must be finite and non-negative: {total_bytes}"
+        )
+    if not 0 < rate_cap < _INF:
+        raise HardwareError(f"flow rate cap must be finite and positive: {rate_cap}")
+    if kind not in ("read", "write"):
+        raise HardwareError(f"flow kind must be read/write: {kind!r}")
 
 
 class MemoryFlow:
@@ -50,16 +67,7 @@ class MemoryFlow:
 
     def __init__(self, sim: Simulator, total_bytes: float, rate_cap: float,
                  label: str = "flow", kind: str = "read"):
-        # NaN fails both range checks: a NaN size would fire ``done`` at
-        # once with nothing served, a NaN cap a NaN completion time.
-        if not 0 <= total_bytes < math.inf:
-            raise HardwareError(
-                f"flow size must be finite and non-negative: {total_bytes}"
-            )
-        if not 0 < rate_cap < math.inf:
-            raise HardwareError(f"flow rate cap must be finite and positive: {rate_cap}")
-        if kind not in ("read", "write"):
-            raise HardwareError(f"flow kind must be read/write: {kind!r}")
+        _check_flow(total_bytes, rate_cap, kind)
         self.flow_id = next(_flow_ids)
         self.label = label
         self.kind = kind
@@ -236,6 +244,42 @@ class MemoryController:
         self._reallocate()
         return flow
 
+    def serve_alone(self, total_bytes: float, rate_cap: float, kind: str) -> bool:
+        """Serve a flow start to end in place, if the controller is idle
+        and the kernel lets the clock run to its end.
+
+        What :meth:`submit` would do for a lone flow, without the flow:
+        its completion and its submitter's resume are the next two events
+        (:meth:`Simulator.advance_to`).  On True the clock is at the
+        completion time and the bytes are served; on False nothing
+        changed and the caller submits the flow.
+        """
+        sim = self.sim
+        if sim.hooks.dispatch or self._flows:
+            # A checked run, or a flow in service: submit (a checked run
+            # stops at the first test).
+            return False
+        _check_flow(total_bytes, rate_cap, kind)
+        if not total_bytes > 0:
+            return False
+        started = sim.now
+        rate = self._lone_rate(rate_cap, kind)
+        if not sim.advance_to(started + total_bytes / rate, 2):
+            return False
+        total = float(total_bytes)
+        # _advance_all's credit at the completion, then _complete's snap
+        # to done, in the same float order (``min``/``max`` spelled out).
+        elapsed = sim.now - started
+        moved = 0.0
+        if elapsed > 0:
+            moved = elapsed * rate
+            if not moved < total:
+                moved = total
+            self.total_bytes_served += moved
+        rest = total - moved
+        self.total_bytes_served += rest if rest > 0.0 else 0.0
+        return True
+
     def withdraw(self, flow: MemoryFlow) -> float:
         """Stop servicing *flow* (e.g. its core took a signal).
 
@@ -278,6 +322,18 @@ class MemoryController:
                 self.total_bytes_served += moved
             flow._last_update_ns = now
 
+    def _lone_rate(self, rate_cap: float, kind: str) -> float:
+        """The rate of a flow alone in service: each stage of
+        :meth:`_reallocate`'s two-stage fill gives it ``min(cap,
+        capacity / 1)``, so it is ``min(min(cap, kind capacity),
+        capacity)``, spelled as the comparisons ``min`` makes (it keeps
+        its first argument unless the second is smaller) without its
+        call cost."""
+        kind_bandwidth = self._kind_bandwidths[kind]
+        rate = kind_bandwidth if kind_bandwidth < rate_cap else rate_cap
+        effective = self._effective_bandwidth
+        return effective if effective < rate else rate
+
     def _detach(self, flow: MemoryFlow) -> None:
         """Stop servicing *flow* and drop its completion callback and
         event, which refer back to it, so a finished flow is freed by
@@ -317,8 +373,7 @@ class MemoryController:
         within its own register-scaled capacity, then the results become
         rate caps in a combined fill against the overall capacity — so
         the combined register still binds when the per-kind registers are
-        left open.  A lone flow skips the fills: each stage gives it
-        ``min(cap, capacity / 1)``, which is the nested ``min`` below.
+        left open.  A lone flow skips the fills (:meth:`_lone_rate`).
         With no flow active there is nothing to credit or reschedule.
         """
         if not self._flows:
@@ -326,10 +381,7 @@ class MemoryController:
         self._advance_all()
         if len(self._flows) == 1:
             flow = self._flows[0]
-            flow.assigned_rate = min(
-                min(flow.rate_cap, self._kind_bandwidths[flow.kind]),
-                self._effective_bandwidth,
-            )
+            flow.assigned_rate = self._lone_rate(flow.rate_cap, flow.kind)
         else:
             kind_limits: dict[int, float] = {}
             for kind in ("read", "write"):

@@ -321,9 +321,10 @@ class JoinThread(Op):
     thread: "SimThread"
 
 
-@dataclass
+@dataclass(slots=True)
 class OpResult:
-    """What the core reports back for a completed timed op."""
+    """What the core reports back for a completed timed op (one per op,
+    so slotted)."""
 
     op: Op
     duration_ns: float

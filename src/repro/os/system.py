@@ -184,12 +184,16 @@ class SimOS:
         interposer's stream (its :data:`ORIGINAL` runs ``intercepted``) or
         a signal handler.  Each op takes one step: a plain :meth:`_dispatch`,
         then at most one ``yield wait`` here for a core op, or a ``yield
-        from`` into the sub-generator of an op that really waits.
+        from`` into the sub-generator of an op that really waits.  A timed
+        wait that no other event can precede skips the yield: the kernel
+        moves the clock in place (:meth:`Simulator.advance_to`).
         """
         send = generator.send
         dispatch = self._dispatch
         finish = thread.core.finish
         hooks = self.hooks
+        sim = self.sim
+        advance = sim.advance_to
         result = original = None
         while True:
             try:
@@ -210,6 +214,14 @@ class SimOS:
                 result = token
             elif wait is _FRAME:
                 result = yield from token
+            elif (
+                not hooks.dispatch
+                and type(wait) is Timeout
+                and advance(sim.now + wait.delay_ns, 1)
+            ):
+                # No event can come before the wait ends: its resume is
+                # finished in place (a checked run stops at the first test).
+                result = finish(token)
             else:
                 try:
                     yield wait

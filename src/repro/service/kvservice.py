@@ -220,6 +220,7 @@ class _ServiceRuntime:
         self.arenas: dict = {}
         self.cache_arena = None
         self.dispatch = Compute(config.compute_cycles_per_op, label="svc-dispatch")
+        self.commit = Commit()
 
     # -- placement ------------------------------------------------------
     def allocate(self, ctx) -> None:
@@ -304,7 +305,7 @@ class _ServiceRuntime:
         yield self.value_writes[tenant]
         if self.config.flush_writes:
             yield from ctx.pflush(self.arenas[tenant], lines=self.lines_per_value)
-            yield Commit()
+            yield self.commit
 
     def writeback_traffic(self, ctx, evicted):
         """Charge PM writeback traffic for evicted *dirty* entries.

@@ -19,6 +19,24 @@ Cancellation is lazy (O(1)), but not unbounded: the simulator counts
 cancelled entries still in the heap and compacts in place once they
 exceed half of a non-trivial heap, preserving FIFO tie-break order
 (the (time, seq) total order survives re-heapification).
+
+**Finishing in place.**  A callback that is about to schedule work
+whose events would be the very next ones the loop dispatches may ask
+:meth:`Simulator.advance_to` to move the clock there instead: a timed
+wait (one event, the resume) or a flow on an idle memory controller
+(two, its completion and the resume).  The rule holds only when nothing
+could run first or see the difference: the running :meth:`~Simulator.run`
+has no ``dispatch`` subscriber (it would miss the events) and no
+``schedule`` subscriber (it would perturb their delays), no stop is
+pending, the time lies inside the run's ``until_ns`` horizon, the events
+fit its ``max_events`` budget, and the time is strictly below the heap
+head, so every other event keeps its ``(time, seq)`` order.  Events
+finished in place count as dispatched, in :attr:`events_dispatched` and
+against the budget, exactly as if they had been pushed and popped; only
+the ``schedule`` calls they would have made are saved.  Outside a run
+the rule never holds, and under :meth:`Simulator.run_until_condition`,
+whose ``run(max_events=1)`` spends its budget on the popped event,
+nothing finishes in place.
 """
 from __future__ import annotations
 
@@ -72,6 +90,10 @@ class Simulator:
         self._free: list[ScheduledEvent] = []
         #: Set by :meth:`request_stop`; consumed by :meth:`run`.
         self._stop = False
+        #: Events the running :meth:`run` may still dispatch, and its
+        #: horizon: 0 and -inf outside a run, so nothing runs ahead.
+        self._room = 0
+        self._horizon = -_INF
         self.random = RandomStreams(seed=seed)
         #: Every observation seam of the run (see :mod:`repro.sim.hooks`).
         self.hooks = Hooks()
@@ -181,6 +203,8 @@ class Simulator:
 
         Each ``dispatch`` subscriber sees an event after the clock has
         moved to it and before it is marked fired and its callback runs.
+        Events finished in place (:meth:`advance_to`) count against
+        *max_events* like popped ones.
 
         Returns the stop reason:
 
@@ -205,6 +229,12 @@ class Simulator:
         refcount = getrefcount
         until = _INF if until_ns is None else until_ns
         budget = maxsize if max_events is None else max_events
+        # The budget and horizon live on the simulator while the loop
+        # runs: :meth:`advance_to` charges in-place events to the same
+        # budget.  A nested run restores the outer run's on exit.
+        outer = self._room, self._horizon
+        self._room = budget
+        self._horizon = until
         dispatched = 0
         try:
             while heap:
@@ -230,11 +260,13 @@ class Simulator:
                     if until > self.now:
                         self.now = until
                     return "until"
-                if dispatched >= budget:
+                room = self._room
+                if room <= 0:
                     push(heap, (time_ns, seq, event))
                     if until_ns is not None:
                         self.now = max(self.now, min(time_ns, until))
                     return "max-events"
+                self._room = room - 1
                 self.now = time_ns
                 dispatched += 1
                 observers = hooks.dispatch
@@ -247,14 +279,44 @@ class Simulator:
                     event.callback = None
                     free.append(event)
         finally:
+            # In-place events are already in ``_events_dispatched`` and
+            # were never pending; the popped ones are reconciled here.
             self._events_dispatched += dispatched
             self._pending -= dispatched
+            self._room, self._horizon = outer
         if self._stop:
             self._stop = False
             return "stopped"
         if until_ns is not None and until_ns > self.now:
             self.now = until_ns
         return "drained"
+
+    def advance_to(self, time_ns: float, events: int) -> bool:
+        """Finish *events* events in place at *time_ns*, if nothing can
+        come first (the rule in the module docstring).
+
+        The caller is a callback of the running loop that would otherwise
+        schedule those events, the last at *time_ns*, as the very next
+        ones to fire.  On True the clock is at *time_ns*, the events count
+        as dispatched and against the run's budget, and the caller does
+        their work itself; on False nothing changed and the caller
+        schedules as usual.
+        """
+        # The heap head first: another thread's pending resume is what
+        # refuses most requests.
+        heap = self._heap
+        if heap and heap[0][0] <= time_ns:
+            return False
+        hooks = self.hooks
+        if hooks.dispatch or hooks.schedule or self._stop:
+            return False
+        room = self._room - events
+        if room < 0 or not self.now <= time_ns <= self._horizon:
+            return False
+        self._room = room
+        self._events_dispatched += events
+        self.now = time_ns
+        return True
 
     def run_until_condition(
         self,
@@ -308,8 +370,9 @@ class Simulator:
 
     @property
     def events_dispatched(self) -> int:
-        """Total events fired since construction (reconciled when
-        :meth:`run` exits, like :attr:`pending_event_count`)."""
+        """Total events fired since construction, popped or finished in
+        place (:meth:`advance_to`).  Popped ones are reconciled when
+        :meth:`run` exits, like :attr:`pending_event_count`."""
         return self._events_dispatched
 
     def close(self) -> None:

@@ -250,6 +250,49 @@ def test_property_single_flow_matches_the_water_fill_bit_for_bit(
     assert run_flow(sim, flow) == start_ns + total_bytes / rate
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    peak=positive,
+    total_bytes=positive,
+    rate_cap=positive,
+    kind=st.sampled_from(("read", "write")),
+    throttle=registers,
+    rw=st.none() | st.tuples(registers, registers),
+    start_ns=st.floats(min_value=0.0, max_value=1e6),
+)
+def test_property_a_flow_served_in_place_matches_the_submitted_one_bit_for_bit(
+    peak, total_bytes, rate_cap, kind, throttle, rw, start_ns
+):
+    # The same lone flow, once served in place and once submitted, must
+    # end at the same time with the same bytes served, bit for bit: the
+    # in-place credit repeats _advance_all's step and _complete's snap.
+    ends = []
+    for in_place in (True, False):
+        sim = Simulator()
+        ctrl = MemoryController(
+            sim, node=0, peak_bw_bytes_per_ns=peak, channels=4,
+            rw_throttle_supported=rw is not None,
+        )
+        ctrl.program_throttle_register(throttle, privileged=True)
+        if rw is not None:
+            ctrl.program_rw_throttle_registers(*rw, privileged=True)
+        sim.run(until_ns=start_ns)
+        served = []
+
+        def start():
+            if in_place:
+                served.append(ctrl.serve_alone(total_bytes, rate_cap, kind))
+            else:
+                ctrl.submit(total_bytes, rate_cap=rate_cap, kind=kind)
+
+        sim.schedule(0.0, start)
+        sim.run()
+        # An empty heap and no subscriber: the rule holds.
+        assert served == ([True] if in_place else [])
+        ends.append((sim.now, ctrl.total_bytes_served, ctrl.active_flow_count))
+    assert ends[0] == ends[1]
+
+
 # ----------------------------------------------------------------------
 # Cached capacities: stored at each register write, read per flow event
 # ----------------------------------------------------------------------

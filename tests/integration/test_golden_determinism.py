@@ -27,6 +27,7 @@ To regenerate after an *intentional* behaviour change::
 and explain the move in the commit message.
 """
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -65,21 +66,63 @@ def test_digest_is_stable_within_a_process():
     assert _digest("figure12") == _digest("figure12")
 
 
-def test_digest_identical_with_dispatch_hooks_armed():
+@pytest.mark.parametrize("experiment_id", sorted(GOLDEN))
+def test_digest_identical_with_dispatch_hooks_armed(experiment_id):
     # Arming invariant checking installs a dispatch observer on every
-    # run.  Observers may only watch, never steer: the kernel's one
-    # dispatch loop must give the same digest, byte for byte, with and
-    # without them.
+    # validation run.  Observers may only watch, never steer, and an
+    # observed run finishes nothing in place, so this is the always-push
+    # loop against the pinned digest of the loop that finishes ops in
+    # place wherever no event can come first.
     from repro.faults import active_faults
 
-    unhooked = _digest("figure12")
     with active_faults(check_invariants=True):
-        hooked = _digest("figure12")
-    assert hooked == unhooked, (
-        "experiment digest differs between the run without dispatch "
-        "observers and the invariant-checked run; an observer changed "
-        "what the dispatch loop did"
+        hooked = _digest(experiment_id)
+    assert hooked == GOLDEN[experiment_id], (
+        f"{experiment_id}: experiment digest differs between the "
+        "invariant-checked run and the pinned unobserved one; an observer "
+        "changed what the dispatch loop did, or an op finished in place "
+        "out of order"
     )
+
+
+def _kv_service_state(observed: bool) -> tuple:
+    """A smoke-size KV service run (2 tenants x 300 YCSB-A ops under
+    Quartz), with or without a no-op ``dispatch`` subscriber."""
+    from repro.hw import IVY_BRIDGE
+    from repro.os.testbed import Testbed
+    from repro.quartz import Quartz, QuartzConfig, calibrate_arch
+    from repro.service import ServiceConfig, TraceConfig
+    from repro.service.kvservice import kvservice_main_body
+
+    trace = TraceConfig(
+        tenants=2, ops_per_tenant=300, keys_per_tenant=5_000, mix="ycsb-a", seed=1200
+    )
+    with Testbed(IVY_BRIDGE, seed=11) as testbed:
+        sim, machine = testbed.sim, testbed.machine
+        if observed:
+            sim.hooks.subscribe("dispatch", lambda event: None)
+        Quartz(
+            testbed.os,
+            QuartzConfig(nvm_read_latency_ns=400.0, nvm_write_latency_ns=800.0),
+            calibration=calibrate_arch(IVY_BRIDGE),
+        ).attach()
+        testbed.os.create_thread(kvservice_main_body(ServiceConfig(trace=trace), {}))
+        testbed.os.run_to_completion()
+        return (
+            sim.events_dispatched,
+            sim.now,
+            [dataclasses.astuple(core.stats) for core in machine.cores],
+            [dict(pmc._true) for pmc in machine.pmcs],
+            [controller.total_bytes_served for controller in machine.controllers],
+        ), sim._seq
+
+
+def test_kv_service_in_place_matches_the_always_push_loop():
+    in_place, in_place_schedules = _kv_service_state(observed=False)
+    pushed, pushed_schedules = _kv_service_state(observed=True)
+    assert in_place == pushed
+    # The rule was on: most waits never reached the heap.
+    assert in_place_schedules < pushed_schedules / 2
 
 
 @pytest.mark.parametrize(
